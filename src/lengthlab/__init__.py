@@ -2,3 +2,8 @@
 on finite and compact groups, verified at desk scale."""
 
 __version__ = "0.1.0"
+
+
+class LengthlabError(Exception):
+    """Root of the library's exceptions; the CLI reports any of them as
+    bad input or out of range (exit code 2)."""

@@ -61,25 +61,13 @@ def suite_class_sizes(seed=DEFAULT_SEED):
     """class_size formula vs direct orbit enumeration, S_n and A_n, n <= 7."""
     checked, bad = 0, []
     for n in range(2, 8):
-        elements = list(itertools.permutations(range(n)))
-        even = [p for p in elements if _parity(p) == 0]
-
-        def ctype(p):
-            seen, parts = [False] * n, []
-            for s in range(n):
-                if seen[s]:
-                    continue
-                ln, cur = 0, s
-                while not seen[cur]:
-                    seen[cur] = True
-                    cur = p[cur]
-                    ln += 1
-                parts.append(ln)
-            return tuple(sorted(parts))
-
+        elements = [perms.Permutation(p)
+                    for p in itertools.permutations(range(n))]
+        even = [(c, c.inverse()) for c in elements if c.is_even()]
         buckets = {}
         for p in elements:
-            buckets.setdefault(ctype(p), []).append(p)
+            parts = tuple(perms.cycle_type(p).parts())
+            buckets.setdefault(parts, []).append(p)
         for parts, members in buckets.items():
             t = perms.CycleType.from_parts(list(parts))
             checked += 1
@@ -89,7 +77,7 @@ def suite_class_sizes(seed=DEFAULT_SEED):
                 continue
             # A_n orbit of one representative by explicit conjugation
             rep = members[0]
-            orbit = {tuple(c[rep[_inv(c)[i]]] for i in range(n)) for c in even}
+            orbit = {c * rep * ci for c, ci in even}
             checked += 1
             if perms.class_size(t, perms.ALT) != len(orbit):
                 bad.append(("A", n, parts))
@@ -97,27 +85,6 @@ def suite_class_sizes(seed=DEFAULT_SEED):
             if splits != (perms.class_size(t, perms.ALT) * 2 == len(members)):
                 bad.append(("A-split", n, parts))
     return not bad, f"classes checked={checked} mismatches={bad}"
-
-
-def _parity(p):
-    seen, par = [False] * len(p), 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        ln, cur = 0, s
-        while not seen[cur]:
-            seen[cur] = True
-            cur = p[cur]
-            ln += 1
-        par ^= (ln - 1) & 1
-    return par
-
-
-def _inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return out
 
 
 def suite_asymptotic_bounds(seed=DEFAULT_SEED):
@@ -473,18 +440,19 @@ SUITES = [
 ]
 
 
+def run_suite(name, fn, budget, seed=DEFAULT_SEED):
+    """Run one suite; returns its result dict with the elapsed seconds."""
+    start = time.perf_counter()
+    try:
+        ok, detail = fn(seed)
+    except Exception as exc:  # a crash is a failure, not an abort
+        ok, detail = False, f"exception: {exc!r}"
+    elapsed = time.perf_counter() - start
+    return {"name": name, "ok": ok, "detail": detail,
+            "elapsed": round(elapsed, 3), "budget": budget}
+
+
 def run_suites(name_filter=None, seed=DEFAULT_SEED):
     """Run matching suites; returns a list of result dicts."""
-    out = []
-    for name, fn, budget in SUITES:
-        if name_filter and name_filter not in name:
-            continue
-        start = time.time()
-        try:
-            ok, detail = fn(seed)
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"exception: {exc!r}"
-        elapsed = time.time() - start
-        out.append({"name": name, "ok": ok, "detail": detail,
-                    "elapsed": round(elapsed, 3), "budget": budget})
-    return out
+    return [run_suite(name, fn, budget, seed) for name, fn, budget in SUITES
+            if not name_filter or name_filter in name]

@@ -15,12 +15,13 @@ import math
 import sys
 from fractions import Fraction
 
-from . import acceptance, coloring, engine, fqlin, perms, profiles, roots
+from . import (LengthlabError, acceptance, coloring, engine, fqlin, perms,
+               profiles, roots)
 
 SCHEMA_VERSION = 1
 
 
-class ConfigInvalid(ValueError):
+class ConfigInvalid(LengthlabError, ValueError):
     pass
 
 
@@ -408,8 +409,7 @@ def main(argv=None) -> int:
         raise ConfigInvalid("seed must fit in 64 bits")
     try:
         ok = COMMANDS[args.command](args)
-    except (ConfigInvalid, ValueError, roots.BoundViolated,
-            roots.BadRank, roots.RankTooSmall) as exc:
+    except (LengthlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

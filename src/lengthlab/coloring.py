@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import random
 
+from . import LengthlabError
 
-class SearchExhausted(Exception):
+
+class SearchExhausted(LengthlabError):
     """Raised when the search budget runs out (should not happen)."""
 
 

@@ -12,21 +12,22 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import LengthlabError
 from .fqlin import FqField, FqMatrix
 from .perms import Permutation
 
 DEFAULT_CAP = 100_000
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(LengthlabError, RuntimeError):
     pass
 
 
-class IdentityElement(ValueError):
+class IdentityElement(LengthlabError, ValueError):
     pass
 
 
-class NotSimple(ValueError):
+class NotSimple(LengthlabError, ValueError):
     pass
 
 
@@ -105,12 +106,10 @@ class GroupTable:
         return bits
 
     def members(self, bits: int):
-        i = 0
         while bits:
             tz = (bits & -bits).bit_length() - 1
             yield tz
             bits &= bits - 1
-            i += 1
 
     def inverse_bits(self, bits: int) -> int:
         out = 0

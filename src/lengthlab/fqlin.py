@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import LengthlabError
+
 MAX_Q = 1 << 16
 MAX_N = 64
 
@@ -21,15 +23,15 @@ SYMPLECTIC = "symplectic"
 HERMITIAN = "hermitian"
 
 
-class Singular(ValueError):
+class Singular(LengthlabError, ValueError):
     pass
 
 
-class CharTwoSymmetric(ValueError):
+class CharTwoSymmetric(LengthlabError, ValueError):
     pass
 
 
-class HypothesisViolated(ValueError):
+class HypothesisViolated(LengthlabError, ValueError):
     pass
 
 

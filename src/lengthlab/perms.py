@@ -16,15 +16,17 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from . import LengthlabError
+
 SYM = "Sym"
 ALT = "Alt"
 
 
-class OddTypeInAlt(ValueError):
+class OddTypeInAlt(LengthlabError, ValueError):
     """Raised when an odd cycle type is used in an alternating group."""
 
 
-class IdentityElement(ValueError):
+class IdentityElement(LengthlabError, ValueError):
     pass
 
 
@@ -287,14 +289,6 @@ def comparison_rows(
                     float(lh) > 8 * lc + 1e-12
                 )
             yield n, t, lh, lr, lc, flag_exact, flag_asym
-
-
-def comparison_report_csv(n_min: int, n_max: int, ambient: str = SYM) -> Iterator[str]:
-    """CSV lines (with header) for the comparison sweep."""
-    yield REPORT_HEADER
-    for n, t, lh, lr, lc, fe, fa in comparison_rows(n_min, n_max, ambient):
-        ctype = "+".join(str(p) for p in t.parts())
-        yield f"{n},{ctype},{lh},{lr},{lc:.12g},{int(fe)},{int(fa)}"
 
 
 def exact_sandwich_scan(n_max: int) -> int:

@@ -23,8 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import LengthlabError
 from .roots import (
     TorusElement,
+    _Orbit,
+    _zigzag,
     lambda_tilde,
     lfrac,
     normalize_angle,
@@ -32,11 +35,11 @@ from .roots import (
 )
 
 
-class Unrealizable(Exception):
+class Unrealizable(LengthlabError):
     pass
 
 
-class IndexOutOfRange(Exception):
+class IndexOutOfRange(LengthlabError):
     pass
 
 
@@ -125,25 +128,13 @@ def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
     (None, True) as soon as the optimal distance multiset cannot equal
     the expected one.
     """
-    typ = "A" if t.type == "U" else t.type
-    angles = [normalize_angle(a) for a in t.angles]
-    vals = sorted(set(angles))
-    counts = tuple(angles.count(v) for v in vals)
-    k = len(vals)
-    n = len(angles)
-    signs = (1, -1) if typ in ("B", "C", "D") else (1,)
-    sval = {(i, s): normalize_angle(s * v)
-            for i, v in enumerate(vals) for s in signs}
-
-    # state: (remaining counts, (value idx, sign), flip parity) -> witness
-    states = {}
-    for i in range(k):
-        rem = list(counts)
-        rem[i] -= 1
-        for s in signs:
-            key = (tuple(rem), (i, s), 1 if s < 0 else 0)
-            states.setdefault(key, [sval[(i, s)]])
-    budget = None if expect is None else dict(expect)
+    orb = _Orbit(t)
+    budget = None
+    if expect is not None:
+        # distances off the 1/D grid can never be drawn
+        budget = {int(u): c for u, c in
+                  ((Fraction(d) * orb.D, c) for d, c in expect.items())
+                  if u.denominator == 1}
 
     def draw(d):
         # early abort: the greedy maximum is forced, so any draw outside
@@ -155,38 +146,36 @@ def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
         budget[d] -= 1
         return True
 
-    dseq = []
+    # lex fold: state -> labels of the first-found prefix reaching it
+    states = {key: (key[1],) for key in orb.successors(orb.counts)}
+    draws = []
     exact = True
-    for step in range(n - 1):
-        final = step == n - 2
-        best = None
+    for step in range(orb.n - 1):
+        closing = orb.close is not None and step == orb.n - 2
+        tab = orb.step
+        if closing:
+            # rank (step, close) pairs lexicographically as one integer
+            width = orb.D + 1
+            tab = [[a * width + b for a, b in zip(r, c)]
+                   for r, c in zip(orb.step, orb.close)]
+        best = -1
         nxt = {}
-        for (rem, (i, s), par), arr in states.items():
-            pv = sval[(i, s)]
-            for j in range(k):
-                if rem[j] == 0:
+        for lab, par, path, succ in orb.layer(states):
+            row = tab[lab]
+            for rem2, lab2, flip in succ:
+                par2 = par ^ flip
+                if closing and par2:
                     continue
-                for s2 in signs:
-                    par2 = par ^ (1 if s2 < 0 else 0)
-                    if final and typ == "D" and par2 != 0:
-                        continue
-                    cv = sval[(j, s2)]
-                    d = lfrac(pv - cv)
-                    if typ == "D" and final:
-                        score = (d, lfrac(pv + cv))
-                    else:
-                        score = (d,)
-                    if best is None or score > best:
-                        best = score
-                        nxt = {}
-                    if score == best:
-                        rem2 = list(rem)
-                        rem2[j] -= 1
-                        key = (tuple(rem2), (j, s2), par2)
-                        nxt.setdefault(key, arr + [cv])
-        if not all(draw(d) for d in best):
+                score = row[lab2]
+                if score > best:
+                    best = score
+                    nxt = {}
+                if score == best:
+                    nxt.setdefault((rem2, lab2, par2), path + (lab2,))
+        got = divmod(best, width) if closing else (best,)
+        if not all(draw(d) for d in got):
             return None, True
-        dseq.extend(best)
+        draws.extend(got)
         states = nxt
         if len(states) > state_cap:
             exact = False
@@ -196,31 +185,23 @@ def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
         return None, False
     if not exact:
         # zigzag of the sorted angles: large distances first
-        srt = sorted(angles)
-        arr = []
-        lo, hi = 0, len(srt) - 1
-        while lo <= hi:
-            arr.append(srt[lo])
-            lo += 1
-            if lo <= hi:
-                arr.append(srt[hi])
-                hi -= 1
-        opt = TorusElement(t.type, t.rank, tuple(arr))
-        return opt, False
+        arr = _zigzag(t.angles)
+        return TorusElement(t.type, t.rank, tuple(arr)), False
 
-    if typ in ("B", "C"):
-        mult = 2 if typ == "C" else 1
-        best_end = max(lfrac(mult * sval[key[1]]) for key in states)
-        states = {key: arr for key, arr in states.items()
-                  if lfrac(mult * sval[key[1]]) == best_end}
+    if orb.typ in ("B", "C"):
+        best_end = max(orb.end[key[1]] for key in states)
+        states = {key: path for key, path in states.items()
+                  if orb.end[key[1]] == best_end}
         if not draw(best_end):
             return None, True
-        dseq.append(best_end)
+        draws.append(best_end)
 
-    arr = next(iter(states.values()))
-    opt = TorusElement(t.type, t.rank, tuple(arr))
+    labels = next(iter(states.values()))
+    arr = tuple(Fraction(orb.values[lab], orb.D) for lab in labels)
+    opt = TorusElement(t.type, t.rank, arr)
+    dseq = [Fraction(d, orb.D) for d in draws]
     # all survivors share dseq by construction; cross-check the witness
-    assert [lfrac(b) for b in opt.betas()] == dseq if typ != "D" else True
+    assert [lfrac(b) for b in opt.betas()] == dseq if orb.typ != "D" else True
     return opt, True
 
 

@@ -16,25 +16,28 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from . import LengthlabError
 
-class BadRank(ValueError):
+
+class BadRank(LengthlabError, ValueError):
     pass
 
 
-class NotInOrbit(Exception):
+class NotInOrbit(LengthlabError):
     pass
 
 
-class NoSplit(Exception):
+class NoSplit(LengthlabError):
     pass
 
 
-class BoundViolated(Exception):
+class BoundViolated(LengthlabError):
     pass
 
 
@@ -47,15 +50,15 @@ class PolarInfeasible(BoundViolated):
     """
 
 
-class CentralH(Exception):
+class CentralH(LengthlabError):
     pass
 
 
-class RankTooSmall(Exception):
+class RankTooSmall(LengthlabError):
     pass
 
 
-class RankTooLargeForExact(Exception):
+class RankTooLargeForExact(LengthlabError):
     pass
 
 
@@ -431,7 +434,7 @@ def lambda_of(t: TorusElement) -> Fraction:
     return sum((lfrac(b) for b in t.betas()), Fraction(0)) / t.rank
 
 
-# ------------------------------------------------ lambda-tilde (orbit max)
+# ------------------------------------- rearrangement orbit, lambda-tilde
 
 _STATE_CAP = 200_000
 
@@ -449,6 +452,62 @@ def _arrangement_value(typ, seq):
     return total
 
 
+class _Orbit:
+    """The rearrangement orbit of a torus element, in integer units.
+
+    The angles are scaled by their common denominator D, so a signed
+    value is an integer in (-D, D] and lfrac is integer arithmetic mod
+    2D.  Label i*len(signs) + s names distinct value i with sign
+    signs[s].  Arrangements are built left to right over states (rem,
+    label, parity): the remaining count of each value, the last label
+    placed and the parity of the sign flips so far.
+    """
+
+    def __init__(self, t: TorusElement):
+        self.typ = "A" if t.type == "U" else t.type
+        counts = Counter(t.angles)  # normalized by TorusElement
+        vals = sorted(counts)
+        self.n = len(t.angles)
+        self.counts = tuple(counts[v] for v in vals)
+        signs = (1, -1) if self.typ in ("B", "C", "D") else (1,)
+        self.D = D = math.lcm(*(v.denominator for v in vals))
+        # s*v normalized to (-D, D]
+        self.values = [D - (D - s * v.numerator * (D // v.denominator))
+                       % (2 * D) for v in vals for s in signs]
+        self.flips = [int(s < 0) for _ in vals for s in signs]
+        self.labels = [range(i * len(signs), (i + 1) * len(signs))
+                       for i in range(len(vals))]
+
+        def dist(x):
+            x %= 2 * D
+            return min(x, 2 * D - x)
+
+        # step[a][b] = lfrac(a - b); the type-D arrangement closes with
+        # lfrac(a + b) on its last pair, B and C end on lfrac(a), lfrac(2a)
+        self.step = [[dist(a - b) for b in self.values] for a in self.values]
+        self.close = [[dist(a + b) for b in self.values]
+                      for a in self.values] if self.typ == "D" else None
+        mult = {"B": 1, "C": 2}.get(self.typ, 0)
+        self.end = [dist(mult * a) for a in self.values]
+
+    def successors(self, rem):
+        """(rem2, label, flip) for every next placement from remaining
+        counts rem, values ascending and sign +1 first; the start states
+        are successors(counts) at parity 0."""
+        return [(rem[:i] + (c - 1,) + rem[i + 1:], lab, self.flips[lab])
+                for i, (c, labs) in enumerate(zip(rem, self.labels)) if c
+                for lab in labs]
+
+    def layer(self, states):
+        """(label, parity, value, successors) for each state of one layer
+        of the search, in order; states with equal rem share one list."""
+        succ = {}
+        for (rem, lab, par), value in states.items():
+            if rem not in succ:
+                succ[rem] = self.successors(rem)
+            yield lab, par, value, succ[rem]
+
+
 def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     """Exact maximum of lambda over the orbit of rearrangements.
 
@@ -457,75 +516,43 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     multiset of distinct angles; raises RankTooLargeForExact when the
     state space exceeds state_cap (use lambda_tilde_lower_bound then).
     """
-    angles = [normalize_angle(a) for a in t.angles]
-    vals = sorted(set(angles))
-    counts = [angles.count(v) for v in vals]
-    k = len(vals)
-    n = len(angles)
-    typ = "A" if t.type == "U" else t.type
-    signed = typ in ("B", "C", "D")
-
-    bound = k * (2 if signed else 1) * (2 if typ == "D" else 1)
-    for c in counts:
+    orb = _Orbit(t)
+    bound = len(orb.values) * (2 if orb.typ == "D" else 1)
+    for c in orb.counts:
         bound *= c + 1
         if bound > state_cap:
             raise RankTooLargeForExact(
                 f"{bound}+ states exceeds cap {state_cap}")
 
-    sval = {}
-    for i, v in enumerate(vals):
-        sval[(i, 1)] = v
-        if signed:
-            sval[(i, -1)] = normalize_angle(-v)
-    signs = (1, -1) if signed else (1,)
-
-    # state: (remaining counts, last (value index, sign), sign-flip parity)
-    states = {}
-    for i in range(k):
-        rem = list(counts)
-        rem[i] -= 1
-        for s in signs:
-            key = (tuple(rem), (i, s), 1 if s < 0 else 0)
-            if states.get(key, Fraction(-1)) < 0:
-                states[key] = Fraction(0)
-
-    for step in range(n - 1):
-        last_step = step == n - 2
+    # max-plus fold: state -> largest distance sum of a prefix reaching it
+    states = dict.fromkeys(orb.successors(orb.counts), 0)
+    for step in range(orb.n - 1):
+        tab = orb.step
+        if orb.close is not None and step == orb.n - 2:
+            tab = [[a + b for a, b in zip(r, c)]
+                   for r, c in zip(orb.step, orb.close)]
         nxt = {}
-        for (rem, (i, s), par), best in states.items():
-            pv = sval[(i, s)]
-            for j in range(k):
-                if rem[j] == 0:
-                    continue
-                rem2 = list(rem)
-                rem2[j] -= 1
-                rem2 = tuple(rem2)
-                for s2 in signs:
-                    cv = sval[(j, s2)]
-                    w = best + lfrac(pv - cv)
-                    if typ == "D" and last_step:
-                        w += lfrac(pv + cv)
-                    par2 = par ^ (1 if s2 < 0 else 0)
-                    key = (rem2, (j, s2), par2)
-                    if nxt.get(key, Fraction(-1)) < w:
-                        nxt[key] = w
+        for lab, par, w, succ in orb.layer(states):
+            row = tab[lab]
+            for rem2, lab2, flip in succ:
+                key = (rem2, lab2, par ^ flip)
+                v = w + row[lab2]
+                if nxt.get(key, -1) < v:
+                    nxt[key] = v
         states = nxt
 
-    best = Fraction(-1)
-    for (rem, (i, s), par), val in states.items():
-        if typ == "D" and par != 0:
-            continue
-        if typ == "B":
-            val = val + lfrac(sval[(i, s)])
-        elif typ == "C":
-            val = val + lfrac(2 * sval[(i, s)])
-        if typ == "D" and n == 1:
-            continue
-        if val > best:
-            best = val
+    best = max((w + orb.end[lab] for (_, lab, par), w in states.items()
+                if not (orb.typ == "D" and par)), default=-1)
     if best < 0:
         raise RankTooLargeForExact("no admissible arrangement")
-    return best / t.rank
+    return Fraction(best, orb.D * t.rank)
+
+
+def _zigzag(values):
+    """The sorted values taken lowest, highest, second lowest, ..."""
+    srt = sorted(values)
+    return [srt[i // 2] if i % 2 == 0 else srt[-1 - i // 2]
+            for i in range(len(srt))]
 
 
 def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
@@ -542,15 +569,7 @@ def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
     angles = [normalize_angle(a) for a in t.angles]
 
     def candidates():
-        srt = sorted(angles)
-        zig = []
-        lo, hi = 0, len(srt) - 1
-        while lo <= hi:
-            zig.append(srt[lo])
-            lo += 1
-            if lo <= hi:
-                zig.append(srt[hi])
-                hi -= 1
+        zig = _zigzag(angles)
         yield zig
         yield list(reversed(zig))
         for _ in range(tries):
@@ -568,8 +587,6 @@ def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
 
     best = Fraction(0)
     for seq in candidates():
-        if typ == "D" and signed:
-            pass  # parity already fixed per candidate
         val = _arrangement_value(typ, tuple(seq))
         if val > best:
             best = val

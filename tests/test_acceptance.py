@@ -6,8 +6,6 @@ budget.  Run with -s (or rely on captured output on failure) to see the
 lines.
 """
 
-import time
-
 import pytest
 
 from lengthlab import acceptance
@@ -18,13 +16,9 @@ _BY_NAME = {name: (fn, budget) for name, fn, budget in acceptance.SUITES}
 @pytest.mark.parametrize("name", list(_BY_NAME))
 def test_suite(name):
     fn, budget = _BY_NAME[name]
-    start = time.time()
-    try:
-        ok, detail = fn(acceptance.DEFAULT_SEED)
-    except Exception as exc:
-        ok, detail = False, f"exception: {exc!r}"
-    elapsed = time.time() - start
-    verdict = "PASS" if ok else "FAIL"
-    print(f"{verdict} {name:20s} [{elapsed:8.2f}s / {budget}s] {detail}")
-    assert elapsed < budget, f"{name} exceeded its {budget}s budget"
-    assert ok, f"{name}: {detail}"
+    r = acceptance.run_suite(name, fn, budget)
+    verdict = "PASS" if r["ok"] else "FAIL"
+    print(f"{verdict} {name:20s} [{r['elapsed']:8.2f}s / {budget}s] "
+          f"{r['detail']}")
+    assert r["elapsed"] < budget, f"{name} exceeded its {budget}s budget"
+    assert r["ok"], f"{name}: {r['detail']}"

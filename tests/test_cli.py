@@ -73,6 +73,16 @@ def test_unknown_parameter_is_an_error(capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["width", "--set", "group=A9"],
+    ["torus-decompose", "--set", "h=0,0,0"],
+], ids=["cap-exceeded", "central-h"])
+def test_library_error_exits_2(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_width_report(tmp_path):
     out = tmp_path / "w.json"
     assert run(["width", "--set", "group=A5", "--out", str(out)]) == 0

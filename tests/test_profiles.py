@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -33,9 +34,11 @@ from lengthlab.profiles import (
 from lengthlab.roots import TorusElement, lfrac, normalize_angle
 
 
-def random_element(typ, rank, rng, denom=12):
+def random_element(typ, rank, rng, denoms=(12,)):
+    """Angle i is drawn in steps of 1/denoms[i % len(denoms)]."""
     n = rank + 1 if typ in ("A", "U") else rank
-    angs = [F(rng.randint(-denom, denom), denom) for _ in range(n)]
+    angs = [F(rng.randint(-d, d), d)
+            for d in (denoms[i % len(denoms)] for i in range(n))]
     if typ == "A":
         angs[-1] = -sum(angs[:-1])
     return TorusElement(typ, rank, tuple(angs))
@@ -66,16 +69,36 @@ def brute_optimal_dseq(t):
 
 # ------------------------------------------------ optimal elements
 
-@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
-def test_optimal_element_matches_brute_force(typ):
+# angles in twelfths, and in thirds, quarters and fifths mixed so that
+# the common denominator is 60
+@pytest.mark.parametrize("typ,denoms", [
+    pytest.param(typ, (12,), id=typ) for typ in "AUBCD"
+] + [
+    pytest.param(typ, (3, 4, 5), id=f"{typ}-mixed") for typ in "AUBCD"
+])
+def test_optimal_element_matches_brute_force(typ, denoms):
     rng = random.Random(hash(typ) & 0xFFFF)
     for _ in range(8):
         rank = 4 if typ == "D" else rng.randint(2, 4)
-        t = random_element(typ, rank, rng)
+        t = random_element(typ, rank, rng, denoms)
         opt, exact = optimal_torus_element(t)
         assert exact
         d = tuple(lfrac(b) for b in opt.betas())
         assert d == brute_optimal_dseq(t)
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_optimal_element_early_abort(typ):
+    rng = random.Random(3)
+    t = random_element(typ, 4, rng, (3, 4, 5))
+    opt, _ = optimal_torus_element(t)
+    own = Counter(lfrac(b) for b in opt.betas())
+    assert optimal_torus_element(t, expect=own) == (opt, True)
+    # 1/7 lies off the 1/60 grid of every distance in this orbit
+    swapped = own.copy()
+    swapped[next(iter(own))] -= 1
+    swapped[F(1, 7)] += 1
+    assert optimal_torus_element(t, expect=swapped) == (None, True)
 
 
 def test_optimal_element_stays_in_orbit():
@@ -342,8 +365,8 @@ def test_certificate_profile_instance():
     rng = random.Random(4)
     for _ in range(5):
         r = rng.randint(2, 5)
-        g = random_element("A", r, rng, denom=8)
-        h = random_element("A", r, rng, denom=8)
+        g = random_element("A", r, rng, denoms=(8,))
+        h = random_element("A", r, rng, denoms=(8,))
         try:
             cert = torus_decompose_typeA(g, h, 16)
         except Exception:

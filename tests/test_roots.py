@@ -234,13 +234,20 @@ def test_lambda_tilde_su2_is_lambda():
         assert lambda_tilde(t) == lambda_of(t)
 
 
-@pytest.mark.parametrize("typ,r", [("A", 3), ("A", 4), ("B", 3), ("C", 3),
-                                   ("D", 3), ("U", 3)])
-def test_lambda_tilde_matches_brute_force(typ, r):
+# angles over one denominator, and in thirds, quarters and fifths mixed
+# so that the common denominator is 60
+@pytest.mark.parametrize("typ,r,denoms", [
+    pytest.param(typ, r, (8,), id=f"{typ}-{r}")
+    for typ, r in [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 3), ("U", 3)]
+] + [
+    pytest.param(typ, 3, (3, 4, 5), id=f"{typ}-3-mixed") for typ in "AUBCD"
+])
+def test_lambda_tilde_matches_brute_force(typ, r, denoms):
     rng = random.Random(13 + r)
     for _ in range(6):
         n = r + 1 if typ in ("A", "U") else r
-        ang = [F(rng.randint(-8, 8), 8) for _ in range(n)]
+        ang = [F(rng.randint(-d, d), d)
+               for d in (denoms[i % len(denoms)] for i in range(n))]
         if typ == "A":
             ang[-1] = -sum(ang[:-1])
         t = TorusElement(typ, r, tuple(ang))
