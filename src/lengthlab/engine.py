@@ -1,16 +1,28 @@
 """Exhaustive finite-group engine.
 
-Groups are enumerated by breadth-first closure from generators
-(permutations or finite-field matrices) into an index table; subsets of
-the group live in Python big-int bitsets. Normal-set products exploit
-conjugation invariance: for a normal left factor, r * b over one
-representative r per class covers the whole product set.
+Groups are enumerated by breadth-first closure from generators into one
+numpy array of images, a row per element in BFS order: permutations by
+their images, finite-field matrices by their faithful action on the q^n
+column vectors, so both kinds share one code path. A dict keyed by the
+row bytes maps a composed row back to its element index. Subsets of the
+group live in Python big-int bitsets.
+
+No multiplication table is kept. Conjugacy classes are orbits under
+conjugation by the generators. The row r*G of each class representative
+r is computed once and folded into a k x k class-product table:
+class_product[i][j] is the set of classes meeting r_i * C_j. Since
+(u r u^-1) y = u (r u^-1 y u) u^-1, the product C_i * C_j is the
+conjugation closure of r_i * C_j, so a product of two unions of classes
+is a union of table entries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import LengthlabError
 from .fqlin import FqField, FqMatrix
@@ -31,40 +43,53 @@ class NotSimple(LengthlabError, ValueError):
     pass
 
 
+class NotNormalSet(LengthlabError, ValueError):
+    pass
+
+
+def _keys(rows: np.ndarray) -> List[bytes]:
+    """The bytes of each image row, the keys of GroupTable's index."""
+    rows = np.ascontiguousarray(rows)
+    void = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    return rows.view(void).ravel().tolist()
+
+
 class GroupTable:
-    """A finite group as index tables: mul, inv, conjugacy classes."""
+    """A finite group as image rows: inv, conjugacy classes and the
+    class-product table, with no N x N structure."""
 
-    def __init__(self, elements: List, mul_fn: Callable, identity) -> None:
+    def __init__(self, elements: List, images: np.ndarray,
+                 index: Dict[bytes, int], generators: np.ndarray) -> None:
         self.elements = elements
-        self.order = len(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        self.index = index
-        self.identity_index = index[identity]
-        n = self.order
-        self.mul = [[index[mul_fn(a, b)] for b in elements] for a in elements]
-        self.inv = [0] * n
-        for i in range(n):
-            row = self.mul[i]
-            for j in range(n):
-                if row[j] == self.identity_index:
-                    self.inv[i] = j
-                    break
-        self._spot_check()
-        self.classes, self.class_of = self._conjugacy_classes()
+        self.images = images
+        self._index = index
+        self.order = n = len(elements)
+        self.identity_index = 0  # the closure starts at the identity
         self.full_bits = (1 << n) - 1
+        inverse = np.empty_like(images)
+        inverse[np.arange(n)[:, None], images] = np.arange(
+            images.shape[1], dtype=images.dtype)
+        self.inv = self.index_of(inverse).tolist()
+        self.classes, self.class_of = self._conjugacy_classes(generators)
+        self.class_sets = [self.bits_of(cls) for cls in self.classes]
+        self.class_product = self._class_products()
 
-    def _spot_check(self) -> None:
-        import random
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Element indices of image rows."""
+        return np.fromiter(map(self._index.__getitem__, _keys(rows)),
+                           dtype=np.intp, count=len(rows))
 
-        rng = random.Random(0)
-        n = self.order
-        for _ in range(min(200, n * n)):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            assert self.mul[self.mul[a][b]][c] == self.mul[a][self.mul[b][c]]
-        for i in range(n):
-            assert self.mul[i][self.inv[i]] == self.identity_index
+    def row(self, g: int, among: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Indices of g*x for x in `among` (default: the whole group)."""
+        rows = self.images if among is None else self.images[among]
+        return self.index_of(self.images[g][rows])
 
-    def _conjugacy_classes(self) -> Tuple[List[List[int]], List[int]]:
+    def _conjugacy_classes(
+        self, generators: np.ndarray
+    ) -> Tuple[List[List[int]], List[int]]:
+        # x -> g x g^-1 for each generator g, over all elements at once
+        conj = [self.index_of(g[self.images[:, np.argsort(g)]]).tolist()
+                for g in generators]
         n = self.order
         class_of = [-1] * n
         classes: List[List[int]] = []
@@ -76,15 +101,26 @@ class GroupTable:
             class_of[start] = cid
             frontier = [start]
             while frontier:
-                g = frontier.pop()
-                for x in range(n):
-                    y = self.mul[self.mul[x][g]][self.inv[x]]
+                x = frontier.pop()
+                for c in conj:
+                    y = c[x]
                     if class_of[y] < 0:
                         class_of[y] = cid
                         orbit.append(y)
                         frontier.append(y)
             classes.append(sorted(orbit))
         return classes, class_of
+
+    def _class_products(self) -> List[List[int]]:
+        k = len(self.classes)
+        class_of = np.array(self.class_of)
+        table = []
+        for cls in self.classes:
+            meets = np.zeros((k, k), dtype=bool)
+            meets[class_of, class_of[self.row(cls[0])]] = True
+            table.append([self.bits_of(np.flatnonzero(m).tolist())
+                          for m in meets])
+        return table
 
     def conj_length(self, g: int) -> float:
         """log|C(g)| / log|G|."""
@@ -94,9 +130,27 @@ class GroupTable:
         return math.log(size) / math.log(self.order)
 
     def class_bits(self, g: int) -> int:
+        return self.class_sets[self.class_of[g]]
+
+    def class_mask(self, bits: int) -> int:
+        """The classes making up a union of classes, as a bitmask of class
+        ids; raises NotNormalSet for any other set."""
+        if bits >> self.order:
+            raise NotNormalSet("set has members outside the group")
+        mask = 0
+        for cid, cls in enumerate(self.class_sets):
+            part = bits & cls
+            if part == cls:
+                mask |= 1 << cid
+            elif part:
+                raise NotNormalSet(
+                    f"set is not conjugation invariant (class {cid})")
+        return mask
+
+    def union_of_classes(self, mask: int) -> int:
         bits = 0
-        for x in self.classes[self.class_of[g]]:
-            bits |= 1 << x
+        for cid in self.members(mask):
+            bits |= self.class_sets[cid]
         return bits
 
     def bits_of(self, indices: Sequence[int]) -> int:
@@ -117,11 +171,50 @@ class GroupTable:
             out |= 1 << self.inv[x]
         return out
 
-    def is_normal_set(self, bits: int) -> bool:
-        for x in self.members(bits):
-            if self.class_bits(x) & ~bits & self.full_bits:
-                return False
-        return True
+
+def _closure(gens: np.ndarray, cap: int) -> Tuple[np.ndarray, Dict[bytes, int]]:
+    """Image rows of the group generated by `gens`, in BFS order (products
+    e*g by frontier element, then generator), and their index."""
+    frontier = np.arange(gens.shape[1], dtype=gens.dtype)[None]
+    index = {_keys(frontier)[0]: 0}
+    layers = [frontier]
+    while len(frontier):
+        # (e*g)[v] = e[g[v]]
+        prods = frontier[:, gens].reshape(-1, gens.shape[1])
+        fresh = []
+        for pos, key in enumerate(_keys(prods)):
+            if key not in index:
+                if len(index) >= cap:
+                    raise CapExceeded(f"group exceeds cap {cap}")
+                index[key] = len(index)
+                fresh.append(pos)
+        frontier = prods[fresh]
+        layers.append(frontier)
+    return np.concatenate(layers), index
+
+
+def _vector_action(m: FqMatrix) -> List[int]:
+    """Images of the column vectors under m; the vector (c_0, ..., c_{n-1})
+    is the integer sum of c_i q^i."""
+    F, n, q = m.field, m.n, m.field.q
+    out = []
+    for v in range(q ** n):
+        c = [v // q ** j % q for j in range(n)]
+        w = 0
+        for r in reversed(m.rows):
+            s = 0
+            for a, x in zip(r, c):
+                s = F.add(s, F.mul(a, x))
+            w = w * q + s
+        out.append(w)
+    return out
+
+
+def _matrix_of(field: FqField, n: int, images: Sequence[int]) -> FqMatrix:
+    """The matrix acting by `images`: column j is the image of e_j."""
+    q = field.q
+    cols = [images[q ** j] for j in range(n)]
+    return FqMatrix(field, [[c // q ** i % q for c in cols] for i in range(n)])
 
 
 def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
@@ -133,64 +226,40 @@ def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
         raise ValueError("need at least one generator")
     g0 = generators[0]
     if isinstance(g0, Permutation):
-        identity = Permutation.identity(g0.n)
-        mul_fn = lambda a, b: a * b  # noqa: E731
+        rows = [g.images for g in generators]
+        element = Permutation
     elif isinstance(g0, FqMatrix):
-        identity = FqMatrix.identity(g0.field, g0.n)
-        mul_fn = lambda a, b: a * b  # noqa: E731
+        rows = [_vector_action(g) for g in generators]
+        element = partial(_matrix_of, g0.field, g0.n)
     else:
         raise TypeError("generators must be Permutation or FqMatrix")
-    seen = {identity}
-    order_list = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                prod = mul_fn(e, g)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"group exceeds cap {cap}")
-                    seen.add(prod)
-                    order_list.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return GroupTable(order_list, mul_fn, identity)
+    gens = np.array(rows, dtype=np.min_scalar_type(len(rows[0]) - 1))
+    images, index = _closure(gens, cap)
+    return GroupTable([element(r) for r in images.tolist()], images, index,
+                      gens)
 
 
 def normal_set_product(t: GroupTable, a_bits: int, b_bits: int) -> int:
     """{xy : x in a, y in b} for normal factors a and b.
 
-    With both sets conjugation invariant, the product is the conjugation
-    closure of union over class representatives r of a of r*b: indeed
-    (uru^-1)y = u(r u^-1yu)u^-1 ranges over all conjugates of r*b.
+    Both must be unions of classes (NotNormalSet otherwise); the product
+    is then the union of class_product[i][j] over their classes.
     """
-    raw = 0
-    seen_classes = set()
-    for x in t.members(a_bits):
-        cid = t.class_of[x]
-        if cid in seen_classes:
-            continue
-        seen_classes.add(cid)
-        rep_row = t.mul[t.classes[cid][0]]
-        for y in t.members(b_bits):
-            raw |= 1 << rep_row[y]
-    out = 0
-    seen_classes.clear()
-    for z in t.members(raw):
-        cid = t.class_of[z]
-        if cid not in seen_classes:
-            seen_classes.add(cid)
-            out |= t.class_bits(z)
-    return out
+    b_classes = list(t.members(t.class_mask(b_bits)))
+    hit = 0
+    for i in t.members(t.class_mask(a_bits)):
+        row = t.class_product[i]
+        for j in b_classes:
+            hit |= row[j]
+    return t.union_of_classes(hit)
 
 
 def naive_set_product(t: GroupTable, a_bits: int, b_bits: int) -> int:
+    """{xy : x in a, y in b} for any subsets, product by product."""
+    among = list(t.members(b_bits))
     out = 0
     for x in t.members(a_bits):
-        row = t.mul[x]
-        for y in t.members(b_bits):
-            out |= 1 << row[y]
+        out |= t.bits_of(t.row(x, among).tolist())
     return out
 
 
@@ -305,16 +374,29 @@ def mutual_domination(t: GroupTable, symmetric_mode: bool = True) -> int:
 def ore_check(t: GroupTable, subset_bits: Optional[int] = None):
     """Is every element of the subset a commutator of subset elements?
 
+    For the whole group, [x,y] = x^-1 * x^y, so the commutators form the
+    union over classes C of C^-1 * C, read off the class-product table.
+    An explicit subset is checked pair by pair.
+
     Returns (ok, first counterexample index or None).
     """
-    bits = t.full_bits if subset_bits is None else subset_bits
-    commutators = 0
-    members = list(t.members(bits))
-    for x in members:
-        xi = t.inv[x]
-        for y in members:
-            c = t.mul[t.mul[t.mul[xi][t.inv[y]]][x]][y]
-            commutators |= 1 << c
+    if subset_bits is None:
+        bits = t.full_bits
+        hit = 0
+        for cid, cls in enumerate(t.classes):
+            hit |= t.class_product[t.class_of[t.inv[cls[0]]]][cid]
+        commutators = t.union_of_classes(hit)
+    else:
+        bits = subset_bits
+        members = list(t.members(bits))
+        rows = t.images[members]
+        inv_rows = t.images[[t.inv[x] for x in members]]
+        commutators = 0
+        for x in members:
+            # x^-1 y^-1 x y for every y, composed right to left
+            xy = t.images[x][rows]
+            c = t.images[t.inv[x]][np.take_along_axis(inv_rows, xy, axis=1)]
+            commutators |= t.bits_of(t.index_of(c).tolist())
     missing = bits & ~commutators
     if missing:
         return False, (missing & -missing).bit_length() - 1
@@ -471,7 +553,7 @@ def psl2_gens(q: int) -> List[Permutation]:
     # field; a transvection by a generator of F_q fixes that for e > 1.
     mats = [(1, 1, 0, 1), (0, 1, F.neg(1), 0)]
     if e > 1:
-        mats.append((1, 2, 0, 1))  # encoding 2 is the residue class of x
+        mats.append((1, p, 0, 1))  # encoding p is the residue class of x
     perms = []
     for m in mats:
         perms.append(Permutation([act(m, pt) for pt in range(q + 1)]))

@@ -76,7 +76,8 @@ def test_unknown_parameter_is_an_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["width", "--set", "group=A9"],
     ["torus-decompose", "--set", "h=0,0,0"],
-], ids=["cap-exceeded", "central-h"])
+    ["lattice", "--set", "group=A7"],
+], ids=["cap-exceeded", "central-h", "lattice-cap"])
 def test_library_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -89,6 +90,16 @@ def test_width_report(tmp_path):
     doc = json.loads(read(out))
     assert doc["order"] == 60
     assert all(row["width"] <= 3 for row in doc["widths"])
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["width", "--set", "group=A7"], 2520),
+    (["ore-check", "--set", "group=PSL2_9"], 360),
+], ids=["width-A7", "ore-PSL2_9"])
+def test_larger_simple_groups(argv, order, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(read(out))["order"] == order
 
 
 def test_sym_lengths_rows(tmp_path):

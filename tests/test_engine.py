@@ -1,14 +1,18 @@
 """Tests for the exhaustive small-group engine."""
 
+import math
 import random
 
 import pytest
 
+from lengthlab import LengthlabError
 from lengthlab.engine import (
     CapExceeded,
     IdentityElement,
+    NotNormalSet,
     NotSimple,
     Unbounded,
+    alternating_group_gens,
     conjugacy_width,
     generate_group,
     is_simple,
@@ -20,8 +24,10 @@ from lengthlab.engine import (
     normal_lattice_analyze,
     normal_set_product,
     ore_check,
+    psl2_gens,
     symmetric_filtration,
 )
+from lengthlab.fqlin import FqField, FqMatrix
 from lengthlab.perms import Permutation, cycle_type, hamming_length
 
 
@@ -56,6 +62,108 @@ def test_psl2_orders():
     assert named_group("PSL2_8").order == 504
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_psl2_prime_power_order_and_simplicity(q):
+    t = named_group(f"PSL2_{q}")
+    assert t.order == q * (q * q - 1) // math.gcd(2, q - 1)
+    assert is_simple(t)
+
+
+# ---------------------------------------- oracles from the element objects
+
+# permutation groups and, for Q8 and SL2(3), matrices over F_3
+ORACLE_GROUPS = ["S3", "S4", "D4", "Q8", "SL2_3", "A5"]
+
+
+def _object_index(t):
+    idx = {e: i for i, e in enumerate(t.elements)}
+    assert len(idx) == t.order
+    return idx
+
+
+def _object_bfs(gens):
+    identity = gens[0] * gens[0].inverse()
+    elements, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                p = e * g
+                if p not in seen:
+                    seen.add(p)
+                    elements.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return elements
+
+
+F3 = FqField(3)
+
+
+@pytest.mark.parametrize("gens", [
+    alternating_group_gens(5),
+    [Permutation.from_cycles(4, [[0, 1]]),
+     Permutation.from_cycles(4, [[0, 1, 2, 3]])],
+    psl2_gens(9),
+    [FqMatrix(F3, [[0, 2], [1, 0]]), FqMatrix(F3, [[1, 1], [1, 2]])],
+    [FqMatrix(F3, [[1, 1], [0, 1]]), FqMatrix(F3, [[0, 2], [1, 0]])],
+], ids=["A5", "S4", "PSL2_9", "Q8", "SL2_3"])
+def test_elements_in_bfs_order(gens):
+    assert generate_group(gens).elements == _object_bfs(gens)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_rows_inverses_classes_match_objects(name):
+    t = named_group(name)
+    els = t.elements
+    idx = _object_index(t)
+    assert not hasattr(t, "mul")
+    for g, e in enumerate(els):
+        assert t.row(g).tolist() == [idx[e * x] for x in els]
+        assert t.inv[g] == idx[e.inverse()]
+        conjugates = sorted({idx[u * e * u.inverse()] for u in els})
+        assert t.classes[t.class_of[g]] == conjugates
+    # classes are numbered by their least member
+    assert [cls[0] for cls in t.classes] == sorted(cls[0] for cls in t.classes)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_naive_product_matches_objects(name):
+    t = named_group(name)
+    els = t.elements
+    idx = _object_index(t)
+    rng = random.Random(11)
+    for _ in range(5):
+        a = [x for x in range(t.order) if rng.random() < 0.3]
+        b = [y for y in range(t.order) if rng.random() < 0.3]
+        expect = t.bits_of({idx[els[x] * els[y]] for x in a for y in b})
+        assert naive_set_product(t, t.bits_of(a), t.bits_of(b)) == expect
+
+
+def _brute_ore(t, subset):
+    els = t.elements
+    idx = _object_index(t)
+    commutators = {
+        idx[els[x].inverse() * els[y].inverse() * els[x] * els[y]]
+        for x in subset
+        for y in subset
+    }
+    missing = sorted(set(subset) - commutators)
+    return (not missing, missing[0] if missing else None)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_ore_matches_brute_commutators(name):
+    t = named_group(name)
+    whole = _brute_ore(t, range(t.order))
+    assert ore_check(t) == whole
+    assert ore_check(t, t.full_bits) == whole  # the pairwise path
+    rng = random.Random(13)
+    for _ in range(3):
+        subset = [x for x in range(t.order) if rng.random() < 0.5]
+        assert ore_check(t, t.bits_of(subset)) == _brute_ore(t, subset)
+
+
 def test_abelian_classes_are_singletons():
     t = generate_group([Permutation.from_cycles(6, [[0, 1, 2, 3, 4, 5]])])
     assert all(len(c) == 1 for c in t.classes)
@@ -70,15 +178,16 @@ def test_conj_length_identity_and_center():
     t = named_group("SL2_3")
     assert t.conj_length(t.identity_index) == 0.0
     # center of SL2(3) = {+-1}; conj length is center-blind
+    rows = [t.row(g) for g in range(t.order)]
     center = [
         g
         for g in range(t.order)
-        if all(t.mul[g][x] == t.mul[x][g] for x in range(t.order))
+        if all(rows[g][x] == rows[x][g] for x in range(t.order))
     ]
     assert len(center) == 2
     z = next(g for g in center if g != t.identity_index)
     for g in range(t.order):
-        zg = t.mul[z][g]
+        zg = rows[z][g]
         assert t.conj_length(zg) == pytest.approx(t.conj_length(g))
 
 
@@ -105,6 +214,20 @@ def test_product_identity_left():
     assert normal_set_product(t, one, s) == s
 
 
+def test_product_rejects_non_normal_sets():
+    t = named_group("A5")
+    g = next(x for x in range(t.order) if x != t.identity_index)
+    c = t.class_bits(g)
+    assert issubclass(NotNormalSet, LengthlabError)
+    assert issubclass(NotNormalSet, ValueError)
+    with pytest.raises(NotNormalSet):
+        normal_set_product(t, 1 << g, c)
+    with pytest.raises(NotNormalSet):
+        normal_set_product(t, c, c & ~(1 << g))
+    with pytest.raises(NotNormalSet):
+        normal_set_product(t, c, 1 << t.order)
+
+
 def test_product_contains_identity():
     t = named_group("A5")
     for cls in t.classes:
@@ -117,9 +240,11 @@ def test_product_contains_identity():
 def test_product_matches_naive(name):
     t = named_group(name)
     rng = random.Random(5)
-    for cls in t.classes:
-        c = t.class_bits(cls[0])
-        assert normal_set_product(t, c, c) == naive_set_product(t, c, c)
+    for ci in t.classes:
+        a = t.class_bits(ci[0])
+        for cj in t.classes:
+            b = t.class_bits(cj[0])
+            assert normal_set_product(t, a, b) == naive_set_product(t, a, b)
     # random unions of classes
     for _ in range(5):
         a = 0
@@ -160,10 +285,11 @@ def test_width_unbounded_in_sl23():
     # a transvection generates a proper normal closure? in SL2(3) the
     # closure of a transvection is the whole group, but the center gives
     # classes whose powers stabilize below G.
+    rows = [t.row(g) for g in range(t.order)]
     center = [
         g
         for g in range(t.order)
-        if all(t.mul[g][x] == t.mul[x][g] for x in range(t.order))
+        if all(rows[g][x] == rows[x][g] for x in range(t.order))
         and g != t.identity_index
     ]
     w = conjugacy_width(t, center[0])
