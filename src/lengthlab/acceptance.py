@@ -330,7 +330,8 @@ def suite_kyfan(seed=DEFAULT_SEED, pairs=10_000):
 
         rep = profiles.kyfan_profile_check(mon(), mon(), z_trials=2,
                                            seed=trial)
-        if not (rep["main_ok"] and rep["kyfan_ok"]):
+        # a profile from the zigzag fallback (exact=False) proves nothing
+        if not (rep["main_ok"] and rep["kyfan_ok"] and rep["exact"]):
             bad += 1
     return bad == 0, f"{pairs} monomial pairs, violations={bad}"
 

@@ -112,6 +112,13 @@ class CycleType:
         self.counts = counts
 
     @classmethod
+    def _trusted(cls, n: int, counts: Dict[int, int]) -> "CycleType":
+        # counts already valid (no zero entries, sum(i * c) = n): skip checks
+        t = cls.__new__(cls)
+        t.n, t.counts = n, counts
+        return t
+
+    @classmethod
     def from_parts(cls, parts: Sequence[int]) -> "CycleType":
         counts: Dict[int, int] = {}
         for p in parts:
@@ -218,9 +225,8 @@ def _log_big(k: int) -> float:
 def partitions(n: int) -> Iterator[List[int]]:
     """All partitions of n as ascending part lists (accelAsc).
 
-    Streams lexicographically without materializing the list; the
-    returned lists are reused internally so callers must not hold
-    references across iterations.
+    Streams lexicographically without materializing the list; each
+    yielded list is a fresh slice, so callers may keep it.
     """
     if n == 0:
         yield []
@@ -278,36 +284,71 @@ def comparison_rows(
     bounds carry no guarantee and the flag stays False).
     """
     for n in range(n_min, n_max + 1):
-        for t in cycle_types(n, ambient):
-            lh = hamming_length(t)
-            lr = rank_length_perm(t)
-            lc = conj_length_perm(t, ambient)
-            flag_exact = not (lr <= lh <= 2 * lr)
-            flag_asym = False
-            if n >= ASYMPTOTIC_THRESHOLD_N:
-                flag_asym = (lc > 2 * float(lh) + 1e-12) or (
-                    float(lh) > 8 * lc + 1e-12
-                )
-            yield n, t, lh, lr, lc, flag_exact, flag_asym
+        log_order = math.log(group_order(n, ambient))
+        fact = math.factorial(n)
+        frac = [Fraction(k, n) for k in range(n + 1)]
+        for parts in partitions(n):
+            l = len(parts)
+            if ambient == ALT and (n - l) % 2:  # parity of the type is n - l
+                continue
+            # class_size with n! hoisted: the c-th part equal to p adds the
+            # factor p * c, so denom ends as prod i^c_i * c_i!
+            counts: Dict[int, int] = {}
+            denom = 1
+            for p in parts:
+                c = counts.get(p, 0) + 1
+                counts[p] = c
+                denom *= p * c
+            size = fact // denom
+            # A_n splits the class when the parts are odd and distinct
+            if ambient == ALT and len(counts) == l and all(
+                    i % 2 for i in counts):
+                size //= 2
+            lc = math.log(size) / log_order if size > 1 else 0.0
+            c1 = counts.get(1, 0)
+            # l_r <= l_H <= 2 l_r  <=>  c1 <= l and n - c1 <= 2(n - l)
+            flag_exact = not (c1 <= l and n - c1 <= 2 * (n - l))
+            lh = (n - c1) / n  # rounds as float(Fraction(n - c1, n)) does
+            flag_asym = n >= ASYMPTOTIC_THRESHOLD_N and (
+                lc > 2 * lh + 1e-12 or lh > 8 * lc + 1e-12)
+            yield (n, CycleType._trusted(n, counts), frac[n - c1],
+                   frac[n - l], lc, flag_exact, flag_asym)
+
+
+def _census(n_max: int) -> List[Dict[Tuple[int, int], int]]:
+    """Number of cycle types on n points by (fixed points c1, cycles l).
+
+    Entry n maps (c1, l) to its count, for 0 <= n <= n_max. A type with c1
+    fixed points and l cycles is c1 ones plus l - c1 parts >= 2 summing to
+    n - c1; taking 1 from each of those parts leaves a partition of n - l
+    into exactly l - c1 parts, counted by p(m, k) = p(m-1, k-1) + p(m-k, k).
+    """
+    p = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    p[0][0] = 1
+    for m in range(1, n_max + 1):
+        for k in range(1, m + 1):
+            p[m][k] = p[m - 1][k - 1] + p[m - k][k]
+    census = []
+    for n in range(n_max + 1):
+        cells = {}
+        for c1 in range(n + 1):
+            for j in range((n - c1) // 2 + 1):
+                if p[n - c1 - j][j]:
+                    cells[c1, c1 + j] = p[n - c1 - j][j]
+        census.append(cells)
+    return census
 
 
 def exact_sandwich_scan(n_max: int) -> int:
     """Count violations of l_r <= l_H <= 2*l_r over all cycle types, n <= n_max.
 
-    Both lengths depend only on (n, fixed points, cycle count), which the
-    partition stream provides without building CycleType objects.
+    Both lengths depend only on (n, fixed points, cycle count), so each
+    cell of the census is checked once and weighted by its count.
     """
     violations = 0
-    for n in range(1, n_max + 1):
-        for parts in partitions(n):
-            l = len(parts)
-            c1 = 0
-            for p in parts:
-                if p == 1:
-                    c1 += 1
-                else:
-                    break
+    for n, cells in enumerate(_census(max(n_max, 0))):
+        for (c1, l), count in cells.items():
             # l_r <= l_H <= 2 l_r  <=>  c1 <= l and n - c1 <= 2(n - l)
             if not (c1 <= l and n - c1 <= 2 * (n - l)):
-                violations += 1
+                violations += count
     return violations

@@ -8,7 +8,7 @@ lines.
 
 import pytest
 
-from lengthlab import acceptance
+from lengthlab import acceptance, profiles
 
 _BY_NAME = {name: (fn, budget) for name, fn, budget in acceptance.SUITES}
 
@@ -22,3 +22,16 @@ def test_suite(name):
           f"{r['detail']}")
     assert r["elapsed"] < budget, f"{name} exceeded its {budget}s budget"
     assert r["ok"], f"{name}: {r['detail']}"
+
+
+def test_kyfan_fails_on_inexact_profile(monkeypatch):
+    assert acceptance.suite_kyfan(pairs=3)[0]
+    exact_search = profiles.optimal_torus_element
+
+    def fallback(t, **kw):
+        # as if every orbit search had hit its state cap
+        return exact_search(t, **kw)[0], False
+
+    monkeypatch.setattr(profiles, "optimal_torus_element", fallback)
+    assert acceptance.suite_kyfan(pairs=3) == (
+        False, "3 monomial pairs, violations=3")

@@ -6,6 +6,7 @@ formula under test.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations as iter_perms
 
@@ -31,6 +32,7 @@ from lengthlab.perms import (
     partitions,
     rank_length_perm,
 )
+from lengthlab.perms import _census
 
 
 # ---------------------------------------------------------------- oracles
@@ -76,6 +78,11 @@ def test_partitions_are_partitions():
     for parts in partitions(9):
         assert sum(parts) == 9
         assert list(parts) == sorted(parts)
+
+
+def test_partitions_yield_fresh_lists():
+    kept = list(partitions(7))
+    assert len({tuple(p) for p in kept}) == len(kept) == 15
 
 
 # ---------------------------------------------------------------- lengths
@@ -192,6 +199,63 @@ def test_exact_sandwich_small():
 
 def test_exact_sandwich_scan_runs_clean():
     assert exact_sandwich_scan(40) == 0
+
+
+def pentagonal_partition_counts(n_max):
+    """p(0..n_max) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+def test_census_matches_enumeration():
+    census = _census(25)
+    for n in range(26):
+        cells = Counter((parts.count(1), len(parts)) for parts in partitions(n))
+        assert census[n] == cells, n
+
+
+def test_census_sums_to_partition_counts():
+    p = pentagonal_partition_counts(60)
+    assert p[60] == 966467
+    assert [sum(cells.values()) for cells in _census(60)] == p
+
+
+def old_comparison_rows(n_min, n_max, ambient):
+    """comparison_rows as first written: one CycleType, Fraction lengths
+    and class_size per type."""
+    for n in range(n_min, n_max + 1):
+        for parts in partitions(n):
+            t = CycleType.from_parts(parts)
+            if ambient == ALT and not t.is_even():
+                continue
+            lh, lr = hamming_length(t), rank_length_perm(t)
+            lc = conj_length_perm(t, ambient)
+            flag_exact = not (lr <= lh <= 2 * lr)
+            flag_asym = False
+            if n >= 17:
+                flag_asym = (lc > 2 * float(lh) + 1e-12) or (
+                    float(lh) > 8 * lc + 1e-12)
+            yield n, t, lh, lr, lc, flag_exact, flag_asym
+
+
+@pytest.mark.parametrize("ambient", [SYM, ALT])
+def test_comparison_rows_match_reference(ambient):
+    rows = list(comparison_rows(1, 22, ambient))
+    ref = list(old_comparison_rows(1, 22, ambient))
+    assert len(rows) == len(ref)
+    for row, old in zip(rows, ref):
+        assert row[:4] + row[5:] == old[:4] + old[5:]
+        assert list(row[1].counts.items()) == list(old[1].counts.items())
+        assert repr(row[4]) == repr(old[4])  # same float bits
+        assert type(row[5]) is type(row[6]) is bool
 
 
 def test_comparison_rows_n4_count():
