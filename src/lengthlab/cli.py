@@ -133,51 +133,20 @@ def cmd_sym_lengths(args):
 GL_RATIO_CASES = ((2, 3), (2, 5), (3, 2), (3, 3))
 
 
-def _gl_classes(n, q):
-    """Conjugacy classes of GL_n(q) by orbit search under a generating
-    set (all unit transvections plus one primitive diagonal)."""
+def _gl_generators(n, q):
+    """Generators of GL_n(q): the unit transvections and one primitive
+    diagonal."""
     F = fqlin.FqField(q)
-    import itertools as it
 
-    elements = set()
-    for entries in it.product(range(q), repeat=n * n):
-        m = fqlin.FqMatrix(F, [list(entries[i * n:(i + 1) * n])
-                               for i in range(n)])
-        if m.is_invertible():
-            elements.add(tuple(map(tuple, m.rows)))
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[int(a == b) for b in range(n)] for a in range(n)]
-                rows[i][j] = 1
-                gens.append(fqlin.FqMatrix(F, rows))
+    def unit(i, j, a):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = a
+        return fqlin.FqMatrix(F, rows)
+
     prim = next(a for a in F.units()
                 if len({F.pow(a, k) for k in range(1, q)}) == q - 1)
-    rows = [[int(a == b) for b in range(n)] for a in range(n)]
-    rows[0][0] = prim
-    gens.append(fqlin.FqMatrix(F, rows))
-    pairs = [(g, g.inverse()) for g in gens]
-
-    seen = set()
-    classes = []
-    for key in sorted(elements):
-        if key in seen:
-            continue
-        orbit = {key}
-        frontier = [fqlin.FqMatrix(F, [list(r) for r in key])]
-        while frontier:
-            x = frontier.pop()
-            for g, gi in pairs:
-                y = g * x * gi
-                k = tuple(map(tuple, y.rows))
-                if k not in orbit:
-                    orbit.add(k)
-                    frontier.append(y)
-        seen |= orbit
-        classes.append((fqlin.FqMatrix(F, [list(r) for r in key]),
-                        len(orbit)))
-    return F, classes, len(elements)
+    return [unit(i, j, 1) for i in range(n) for j in range(n)
+            if i != j] + [unit(0, 0, prim)]
 
 
 def cmd_linear_lengths(args):
@@ -185,16 +154,16 @@ def cmd_linear_lengths(args):
     rows = []
     ok = True
     for n, q in GL_RATIO_CASES:
-        F, classes, order = _gl_classes(n, q)
+        t = engine.generate_group(_gl_generators(n, q))
         ratios = []
-        for rep, size in classes:
-            if size == 1:
+        for cls in t.classes:
+            if len(cls) == 1:
                 continue  # central
-            lc = math.log(size) / math.log(order)
-            lj = float(fqlin.jordan_length(rep)[0])
+            lc = math.log(len(cls)) / math.log(t.order)
+            lj = float(fqlin.jordan_length(t.elements[cls[0]])[0])
             ratios.append(lc / lj)
         ok = ok and all(r > 0 and math.isfinite(r) for r in ratios)
-        rows.append((f"GL{n}({q})", n, q, len(classes),
+        rows.append((f"GL{n}({q})", n, q, len(t.classes),
                      f"{min(ratios):.6f}", f"{max(ratios):.6f}"))
     _emit_csv(args, args.seed,
               "group,n,q,classes,min_lc_over_lj,max_lc_over_lj", rows)

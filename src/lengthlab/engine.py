@@ -5,7 +5,7 @@ numpy array of images, a row per element in BFS order: permutations by
 their images, finite-field matrices by their faithful action on the q^n
 column vectors, so both kinds share one code path. A dict keyed by the
 row bytes maps a composed row back to its element index. Subsets of the
-group live in Python big-int bitsets.
+group live in Python big-int bitsets over the elements.
 
 No multiplication table is kept. Conjugacy classes are orbits under
 conjugation by the generators. The row r*G of each class representative
@@ -14,6 +14,12 @@ class_product[i][j] is the set of classes meeting r_i * C_j. Since
 (u r u^-1) y = u (r u^-1 y u) u^-1, the product C_i * C_j is the
 conjugation closure of r_i * C_j, so a product of two unions of classes
 is a union of table entries.
+
+Inside this module a normal set is a class mask, a k-bit big int of
+class ids, from start to end: products, closures, filtrations and the
+normal subgroup lattice never touch the N-bit element bitsets. The
+public functions take and return element bitsets and convert at the
+boundary (class_mask in, union_of_classes out).
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ class NotNormalSet(LengthlabError, ValueError):
     pass
 
 
+class BadGroupName(LengthlabError, ValueError):
+    pass
+
+
 def _keys(rows: np.ndarray) -> List[bytes]:
     """The bytes of each image row, the keys of GroupTable's index."""
     rows = np.ascontiguousarray(rows)
@@ -64,7 +74,8 @@ class GroupTable:
         self.images = images
         self._index = index
         self.order = n = len(elements)
-        self.identity_index = 0  # the closure starts at the identity
+        # the closure starts at the identity, so class 0 is {1}
+        self.identity_index = 0
         self.full_bits = (1 << n) - 1
         inverse = np.empty_like(images)
         inverse[np.arange(n)[:, None], images] = np.arange(
@@ -72,6 +83,9 @@ class GroupTable:
         self.inv = self.index_of(inverse).tolist()
         self.classes, self.class_of = self._conjugacy_classes(generators)
         self.class_sets = [self.bits_of(cls) for cls in self.classes]
+        self.full_mask = (1 << len(self.classes)) - 1
+        self.inverse_class = [self.class_of[self.inv[cls[0]]]
+                              for cls in self.classes]
         self.class_product = self._class_products()
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
@@ -165,12 +179,6 @@ class GroupTable:
             yield tz
             bits &= bits - 1
 
-    def inverse_bits(self, bits: int) -> int:
-        out = 0
-        for x in self.members(bits):
-            out |= 1 << self.inv[x]
-        return out
-
 
 def _closure(gens: np.ndarray, cap: int) -> Tuple[np.ndarray, Dict[bytes, int]]:
     """Image rows of the group generated by `gens`, in BFS order (products
@@ -239,19 +247,51 @@ def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
                       gens)
 
 
+def _product(t: GroupTable, a: int, b: int) -> int:
+    """Class mask of the product of the class unions a and b."""
+    b_classes = list(t.members(b))
+    hit = 0
+    for i in t.members(a):
+        row = t.class_product[i]
+        for j in b_classes:
+            hit |= row[j]
+    return hit
+
+
+def _generated(t: GroupTable, mask: int) -> int:
+    """Class mask of the normal subgroup generated by a union of classes:
+    in a finite group, the closure under products of the set with 1."""
+    s = mask | 1  # class 0 is {1}
+    while True:
+        nxt = s | _product(t, s, s)
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def _filtration(t: GroupTable, g: int) -> List[int]:
+    """Class masks D_1 subset D_2 subset ... with D_m the union of
+    (C u C^-1)^j for j <= m, C = C(g), until stabilization or the whole
+    group."""
+    c = t.class_of[g]
+    s = 1 << c | 1 << t.inverse_class[c]
+    out = [s]
+    while out[-1] != t.full_mask:
+        nxt = out[-1] | _product(t, out[-1], s)
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
 def normal_set_product(t: GroupTable, a_bits: int, b_bits: int) -> int:
     """{xy : x in a, y in b} for normal factors a and b.
 
     Both must be unions of classes (NotNormalSet otherwise); the product
     is then the union of class_product[i][j] over their classes.
     """
-    b_classes = list(t.members(t.class_mask(b_bits)))
-    hit = 0
-    for i in t.members(t.class_mask(a_bits)):
-        row = t.class_product[i]
-        for j in b_classes:
-            hit |= row[j]
-    return t.union_of_classes(hit)
+    return t.union_of_classes(
+        _product(t, t.class_mask(a_bits), t.class_mask(b_bits)))
 
 
 def naive_set_product(t: GroupTable, a_bits: int, b_bits: int) -> int:
@@ -282,92 +322,56 @@ def conjugacy_width(t: GroupTable, g: int, symmetric: bool = False):
     """
     if g == t.identity_index:
         raise IdentityElement("width of the identity class is undefined")
-    c = t.class_bits(g)
     if symmetric:
-        s = c | t.inverse_bits(c)
-        d = s
-        m = 1
-        while d != t.full_bits:
-            nxt = d | normal_set_product(t, d, s)
-            if nxt == d:
-                return Unbounded(d)
-            d = nxt
-            m += 1
-        return m
-    power = c
+        filt = _filtration(t, g)
+        if filt[-1] == t.full_mask:
+            return len(filt)
+        return Unbounded(t.union_of_classes(filt[-1]))
+    c = power = 1 << t.class_of[g]
     m = 1
     seen = {power}
-    while power != t.full_bits:
-        power = normal_set_product(t, power, c)
+    while power != t.full_mask:
+        power = _product(t, power, c)
         m += 1
         if power in seen:
-            return Unbounded(power)
+            return Unbounded(t.union_of_classes(power))
         seen.add(power)
     return m
 
 
 def normal_closure(t: GroupTable, g: int) -> int:
     """Bitset of the least normal subgroup containing g."""
-    s = (1 << t.identity_index) | t.class_bits(g) | t.inverse_bits(t.class_bits(g))
-    while True:
-        nxt = s | normal_set_product(t, s, s)
-        if nxt == s:
-            return s
-        s = nxt
+    return t.union_of_classes(_generated(t, 1 << t.class_of[g]))
 
 
 def is_simple(t: GroupTable) -> bool:
-    if t.order == 1:
-        return False
-    for cls in t.classes:
-        rep = cls[0]
-        if rep == t.identity_index:
-            continue
-        if normal_closure(t, rep) != t.full_bits:
-            return False
-    return True
+    return t.order > 1 and all(_generated(t, 1 << c) == t.full_mask
+                               for c in range(1, len(t.classes)))
 
 
 def symmetric_filtration(t: GroupTable, g: int) -> List[int]:
     """D_1 subset D_2 subset ... until stabilization or full group."""
-    c = t.class_bits(g)
-    s = c | t.inverse_bits(c)
-    out = [s]
-    d = s
-    while d != t.full_bits:
-        nxt = d | normal_set_product(t, d, s)
-        if nxt == d:
-            break
-        d = nxt
-        out.append(d)
-    return out
+    return [t.union_of_classes(d) for d in _filtration(t, g)]
 
 
-def mutual_domination(t: GroupTable, symmetric_mode: bool = True) -> int:
+def mutual_domination(t: GroupTable) -> int:
     """Least k such that for every ordered pair of nontrivial classes
     (C(g), C(h)), g lies in D_k(h) or h lies in D_k(g)."""
     if not is_simple(t):
         raise NotSimple("mutual domination needs a simple group")
-    reps = [
-        cls[0] for cls in t.classes if cls[0] != t.identity_index or len(cls) > 1
-    ]
-    reps = [r for r in reps if r != t.identity_index]
-    filts = {r: symmetric_filtration(t, r) for r in reps}
+    filts = {c: _filtration(t, t.classes[c][0])
+             for c in range(1, len(t.classes))}
 
-    def least_k(x: int, filt: List[int]) -> Optional[int]:
-        for k, d in enumerate(filt, start=1):
-            if (d >> x) & 1:
-                return k
-        return None
+    def least_k(c: int, filt: List[int]) -> float:
+        return next((k for k, d in enumerate(filt, start=1) if (d >> c) & 1),
+                    math.inf)
 
     worst = 1
-    for g in reps:
-        for h in reps:
-            kg = least_k(g, filts[h])
-            kh = least_k(h, filts[g])
-            candidates = [k for k in (kg, kh) if k is not None]
-            assert candidates, "neither class dominates the other"
-            worst = max(worst, min(candidates))
+    for g in filts:
+        for h in filts:
+            k = min(least_k(g, filts[h]), least_k(h, filts[g]))
+            assert k < math.inf, "neither class dominates the other"
+            worst = max(worst, k)
     return worst
 
 
@@ -383,8 +387,8 @@ def ore_check(t: GroupTable, subset_bits: Optional[int] = None):
     if subset_bits is None:
         bits = t.full_bits
         hit = 0
-        for cid, cls in enumerate(t.classes):
-            hit |= t.class_product[t.class_of[t.inv[cls[0]]]][cid]
+        for cid, inverse in enumerate(t.inverse_class):
+            hit |= t.class_product[inverse][cid]
         commutators = t.union_of_classes(hit)
     else:
         bits = subset_bits
@@ -408,11 +412,8 @@ def length_connection_holds(
 ) -> bool:
     """If g is a product of <= k conjugates of h^{+-1} then
     length(g) <= k * length(h), for a supplied invariant length table."""
-    filt = symmetric_filtration(t, h)
-    for j, d in enumerate(filt, start=1):
-        if j > k:
-            break
-        if (d >> g) & 1:
+    for j, d in zip(range(1, k + 1), _filtration(t, h)):
+        if (d >> t.class_of[g]) & 1:
             return lengths[g] <= j * lengths[h] + 1e-12
     return True
 
@@ -420,52 +421,28 @@ def length_connection_holds(
 # ---------------------------------------------------------------- lattice
 
 
-def normal_subgroups(t: GroupTable) -> List[int]:
-    """All normal subgroups as bitsets, via joins of class closures."""
-    if t.order > 2000:
-        raise CapExceeded("normal subgroup lattice capped at order 2000")
-    principals = []
-    for cls in t.classes:
-        nc = normal_closure(t, cls[0])
-        if nc not in principals:
-            principals.append(nc)
-    subgroups = {1 << t.identity_index}
-    frontier = set(principals)
-    while frontier:
-        subgroups |= frontier
-        nxt = set()
-        for s in frontier:
-            for p in principals:
-                j = _subgroup_join(t, s, p)
-                if j not in subgroups:
-                    nxt.add(j)
-        frontier = nxt
-    return sorted(subgroups)
-
-
-def _subgroup_join(t: GroupTable, a: int, b: int) -> int:
-    s = a | b
-    while True:
-        nxt = s | normal_set_product(t, s, s)
-        if nxt == s:
-            return s
-        s = nxt
-
-
 def normal_lattice_analyze(t: GroupTable) -> Dict:
     """Subgroup list, Hasse edges, and chain/distributive/modular flags.
 
-    Meet is intersection, join is the generated subgroup; flags come from
-    exhaustive triple checks. Also asserts the equivalence: the normal
-    subgroups form a chain iff the class closures do.
+    The normal subgroups are the joins of class closures, found and
+    compared as class masks and listed in the order of their element
+    bitsets. Meet is intersection, join is the generated subgroup; flags
+    come from exhaustive triple checks. Also asserts the equivalence: the
+    normal subgroups form a chain iff the class closures do.
     """
-    subs = normal_subgroups(t)
+    principals = {_generated(t, 1 << cid) for cid in range(len(t.classes))}
+    masks = set()
+    frontier = set(principals)
+    while frontier:
+        masks |= frontier
+        frontier = {_generated(t, s | p)
+                    for s in frontier for p in principals} - masks
+    bits = {m: t.union_of_classes(m) for m in masks}
+    subs = sorted(masks, key=bits.__getitem__)
     k = len(subs)
-    join = [[_subgroup_join(t, subs[i], subs[j]) for j in range(k)] for i in range(k)]
-    meet = [[subs[i] & subs[j] for j in range(k)] for i in range(k)]
     idx = {s: i for i, s in enumerate(subs)}
-    jidx = [[idx[join[i][j]] for j in range(k)] for i in range(k)]
-    midx = [[idx[meet[i][j]] for j in range(k)] for i in range(k)]
+    jidx = [[idx[_generated(t, a | b)] for b in subs] for a in subs]
+    midx = [[idx[a & b] for b in subs] for a in subs]
 
     def leq(i, j):
         return subs[i] & ~subs[j] == 0
@@ -494,14 +471,13 @@ def normal_lattice_analyze(t: GroupTable) -> Dict:
         for m in range(k)
         if leq(i, m)
     )
-    closures = sorted({normal_closure(t, cls[0]) for cls in t.classes})
     closures_chain = all(
-        (a & ~b == 0) or (b & ~a == 0) for a in closures for b in closures
+        (a & ~b == 0) or (b & ~a == 0) for a in principals for b in principals
     )
     assert is_chain == closures_chain, "chain equivalence violated"
     return {
-        "subgroups": subs,
-        "orders": [bin(s).count("1") for s in subs],
+        "subgroups": [bits[s] for s in subs],
+        "orders": [bin(bits[s]).count("1") for s in subs],
         "hasse": hasse,
         "is_chain": is_chain,
         "is_distributive": is_distributive,
@@ -513,6 +489,8 @@ def normal_lattice_analyze(t: GroupTable) -> Dict:
 
 
 def alternating_group_gens(n: int) -> List[Permutation]:
+    if n < 3:
+        raise BadGroupName(f"A{n}: the generators need n >= 3")
     cyc3 = Permutation.from_cycles(n, [[0, 1, 2]])
     if n % 2 == 1:
         big = Permutation.from_cycles(n, [list(range(n))])
@@ -528,12 +506,13 @@ def psl2_gens(q: int) -> List[Permutation]:
     the images of [[1,1],[0,1]] and [[0,1],[-1,0]].
     """
     # find p, e with q = p^e
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= p
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    e, rest = 0, q
+    while p and rest % p == 0:
+        rest //= p
         e += 1
+    if q < 2 or rest != 1:
+        raise BadGroupName(f"PSL2_{q}: q must be a prime power")
     F = FqField(p, e)
     inf = q
 
@@ -566,6 +545,8 @@ def named_group(name: str, cap: int = DEFAULT_CAP) -> GroupTable:
         return generate_group(alternating_group_gens(int(name[1:])), cap)
     if name.startswith("S") and name[1:].isdigit():
         n = int(name[1:])
+        if n < 2:
+            raise BadGroupName(f"S{n}: the generators need n >= 2")
         gens = [
             Permutation.from_cycles(n, [[0, 1]]),
             Permutation.from_cycles(n, [list(range(n))]),
@@ -588,4 +569,4 @@ def named_group(name: str, cap: int = DEFAULT_CAP) -> GroupTable:
         a = FqMatrix(F3, [[1, 1], [0, 1]])
         b = FqMatrix(F3, [[0, 2], [1, 0]])
         return generate_group([a, b], cap)
-    raise ValueError(f"unknown group name {name!r}")
+    raise BadGroupName(f"unknown group name {name!r}")

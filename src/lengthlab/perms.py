@@ -30,6 +30,10 @@ class IdentityElement(LengthlabError, ValueError):
     pass
 
 
+class NegativeSize(LengthlabError, ValueError):
+    pass
+
+
 class Permutation:
     """A permutation of {0, ..., n-1} stored as an image array."""
 
@@ -228,7 +232,9 @@ def partitions(n: int) -> Iterator[List[int]]:
     Streams lexicographically without materializing the list; each
     yielded list is a fresh slice, so callers may keep it.
     """
-    if n == 0:
+    if n <= 0:
+        if n:
+            raise NegativeSize(f"no partitions of a negative size {n}")
         yield []
         return
     a = [0] * (n + 1)

@@ -76,8 +76,15 @@ def test_unknown_parameter_is_an_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["width", "--set", "group=A9"],
     ["torus-decompose", "--set", "h=0,0,0"],
-    ["lattice", "--set", "group=A7"],
-], ids=["cap-exceeded", "central-h", "lattice-cap"])
+    ["lattice", "--set", "group=A9"],  # the 100k build cap
+    ["width", "--set", "group=S1"],
+    ["lattice", "--set", "group=A1"],
+    ["width", "--set", "group=A2"],
+    ["lattice", "--set", "group=A0"],
+    ["width", "--set", "group=PSL2_6"],  # 6 is not a prime power
+    ["width", "--set", "group=PSL2_1"],
+], ids=["cap-exceeded", "central-h", "lattice-cap", "S1", "A1", "A2", "A0",
+        "PSL2_6", "PSL2_1"])
 def test_library_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -92,14 +99,27 @@ def test_width_report(tmp_path):
     assert all(row["width"] <= 3 for row in doc["widths"])
 
 
-@pytest.mark.parametrize("argv, order", [
-    (["width", "--set", "group=A7"], 2520),
-    (["ore-check", "--set", "group=PSL2_9"], 360),
-], ids=["width-A7", "ore-PSL2_9"])
-def test_larger_simple_groups(argv, order, tmp_path):
+@pytest.mark.parametrize("argv, key, expect", [
+    (["width", "--set", "group=A7"], "order", 2520),
+    (["ore-check", "--set", "group=PSL2_9"], "order", 360),
+    (["lattice", "--set", "group=A7"], "orders", [1, 2520]),
+], ids=["width-A7", "ore-PSL2_9", "lattice-A7"])
+def test_larger_simple_groups(argv, key, expect, tmp_path):
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 0
-    assert json.loads(read(out))["order"] == order
+    assert json.loads(read(out))[key] == expect
+
+
+def test_linear_lengths_golden(tmp_path):
+    out = tmp_path / "gl.csv"
+    assert run(["linear-lengths", "--out", str(out)]) == 0
+    assert read(out).decode() == (
+        "# schema_version=1 seed=20260823\n"
+        "group,n,q,classes,min_lc_over_lj,max_lc_over_lj\n"
+        "GL2(3),2,3,8,0.462843,1.283791\n"
+        "GL2(5),2,5,24,0.485234,1.101819\n"
+        "GL3(2),3,2,6,0.620233,1.782520\n"
+        "GL3(3),3,3,24,0.650663,1.531817\n")
 
 
 def test_sym_lengths_rows(tmp_path):

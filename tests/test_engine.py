@@ -232,7 +232,7 @@ def test_product_contains_identity():
     t = named_group("A5")
     for cls in t.classes:
         c = t.class_bits(cls[0])
-        ci = t.inverse_bits(c)
+        ci = t.class_bits(t.inv[cls[0]])
         assert (normal_set_product(t, c, ci) >> t.identity_index) & 1
 
 
@@ -423,3 +423,126 @@ def test_simplicity_flags():
     assert is_simple(named_group("PSL2_7"))
     assert not is_simple(named_group("S4"))
     assert not is_simple(named_group("SL2_3"))
+
+
+def test_lattice_larger_groups():
+    for name, orders in [("A7", [1, 2520]), ("A8", [1, 20160]),
+                         ("S7", [1, 2520, 5040]), ("PSL2_31", [1, 14880])]:
+        res = normal_lattice_analyze(named_group(name))
+        assert res["orders"] == orders
+        assert res["is_chain"] and res["is_distributive"]
+
+
+def test_lattice_a5_times_a5_distributive_not_chain():
+    # the finite shadow of the theorem: two simple factors give a
+    # distributive lattice 1 < A5 x 1, 1 x A5 < A5 x A5, not a chain
+    gens = []
+    for shift in (0, 5):
+        for g in alternating_group_gens(5):
+            images = list(range(10))
+            images[shift:shift + 5] = [shift + x for x in g.images]
+            gens.append(Permutation(images))
+    res = normal_lattice_analyze(generate_group(gens))
+    assert res["orders"] == [1, 60, 60, 3600]
+    assert res["is_distributive"] and res["is_modular"]
+    assert not res["is_chain"]
+
+
+# ------------------------------- element-bitset oracles on naive products
+
+
+def _oracle_inverse(t, bits):
+    return t.bits_of(t.inv[x] for x in t.members(bits))
+
+
+def _oracle_closure(t, bits):
+    s = bits | 1 << t.identity_index
+    while True:
+        nxt = s | naive_set_product(t, s, s)
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def _oracle_filtration(t, g):
+    s = t.class_bits(g) | _oracle_inverse(t, t.class_bits(g))
+    out = [s]
+    while out[-1] != t.full_bits:
+        nxt = out[-1] | naive_set_product(t, out[-1], s)
+        if nxt == out[-1]:
+            break
+        out.append(nxt)
+    return out
+
+
+def _oracle_power_width(t, g):
+    c = power = t.class_bits(g)
+    seen = [power]
+    while power != t.full_bits:
+        power = naive_set_product(t, power, c)
+        if power in seen:
+            return None, power
+        seen.append(power)
+    return len(seen), None
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_class_space_matches_element_oracle(name):
+    t = named_group(name)
+    for g in range(t.order):
+        assert normal_closure(t, g) == _oracle_closure(t, t.class_bits(g))
+    for cls in t.classes[1:]:
+        g = cls[0]
+        filt = _oracle_filtration(t, g)
+        assert symmetric_filtration(t, g) == filt
+        sym = conjugacy_width(t, g, symmetric=True)
+        if filt[-1] == t.full_bits:
+            assert sym == len(filt)
+        else:
+            assert sym.stabilized_bits == filt[-1]
+        m, stuck = _oracle_power_width(t, g)
+        power = conjugacy_width(t, g)
+        if m is None:
+            assert power.stabilized_bits == stuck
+        else:
+            assert power == m
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_lattice_matches_brute_force(name):
+    t = named_group(name)
+    # every union of classes with 1 that is closed under products
+    subs = []
+    for pick in range(1 << len(t.classes)):
+        s = t.union_of_classes(pick) | 1 << t.identity_index
+        if s not in subs and naive_set_product(t, s, s) & ~s == 0:
+            subs.append(s)
+    subs.sort()
+    res = normal_lattice_analyze(t)
+    assert res["subgroups"] == subs
+    k = len(subs)
+
+    def leq(i, j):
+        return subs[i] & ~subs[j] == 0
+
+    def join(i, j):  # the least normal subgroup above both
+        return min((m for m in range(k) if leq(i, m) and leq(j, m)),
+                   key=lambda m: bin(subs[m]).count("1"))
+
+    def meet(i, j):
+        return subs.index(subs[i] & subs[j])
+
+    triples = [(i, j, m) for i in range(k) for j in range(k)
+               for m in range(k)]
+    assert res["is_distributive"] == all(
+        meet(i, join(j, m)) == join(meet(i, j), meet(i, m))
+        for i, j, m in triples)
+    assert res["is_modular"] == all(
+        join(i, meet(j, m)) == meet(join(i, j), m)
+        for i, j, m in triples if leq(i, m))
+    assert res["is_chain"] == all(leq(i, j) or leq(j, i)
+                                  for i in range(k) for j in range(k))
+    assert res["hasse"] == [
+        (i, j) for i in range(k) for j in range(k)
+        if i != j and leq(i, j) and not any(
+            m not in (i, j) and leq(i, m) and leq(m, j) for m in range(k))]

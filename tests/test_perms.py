@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lengthlab import LengthlabError
 from lengthlab.perms import (
     ALT,
     SYM,
     CycleType,
+    NegativeSize,
     OddTypeInAlt,
     Permutation,
     class_size,
@@ -83,6 +85,18 @@ def test_partitions_are_partitions():
 def test_partitions_yield_fresh_lists():
     kept = list(partitions(7))
     assert len({tuple(p) for p in kept}) == len(kept) == 15
+
+
+def test_negative_sizes_raise():
+    assert issubclass(NegativeSize, LengthlabError)
+    assert issubclass(NegativeSize, ValueError)
+    with pytest.raises(NegativeSize):
+        list(partitions(-1))
+    with pytest.raises(NegativeSize):
+        list(cycle_types(-3, ALT))
+    with pytest.raises(NegativeSize):
+        diameter(-2)
+    assert list(partitions(0)) == [[]]
 
 
 # ---------------------------------------------------------------- lengths
