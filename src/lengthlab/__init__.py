@@ -7,3 +7,7 @@ __version__ = "0.1.0"
 class LengthlabError(Exception):
     """Root of the library's exceptions; the CLI reports any of them as
     bad input or out of range (exit code 2)."""
+
+
+class OutOfRange(LengthlabError, ValueError):
+    """A size below what a function covers, or an empty range to check."""

@@ -346,16 +346,15 @@ def suite_counterexample(seed=DEFAULT_SEED):
             issues.append(f"rank pin h_{n}")
         if roots.scaled_rank_length_inf(g) != Fraction(n + 1, 2 * n + 1):
             issues.append(f"rank pin g_{n}")
+        lt_h = roots.lambda_tilde(h)
         if n <= 8:
-            lt_h = roots.lambda_tilde(h)
             if lt_h != Fraction(4, 2 * n + 1):
                 issues.append(f"lt(h_{n})={lt_h} != 4/{2 * n + 1}")
             lt_g = roots.lambda_tilde(g)
             if lt_g > Fraction(4, n * (2 * n + 1)):
                 issues.append(f"lt(g_{n})={lt_g} > 4/{n * (2 * n + 1)}")
-        else:
-            if roots.lambda_tilde_lower_bound(h) < Fraction(4, 2 * n + 1):
-                issues.append(f"lt(h_{n}) lower bound")
+        elif lt_h < Fraction(4, 2 * n + 1):
+            issues.append(f"lt(h_{n}) lower bound")
     rows = profiles.incomparability_demo(64, c_max=64, k_max=8)
     if not all(r[3] is not None and r[3] <= 64 for r in rows):
         issues.append("a witness survived the incomparability grid")

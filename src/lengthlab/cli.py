@@ -251,6 +251,8 @@ def cmd_large_rank(args):
 
     rng = random.Random(args.seed)
     r, denom = int(p["rank"]), int(p["denom"])
+    if denom < 1:
+        raise ConfigInvalid(f"need denom >= 1, got {denom}")
     angs = [Fraction(rng.randint(-denom, denom), denom) for _ in range(r)]
     angs.append(-sum(angs))
     g = roots.TorusElement("A", r, tuple(angs))
@@ -280,11 +282,14 @@ def cmd_kyfan(args):
     p = _params({"pairs": "200", "n_max": "10", "z_trials": "2"}, args)
     import random
 
+    pairs = int(p["pairs"])
+    if pairs < 1:
+        raise ConfigInvalid(f"need pairs >= 1, got {pairs}")
     rng = random.Random(args.seed)
     from .perms import Permutation
 
     violations = 0
-    for trial in range(int(p["pairs"])):
+    for trial in range(pairs):
         n = rng.randint(2, int(p["n_max"]))
 
         def mon():
@@ -298,7 +303,7 @@ def cmd_kyfan(args):
             mon(), mon(), z_trials=int(p["z_trials"]), seed=trial)
         violations += len(rep["violations"])
     _emit_json(args, args.seed, {
-        "pairs": int(p["pairs"]), "violations": violations})
+        "pairs": pairs, "violations": violations})
     return violations == 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from . import LengthlabError
+from . import LengthlabError, OutOfRange
 
 
 class SearchExhausted(LengthlabError):
@@ -32,6 +32,8 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
     """
     if s < 3:
         raise ValueError("need s >= 3")
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got {n}")
     m = sum(len(b) for b in blocks)
     seen = sorted(v for b in blocks for v in b)
     if seen != list(range(m)) or any(len(b) != s for b in blocks) or m < n:

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from . import LengthlabError
+from . import LengthlabError, OutOfRange
 
 SYM = "Sym"
 ALT = "Alt"
@@ -289,6 +289,8 @@ def comparison_rows(
     l_H <= 8*l_c, counted only for n >= 17 (below that the asymptotic
     bounds carry no guarantee and the flag stays False).
     """
+    if not 1 <= n_min <= n_max:
+        raise OutOfRange(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     for n in range(n_min, n_max + 1):
         log_order = math.log(group_order(n, ambient))
         fact = math.factorial(n)

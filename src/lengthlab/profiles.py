@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import LengthlabError
+from . import LengthlabError, OutOfRange
 from .roots import (
     TorusElement,
     _Orbit,
@@ -244,6 +244,8 @@ def precede_search(F: ProfileSequence, H: ProfileSequence,
 
     None is grid-relative only; it never proves incomparability.
     """
+    if c_max < 1 or k_max < 1:
+        raise OutOfRange(f"empty (c, k) grid: c_max={c_max}, k_max={k_max}")
     for k in range(1, k_max + 1):
         for c in range(1, c_max + 1):
             w = OrderWitness(c, k, n0)
@@ -522,6 +524,9 @@ def incomparability_demo(n_max, c_max=64, k_max=8) -> list:
     the direction g before h, and the orbit-maximal torus length for the
     reverse.  Rows: (direction, c, k, first_failing_n).
     """
+    if n_max < 2 or c_max < 1 or k_max < 1:
+        raise OutOfRange(f"need n_max >= 2 and a nonempty (c, k) grid, got "
+                         f"n_max={n_max}, c_max={c_max}, k_max={k_max}")
     ns = range(2, n_max + 1)
     from .roots import counterexample_family
 

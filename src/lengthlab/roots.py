@@ -373,6 +373,8 @@ class TorusElement:
     def __post_init__(self):
         angles = tuple(normalize_angle(a) for a in self.angles)
         object.__setattr__(self, "angles", angles)
+        if self.rank < 0:
+            raise BadRank(f"rank {self.rank} < 0")
         if self.type in ("A", "U"):
             if len(angles) != self.rank + 1:
                 raise ValueError("need rank+1 angles")
@@ -460,7 +462,8 @@ class _Orbit:
     2D.  Label i*len(signs) + s names distinct value i with sign
     signs[s].  Arrangements are built left to right over states (rem,
     label, parity): the remaining count of each value, the last label
-    placed and the parity of the sign flips so far.
+    placed and the parity of the sign flips so far.  Only type D's
+    closing step reads the parity, so B and C never flip it.
     """
 
     def __init__(self, t: TorusElement):
@@ -474,7 +477,8 @@ class _Orbit:
         # s*v normalized to (-D, D]
         self.values = [D - (D - s * v.numerator * (D // v.denominator))
                        % (2 * D) for v in vals for s in signs]
-        self.flips = [int(s < 0) for _ in vals for s in signs]
+        self.flips = [int(s < 0 and self.typ == "D")
+                      for _ in vals for s in signs]
         self.labels = [range(i * len(signs), (i + 1) * len(signs))
                        for i in range(len(vals))]
 
@@ -517,32 +521,60 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     state space exceeds state_cap (use lambda_tilde_lower_bound then).
     """
     orb = _Orbit(t)
-    bound = len(orb.values) * (2 if orb.typ == "D" else 1)
+    P = 2 if orb.typ == "D" else 1
+    bound = len(orb.values) * P
     for c in orb.counts:
         bound *= c + 1
         if bound > state_cap:
             raise RankTooLargeForExact(
                 f"{bound}+ states exceeds cap {state_cap}")
 
-    # max-plus fold: state -> largest distance sum of a prefix reaching it
-    states = dict.fromkeys(orb.successors(orb.counts), 0)
-    for step in range(orb.n - 1):
-        tab = orb.step
-        if orb.close is not None and step == orb.n - 2:
-            tab = [[a + b for a, b in zip(r, c)]
-                   for r, c in zip(orb.step, orb.close)]
-        nxt = {}
-        for lab, par, w, succ in orb.layer(states):
-            row = tab[lab]
-            for rem2, lab2, flip in succ:
-                key = (rem2, lab2, par ^ flip)
-                v = w + row[lab2]
-                if nxt.get(key, -1) < v:
-                    nxt[key] = v
-        states = nxt
+    # the remaining counts rem as one mixed-radix index r < R
+    counts = np.array(orb.counts)
+    stride = np.cumprod(np.concatenate(([1], counts[:-1] + 1)))
+    R = int((counts + 1).prod())
+    rem = np.arange(R)[:, None] // stride % (counts + 1)
+    # rows of the fold in layers of rem's digit sum (row 0 is rem = 0);
+    # layer s, the states with s values left to place, is rows cuts[s]:
+    # cuts[s + 1], and row R is a sentinel that no prefix reaches
+    left = rem.sum(axis=1)
+    order = np.argsort(left, kind="stable")
+    cuts = np.searchsorted(left[order], np.arange(orb.n + 1)).tolist()
+    row = np.empty(R + 1, dtype=np.intp)
+    row[order] = np.arange(R)
+    row[R] = R
+    L = len(orb.values)
+    labs = np.arange(L)
+    value_of = labs // (L // len(counts))
+    # src[i, lab]: the row before placing lab left the rem of row i
+    src = row[np.where(rem[order][:, value_of] < counts[value_of],
+                       order[:, None] + stride[value_of], R)]
 
-    best = max((w + orb.end[lab] for (_, lab, par), w in states.items()
-                if not (orb.typ == "D" and par)), default=-1)
+    # max-plus fold: V[i, label, parity] is the largest distance sum of a
+    # prefix reaching the state.  A full arrangement scores at most
+    # (n + 1) * D, so int64 is exact below the threshold; past it the
+    # same code runs on Python ints.  Unreached states start at neg and
+    # stay negative after every weight.
+    dtype = np.int64 if 2 * orb.D * orb.n < 2 ** 60 else object
+    neg = -4 * orb.D * orb.n
+    V = np.full((R + 1, L, P), neg, dtype=dtype)
+    flips = np.array(orb.flips)
+    first, lab = np.nonzero(src[cuts[-2]:cuts[-1]] < R)
+    V[cuts[-2] + first, lab, flips[lab]] = 0
+    step = np.array(orb.step, dtype=dtype)
+    last = step if orb.close is None else \
+        step + np.array(orb.close, dtype=dtype)
+    step_t, last_t = step.T[:, :, None], last.T[:, :, None]
+    lab_ix = labs[:, None]
+    par_ix = (np.arange(P) ^ flips[:, None])[:, None, :]
+    for s in range(orb.n - 2, -1, -1):
+        a, b = cuts[s], cuts[s + 1]
+        # cand[i, lab2, lab, p] = V[src[a + i, lab2], lab, p ^ flip(lab2)]
+        cand = V[src[a:b, :, None, None], lab_ix, par_ix]
+        cand += last_t if s == 0 else step_t
+        V[a:b] = cand.max(axis=2)
+
+    best = int((V[0, :, 0] + np.array(orb.end, dtype=dtype)).max())
     if best < 0:
         raise RankTooLargeForExact("no admissible arrangement")
     return Fraction(best, orb.D * t.rank)
@@ -610,10 +642,13 @@ def ell1_prime(t: TorusElement) -> float:
     evaluate all of them exactly.
     """
     spec = t.spectrum()
+    # in units of 1/D; int / int rounds exactly as float(Fraction) does
+    D = math.lcm(*(a.denominator for a in spec))
+    nums = [a.numerator * (D // a.denominator) for a in spec]
     best = math.inf
-    for kink in {normalize_angle(-a) for a in spec}:
-        val = sum(2 * abs(math.sin(math.pi * float(kink + a) / 2))
-                  for a in spec)
+    for kink in {D - (D + a) % (2 * D) for a in nums}:  # normalized -a
+        val = sum(2 * abs(math.sin(math.pi * ((kink + a) / D) / 2))
+                  for a in nums)
         best = min(best, val)
     return best / (2 * t.rank)
 

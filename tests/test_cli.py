@@ -91,6 +91,50 @@ def test_library_error_exits_2(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# Each subcommand against 0, 1, a negative value and an empty range (or
+# an empty name or angle list), with the exit code the contract gives:
+# 0 every invariant held, 1 one failed, 2 bad input.  linear-lengths takes
+# no parameters; acceptance's empty filter is test_acceptance_filter_and_noop.
+EDGE_CASES = {
+    "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
+                    (["n_min=-1", "n_max=3"], 2), (["n_min=5", "n_max=4"], 2)],
+    "width": [(["group=S0"], 2), (["group=S1"], 2), (["group=S-1"], 2),
+              (["group="], 2)],
+    "ore-check": [(["group=A0"], 2), (["group=A1"], 2), (["group=A-1"], 2),
+                  (["group=PSL2_"], 2)],
+    "lattice": [(["group=PSL2_0"], 2), (["group=PSL2_1"], 2),
+                (["group=PSL2_-1"], 2), (["group=S"], 2)],
+    "root-check": [(["type=A", "rank=0"], 2), (["type=A", "rank=1"], 0),
+                   (["type=B", "rank=-1"], 2), (["type=D", "rank=1"], 2)],
+    "su2-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
+                      (["theta_h=0"], 2)],
+    "torus-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
+                        (["g=", "h="], 2)],
+    "large-rank": [(["denom=0"], 2), (["denom=1"], 0), (["rank=-1"], 2),
+                   (["k=0"], 2)],
+    "profile-order": [(["c_max=0"], 2), (["c_max=1"], 0), (["k_max=-1"], 2),
+                      (["f=", "h="], 2)],
+    "kyfan": [(["pairs=0"], 2), (["pairs=1"], 0), (["pairs=-1"], 2),
+              (["pairs=5", "n_max=1"], 2)],
+    "counterexample": [(["n_max=0"], 2), (["n_max=1"], 2), (["n_max=-1"], 2),
+                       (["n_max=8", "c_max=0"], 2)],
+    "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2)],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param([cmd] + [a for s in sets for a in ("--set", s)], code,
+                 id=f"{cmd}-{'-'.join(sets)}")
+    for cmd, cases in EDGE_CASES.items() for sets, code in cases])
+def test_edge_values_keep_exit_contract(argv, code, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_width_report(tmp_path):
     out = tmp_path / "w.json"
     assert run(["width", "--set", "group=A5", "--out", str(out)]) == 0

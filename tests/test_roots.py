@@ -235,12 +235,22 @@ def test_lambda_tilde_su2_is_lambda():
 
 
 # angles over one denominator, and in thirds, quarters and fifths mixed
-# so that the common denominator is 60
+# so that the common denominator is 60; halves at rank 6 repeat values
+# (one draw has counts 1, 3, 3); primes near 10**12 put the common
+# denominator near 10**36, past the kernel's int64 range
+PRIMES = (999999999989, 999999999959, 1000000000039)
+
+
 @pytest.mark.parametrize("typ,r,denoms", [
     pytest.param(typ, r, (8,), id=f"{typ}-{r}")
-    for typ, r in [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 3), ("U", 3)]
+    for typ, r in [("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 2),
+                   ("D", 3), ("D", 4), ("U", 3)]
 ] + [
     pytest.param(typ, 3, (3, 4, 5), id=f"{typ}-3-mixed") for typ in "AUBCD"
+] + [
+    pytest.param("U", 6, (2,), id="U-6-repeated")
+] + [
+    pytest.param(typ, 3, PRIMES, id=f"{typ}-3-prime") for typ in "AUBCD"
 ])
 def test_lambda_tilde_matches_brute_force(typ, r, denoms):
     rng = random.Random(13 + r)
@@ -271,6 +281,20 @@ def test_lambda_tilde_exact_cap():
         lambda_tilde(t, state_cap=1000)
     lb = lambda_tilde_lower_bound(t, tries=50)
     assert 0 <= lb <= 1
+
+
+@pytest.mark.parametrize("t,cap,message", [
+    (TorusElement("B", 12, tuple(F(1, p) for p in range(3, 15))), 1000,
+     "1536+ states exceeds cap 1000"),
+    (TorusElement("D", 6, tuple(F(1, p) for p in range(3, 9))), 500,
+     "768+ states exceeds cap 500"),
+    (TorusElement("U", 8, (F(0),) * 3 + (F(1, 2),) * 3 + (F(1, 3),) * 3), 50,
+     "192+ states exceeds cap 50"),
+], ids=["B12", "D6", "U8"])
+def test_lambda_tilde_cap_message(t, cap, message):
+    with pytest.raises(RankTooLargeForExact) as exc:
+        lambda_tilde(t, state_cap=cap)
+    assert str(exc.value) == message
 
 
 def test_lambda_tilde_lower_bound_below_exact():
@@ -317,6 +341,31 @@ def test_ell1_prime_matches_grid(typ):
         oracle = vals.min() / (2 * r)
         # exact kink minimum sits at or just below the grid minimum
         assert oracle - 1e-4 <= ell1_prime(t) <= oracle + 1e-12
+
+
+def ell1_prime_reference(t):
+    """ell1_prime on Fraction kinks, summed in spectrum order."""
+    spec = t.spectrum()
+    best = math.inf
+    for kink in {normalize_angle(-a) for a in spec}:
+        val = sum(2 * abs(math.sin(math.pi * float(kink + a) / 2))
+                  for a in spec)
+        best = min(best, val)
+    return best / (2 * t.rank)
+
+
+def test_ell1_prime_matches_fraction_reference():
+    rng = random.Random(19)
+    for typ in "ABCD":
+        for r in range(2, 9):
+            for denoms in ((12,), (3, 4, 5), (7, 60)):
+                n = r + 1 if typ == "A" else r
+                ang = [F(rng.randint(-d, d), d)
+                       for d in (denoms[i % len(denoms)] for i in range(n))]
+                if typ == "A":
+                    ang[-1] = -sum(ang[:-1])
+                t = TorusElement(typ, r, tuple(ang))
+                assert ell1_prime(t) == ell1_prime_reference(t)
 
 
 def test_scaled_rank_length():
