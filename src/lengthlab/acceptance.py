@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import coloring, engine, fqlin, perms, profiles, roots
+from . import OutOfRange, coloring, engine, fqlin, perms, profiles, roots
 
 DEFAULT_SEED = 20260823
 
@@ -453,6 +453,10 @@ def run_suite(name, fn, budget, seed=DEFAULT_SEED):
 
 
 def run_suites(name_filter=None, seed=DEFAULT_SEED):
-    """Run matching suites; returns a list of result dicts."""
-    return [run_suite(name, fn, budget, seed) for name, fn, budget in SUITES
-            if not name_filter or name_filter in name]
+    """Run matching suites; returns a list of result dicts.  A filter
+    that matches no suite raises OutOfRange: it would check nothing."""
+    chosen = [(name, fn, budget) for name, fn, budget in SUITES
+              if not name_filter or name_filter in name]
+    if not chosen:
+        raise OutOfRange(f"no acceptance suite matches {name_filter!r}")
+    return [run_suite(name, fn, budget, seed) for name, fn, budget in chosen]

@@ -18,7 +18,8 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +27,11 @@ import numpy as np
 from . import LengthlabError, OutOfRange
 from .roots import (
     TorusElement,
+    _distances,
     _Orbit,
+    _units,
     _zigzag,
     lambda_tilde,
-    lfrac,
     normalize_angle,
     scaled_rank_length_inf,
 )
@@ -64,6 +66,14 @@ class Profile:
         object.__setattr__(self, "values", vals)
         assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals), vals
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), vals
+
+    @classmethod
+    def _trusted(cls, values, support_bound, distances=None, exact=True):
+        # values already a decreasing tuple of floats in [0, 1]: skip checks
+        P = cls.__new__(cls)
+        P.__dict__.update(values=values, support_bound=support_bound,
+                          distances=distances, exact=exact)
+        return P
 
     def value(self, i):
         """F(i), 1-based, zero beyond the support."""
@@ -109,32 +119,14 @@ class OrderWitness:
 _OPT_STATE_CAP = 50_000
 
 
-def _distances_to_profile(dists, rank, exact=True):
-    d = tuple(sorted(dists, reverse=True))
-    values = tuple(math.sin(math.pi * float(x) / 2) for x in d)
-    return Profile(values, rank, d, exact)
-
-
-def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
-                          expect=None):
-    """Orbit representative with lexicographically maximal cumulative
-    character-distance sums; returns (element, exact_flag).
-
-    Lex-maximality of cumulative sums equals lex-maximality of the
-    distance sequence itself, found by a greedy search that keeps every
-    partial arrangement achieving the running maximum.  Falls back to a
-    sorted zigzag heuristic (exact_flag False) past state_cap.  With
-    expect (a distance -> count map) the search aborts and returns
-    (None, True) as soon as the optimal distance multiset cannot equal
-    the expected one.
+def _lex_greedy(orb, state_cap, budget):
+    """The lex-greedy orbit search of optimal_torus_element, in the
+    integer units of orb: (values, exact_flag), values the optimal
+    arrangement as integers over orb.D.  budget, a distance -> count map
+    in the same units, is drawn down as the search goes; values is None
+    when it rules the orbit out, or when the state cap is hit with a
+    budget.
     """
-    orb = _Orbit(t)
-    budget = None
-    if expect is not None:
-        # distances off the 1/D grid can never be drawn
-        budget = {int(u): c for u, c in
-                  ((Fraction(d) * orb.D, c) for d, c in expect.items())
-                  if u.denominator == 1}
 
     def draw(d):
         # early abort: the greedy maximum is forced, so any draw outside
@@ -181,12 +173,12 @@ def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
             exact = False
             break
 
-    if not exact and expect is not None:
-        return None, False
     if not exact:
+        if budget is not None:
+            return None, False
         # zigzag of the sorted angles: large distances first
-        arr = _zigzag(t.angles)
-        return TorusElement(t.type, t.rank, tuple(arr)), False
+        return _zigzag([orb.values[labs[0]] for labs, c in
+                        zip(orb.labels, orb.counts) for _ in range(c)]), False
 
     if orb.typ in ("B", "C"):
         best_end = max(orb.end[key[1]] for key in states)
@@ -196,20 +188,52 @@ def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
             return None, True
         draws.append(best_end)
 
-    labels = next(iter(states.values()))
-    arr = tuple(Fraction(orb.values[lab], orb.D) for lab in labels)
-    opt = TorusElement(t.type, t.rank, arr)
-    dseq = [Fraction(d, orb.D) for d in draws]
-    # all survivors share dseq by construction; cross-check the witness
-    assert [lfrac(b) for b in opt.betas()] == dseq if orb.typ != "D" else True
-    return opt, True
+    values = [orb.values[lab] for lab in next(iter(states.values()))]
+    # all survivors share the draws by construction; cross-check the
+    # witness
+    assert orb.typ == "D" or _distances(orb.typ, values, orb.D) == draws
+    return values, True
+
+
+def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
+                          expect=None):
+    """Orbit representative with lexicographically maximal cumulative
+    character-distance sums; returns (element, exact_flag).
+
+    Lex-maximality of cumulative sums equals lex-maximality of the
+    distance sequence itself, found by a greedy search that keeps every
+    partial arrangement achieving the running maximum.  Falls back to a
+    sorted zigzag heuristic (exact_flag False) past state_cap.  With
+    expect (a distance -> count map) the search aborts and returns
+    (None, True) as soon as the optimal distance multiset cannot equal
+    the expected one.
+
+    The search runs in units of 1/D, D the least common denominator of
+    t's angles: an arrangement only adds, subtracts and doubles angles,
+    so every distance it draws is an integer in these units.
+    """
+    orb = _Orbit.of(t)
+    budget = None
+    if expect is not None:
+        # distances off the 1/D grid can never be drawn
+        budget = {int(u): c for u, c in
+                  ((Fraction(d) * orb.D, c) for d, c in expect.items())
+                  if u.denominator == 1}
+    values, exact = _lex_greedy(orb, state_cap, budget)
+    if values is None:
+        return None, exact
+    return TorusElement._trusted(
+        t.type, t.rank, tuple(Fraction(v, orb.D) for v in values)), exact
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
     """Decreasing half-distances of the optimal orbit representative."""
     opt, exact = optimal_torus_element(t, state_cap=state_cap)
-    dists = [lfrac(b) for b in opt.betas()]
-    return _distances_to_profile(dists, t.rank, exact)
+    nums, D = _units(opt.angles)
+    dists = sorted(_distances(opt.type, nums, D), reverse=True)
+    return Profile._trusted(
+        tuple(math.sin(math.pi * (d / D) / 2) for d in dists), t.rank,
+        tuple(Fraction(d, D) for d in dists), exact)
 
 
 def profile_of_finite_type(ell, n) -> Profile:
@@ -264,15 +288,23 @@ def profile_join(F: Profile, H: Profile) -> Profile:
 
 
 def _pointwise(F, H, op):
-    ln = max(len(F.values), len(H.values))
-    values = tuple(op(F.value(i), H.value(i)) for i in range(1, ln + 1))
+    # the pointwise min or max of two valid profiles is again one; the
+    # shorter values get zeros, as value() reads past the support
+    fv, hv = F.values, H.values
+    gap = len(fv) - len(hv)
+    if gap > 0:
+        hv += (0.0,) * gap
+    elif gap < 0:
+        fv += (0.0,) * -gap
     dists = None
     if F.distances is not None and H.distances is not None:
-        fd = list(F.distances) + [Fraction(0)] * (ln - len(F.distances))
-        hd = list(H.distances) + [Fraction(0)] * (ln - len(H.distances))
-        dists = tuple(op(a, b) for a, b in zip(fd, hd))
-    return Profile(values, max(F.support_bound, H.support_bound),
-                   dists, F.exact and H.exact)
+        ln, zero = len(fv), (Fraction(0),)
+        dists = tuple(map(op,
+                          tuple(F.distances) + zero * (ln - len(F.distances)),
+                          tuple(H.distances) + zero * (ln - len(H.distances))))
+    return Profile._trusted(tuple(map(op, fv, hv)),
+                            max(F.support_bound, H.support_bound), dists,
+                            F.exact and H.exact)
 
 
 # --------------------------------------------------------- realization
@@ -302,16 +334,18 @@ def _realize_candidates(dists, typ, rank):
     Any element realizing the target profile has its optimal arrangement
     among these: consecutive angles differ by one of the distances up to
     sign, the end character fixes the global shift (for signed types),
-    and a global reflection is free.
+    and a global reflection is free.  Distances and angles are integers
+    over one D (see realize_profile) that makes every shift integral;
+    the angles are not normalized.
     """
     n = rank + 1 if typ in ("A", "U") else rank
     if typ in ("A", "U"):
         for edges in _distinct_orderings(dists):
             for pat in itertools.product((1, -1), repeat=max(0, rank - 1)):
-                zig = [Fraction(0), edges[0]] if rank else [Fraction(0)]
+                zig = [0, edges[0]] if rank else [0]
                 for s, d in zip(pat, edges[1:]):
                     zig.append(zig[-1] + s * d)
-                shift = -sum(zig) / n if typ == "A" else Fraction(0)
+                shift = -sum(zig) // n if typ == "A" else 0
                 yield tuple(z + shift for z in zig)
         return
     ends = sorted(set(dists))
@@ -320,7 +354,7 @@ def _realize_candidates(dists, typ, rank):
         rest.remove(e)
         for edges in _distinct_orderings(rest):
             for pat in itertools.product((1, -1), repeat=max(0, n - 2)):
-                zig = [Fraction(0)]
+                zig = [0]
                 if n >= 2:
                     zig.append(edges[0])
                 for s, d in zip(pat, edges[1:]):
@@ -329,9 +363,9 @@ def _realize_candidates(dists, typ, rank):
                     if typ == "B":
                         shift = es * e - zig[-1]
                     elif typ == "C":
-                        shift = Fraction(es * e, 2) - zig[-1]
+                        shift = es * e // 2 - zig[-1]
                     else:
-                        shift = (es * e - zig[-2] - zig[-1]) / 2
+                        shift = (es * e - zig[-2] - zig[-1]) // 2
                     yield tuple(z + shift for z in zig)
 
 
@@ -343,6 +377,13 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
     reproduces P, since a rearrangement with sign flips can beat the
     intended arrangement.  Raises Unrealizable when no candidate within
     the cap verifies.
+
+    Candidates and their checks run in integer units of 1/D, D the least
+    common denominator of the distances times n = rank + 1 for type A
+    and times 2 for C and D.  The steps are then integral, and so are
+    the shifts: type A's minus the mean of n integers that are all
+    multiples of n, C's half an end distance and D's half a sum of
+    three distances that are all even.
     """
     if typ not in ("A", "U", "B", "C", "D"):
         raise ValueError(f"unknown type {typ}")
@@ -355,21 +396,23 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
         raise Unrealizable("support exceeds rank")
     dists = sorted(dists + [Fraction(0)] * (rank - len(dists)), reverse=True)
 
-    expect = {}
-    for d in dists:
-        expect[d] = expect.get(d, 0) + 1
+    n = rank + 1 if typ in ("A", "U") else rank
+    D = math.lcm(*(d.denominator for d in dists)) * \
+        {"A": n, "C": 2, "D": 2}.get(typ, 1)
+    units = [d.numerator * (D // d.denominator) for d in dists]
+    expect = Counter(units)
     tried = 0
     seen = set()
-    for angles in _realize_candidates(dists, typ, rank):
+    for angles in _realize_candidates(units, typ, rank):
         # candidates are only defined up to the rearrangement orbit, so
         # dedup by an orbit invariant before the expensive check
-        norm = tuple(normalize_angle(a) for a in angles)
+        norm = tuple(D - (D - a) % (2 * D) for a in angles)
         if typ in ("A", "U"):
             key = tuple(sorted(norm))
         else:
-            folded = tuple(sorted(lfrac(a) for a in norm))
+            folded = tuple(sorted(map(abs, norm)))
             par = 0
-            if typ == "D" and 0 not in folded and 1 not in folded:
+            if typ == "D" and 0 not in folded and D not in folded:
                 par = sum(1 for a in norm if a < 0) % 2
             key = (folded, par)
         if key in seen:
@@ -378,50 +421,59 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
         tried += 1
         if tried > cap:
             break
-        t = TorusElement(typ, rank, angles)
-        opt, exact = optimal_torus_element(t, expect=expect)
-        if opt is not None and exact:
-            return t
+        values, exact = _lex_greedy(_Orbit(typ, norm, D), _OPT_STATE_CAP,
+                                    dict(expect))
+        if values is not None and exact:
+            return TorusElement._trusted(
+                typ, rank, tuple(Fraction(a, D) for a in norm))
     raise Unrealizable(f"no realization found for {dists} in type {typ}")
 
 
 # --------------------------------------------------- monomial unitaries
+#
+# Inside the Ky Fan check a monomial is (perm, nums, D): its phases as
+# integers over their least common denominator D, and a spectrum is
+# (angles, E): sorted normalized angles over one E per monomial.
+
+def _monomial_units(mon):
+    perm, phases = mon
+    return (perm, *_units([Fraction(p) for p in phases]))
+
+
+def _spectrum_units(perm, nums, D):
+    """Spectrum of a monomial in units, over E = D*L with L the lcm of
+    its cycle lengths: a cycle of length k and phase sum T/D has the k
+    angles (T/D + 2j)/k = (T + 2jD)*(L/k)/E."""
+    assert len(nums) == perm.n
+    cycles = [(sum(nums[i] for i in c), len(c)) for c in perm.cycles()]
+    L = math.lcm(*(k for _, k in cycles))
+    E = D * L
+    return sorted(E - (E - (T + 2 * j * D) * (L // k)) % (2 * E)
+                  for T, k in cycles for j in range(k)), E
+
+
+def _product_units(g, h):
+    """The monomial g*h in units: e_i goes to e_{g(h(i))} with phase
+    h_i + g_{h(i)}."""
+    (pg, gn, gD), (ph, hn, hD) = g, h
+    D = math.lcm(gD, hD)
+    return pg * ph, [hn[i] * (D // hD) + gn[j] * (D // gD)
+                     for i, j in enumerate(ph.images)], D
+
 
 def monomial_spectrum(perm, phases):
     """Eigenvalue angles of the monomial unitary sending e_i to
     e^{i*pi*phases[i]} e_{perm(i)}: per cycle of length k with phase sum
-    Theta, the k angles (Theta + 2j)/k."""
-    images = perm.images
-    n = len(images)
-    assert len(phases) == n
-    seen = [False] * n
-    angles = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = images[cur]
-        theta = sum((Fraction(phases[i]) for i in cyc), Fraction(0))
-        k = len(cyc)
-        angles.extend(normalize_angle((theta + 2 * j) / k) for j in range(k))
-    return sorted(angles)
+    Theta, the k angles (Theta + 2j)/k, sorted."""
+    nums, E = _spectrum_units(*_monomial_units((perm, phases)))
+    return [Fraction(a, E) for a in nums]
 
 
 def monomial_product(g_mon, h_mon):
     """(perm, phases) of the matrix product g*h of two monomials."""
-    from .perms import Permutation
-
-    pg, fg = g_mon
-    ph, fh = h_mon
-    n = len(pg.images)
-    images = tuple(pg.images[ph.images[i]] for i in range(n))
-    phases = tuple(Fraction(fh[i]) + Fraction(fg[ph.images[i]])
-                   for i in range(n))
-    return Permutation(images), phases
+    perm, nums, D = _product_units(_monomial_units(g_mon),
+                                   _monomial_units(h_mon))
+    return perm, tuple(Fraction(a, D) for a in nums)
 
 
 def monomial_matrix(mon):
@@ -433,29 +485,21 @@ def monomial_matrix(mon):
     return M
 
 
-def _spectrum_profile(angles):
-    n = len(angles)
-    t = TorusElement("U", n - 1, tuple(angles))
-    return profile_of(t)
-
-
 def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
     """Verify F_gh(6i+6j+1) <= 2F_g(i+1) + 2F_h(j+1) on a monomial pair,
     plus the underlying additive singular-value step on sampled central
     multipliers.  Returns a report; violations are collected, not raised."""
     rng = random.Random(seed)
-    gh = monomial_product(g_mon, h_mon)
-    spec_g = monomial_spectrum(*g_mon)
-    spec_h = monomial_spectrum(*h_mon)
-    spec_gh = monomial_spectrum(*gh)
-    Fg = _spectrum_profile(spec_g)
-    Fh = _spectrum_profile(spec_h)
-    Fgh = _spectrum_profile(spec_gh)
+    g, h = _monomial_units(g_mon), _monomial_units(h_mon)
+    specs = [_spectrum_units(*m) for m in (g, h, _product_units(g, h))]
+    Fg, Fh, Fgh = (profile_of(TorusElement._trusted(
+        "U", len(nums) - 1, tuple(Fraction(a, E) for a in nums)))
+        for nums, E in specs)
 
     report = {"main_ok": True, "kyfan_ok": True, "violations": [],
               "pairs_checked": 0, "exact": Fg.exact and Fh.exact
               and Fgh.exact}
-    n = len(spec_g)
+    n = len(specs[0][0])
     for i in range((n // 6) + 2):
         for j in range((n // 6) + 2):
             lhs = Fgh.value(6 * i + 6 * j + 1) if 6 * i + 6 * j + 1 <= n - 1 \
@@ -467,25 +511,30 @@ def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
                 report["violations"].append(("main", i, j, lhs, rhs))
 
     # raw additive step: s_{i+j+1}(1 - xy*gh) <= s_{i+1}(1-x*g) + s_{j+1}(1-y*h)
+    # for x = e^{i*pi*phi_x/24} and y = e^{i*pi*phi_y/24}
     for _ in range(z_trials):
-        phi_x = Fraction(rng.randint(-24, 24), 24)
-        phi_y = Fraction(rng.randint(-24, 24), 24)
-        u = _shifted_singular_values(spec_g, phi_x)
-        v = _shifted_singular_values(spec_h, phi_y)
-        w = _shifted_singular_values(spec_gh, phi_x + phi_y)
+        phi_x = rng.randint(-24, 24)
+        phi_y = rng.randint(-24, 24)
+        u, v, w = (_shifted_singular_values(spec, phi) for spec, phi in
+                   zip(specs, (phi_x, phi_y, phi_x + phi_y)))
         for i in range(n):
             for j in range(n - i):
                 if w[i + j] > u[i] + v[j] + 1e-12:
                     report["kyfan_ok"] = False
                     report["violations"].append(
-                        ("kyfan", float(phi_x), float(phi_y), i, j))
+                        ("kyfan", phi_x / 24, phi_y / 24, i, j))
     return report
 
 
 def _shifted_singular_values(spec, phi):
-    """Singular values of 1 - e^{i*pi*phi} g, decreasing (g normal)."""
+    """Singular values of 1 - e^{i*pi*phi/24} g, decreasing (g normal),
+    for the spectrum (nums, D) of g; int / int rounds exactly as
+    float(Fraction) does."""
+    nums, D = spec
+    E = math.lcm(D, 24)
+    a, p = E // D, phi * (E // 24)
     return sorted(
-        (abs(1 - cmath.exp(1j * math.pi * float(phi + a))) for a in spec),
+        (abs(1 - cmath.exp(1j * math.pi * ((p + x * a) / E))) for x in nums),
         reverse=True)
 
 

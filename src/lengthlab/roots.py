@@ -75,6 +75,28 @@ def lfrac(x) -> Fraction:
     return abs(normalize_angle(x))
 
 
+def _units(angles):
+    """(nums, D): the angles as integers over their least common
+    denominator D."""
+    D = math.lcm(*(a.denominator for a in angles))
+    return [a.numerator * (D // a.denominator) for a in angles], D
+
+
+def _distances(typ, vals, D):
+    """lfrac of each fundamental character (as TorusElement.betas) of
+    the arrangement vals/D of normalized angles, in units of 1/D."""
+    D2 = 2 * D
+    out = [min((a - b) % D2, (b - a) % D2) for a, b in zip(vals, vals[1:])]
+    if typ == "B":
+        out.append(abs(vals[-1]))
+    elif typ == "C":
+        out.append(min(2 * vals[-1] % D2, -2 * vals[-1] % D2))
+    elif typ == "D":
+        out.append(min((vals[-2] + vals[-1]) % D2,
+                       -(vals[-2] + vals[-1]) % D2))
+    return out
+
+
 def angle(theta) -> float:
     """Geometric angle of e^{i*pi*theta}, a real in [0, pi]."""
     return math.pi * float(lfrac(theta))
@@ -388,6 +410,17 @@ class TorusElement:
         else:
             raise ValueError(f"unknown type {self.type}")
 
+    @classmethod
+    def _trusted(cls, typ, rank, angles):
+        """An element from angles that are already normalized and fit typ
+        and rank, without the constructor's work; only a negative rank
+        still raises BadRank."""
+        if rank < 0:
+            raise BadRank(f"rank {rank} < 0")
+        t = cls.__new__(cls)
+        t.__dict__.update(type=typ, rank=rank, angles=angles)
+        return t
+
     def betas(self):
         """Fundamental character angles, exact and normalized."""
         th = self.angles
@@ -457,42 +490,52 @@ def _arrangement_value(typ, seq):
 class _Orbit:
     """The rearrangement orbit of a torus element, in integer units.
 
-    The angles are scaled by their common denominator D, so a signed
+    The angles are integers over a common denominator D, so a signed
     value is an integer in (-D, D] and lfrac is integer arithmetic mod
-    2D.  Label i*len(signs) + s names distinct value i with sign
-    signs[s].  Arrangements are built left to right over states (rem,
-    label, parity): the remaining count of each value, the last label
-    placed and the parity of the sign flips so far.  Only type D's
-    closing step reads the parity, so B and C never flip it.
+    2D: every table entry is lfrac of a sum or difference of two angles,
+    or of an angle or its double.  `_Orbit.of` takes the least D of an
+    element; realize_profile passes a multiple of it that also makes its
+    candidate shifts integral.  Any such D gives the same search, since
+    the tables only scale with D and the labels, their order and every
+    comparison stay the same.  Label i*len(signs) + s names
+    distinct value i with sign signs[s].  Arrangements are built left to
+    right over states (rem, label, parity): the remaining count of each
+    value, the last label placed and the parity of the sign flips so
+    far.  Only type D's closing step reads the parity, so B and C never
+    flip it.
     """
 
-    def __init__(self, t: TorusElement):
-        self.typ = "A" if t.type == "U" else t.type
-        counts = Counter(t.angles)  # normalized by TorusElement
+    def __init__(self, typ, nums, D):
+        """The orbit of the element of type typ with angles nums/D."""
+        self.typ = "A" if typ == "U" else typ
+        counts = Counter(D - (D - a) % (2 * D) for a in nums)
         vals = sorted(counts)
-        self.n = len(t.angles)
+        self.n = len(nums)
         self.counts = tuple(counts[v] for v in vals)
         signs = (1, -1) if self.typ in ("B", "C", "D") else (1,)
-        self.D = D = math.lcm(*(v.denominator for v in vals))
+        self.D = D
         # s*v normalized to (-D, D]
-        self.values = [D - (D - s * v.numerator * (D // v.denominator))
-                       % (2 * D) for v in vals for s in signs]
+        self.values = [D - (D - s * v) % (2 * D) for v in vals for s in signs]
         self.flips = [int(s < 0 and self.typ == "D")
                       for _ in vals for s in signs]
         self.labels = [range(i * len(signs), (i + 1) * len(signs))
                        for i in range(len(vals))]
 
-        def dist(x):
-            x %= 2 * D
-            return min(x, 2 * D - x)
-
+        D2 = 2 * D
         # step[a][b] = lfrac(a - b); the type-D arrangement closes with
         # lfrac(a + b) on its last pair, B and C end on lfrac(a), lfrac(2a)
-        self.step = [[dist(a - b) for b in self.values] for a in self.values]
-        self.close = [[dist(a + b) for b in self.values]
+        self.step = [[min((a - b) % D2, (b - a) % D2) for b in self.values]
+                     for a in self.values]
+        self.close = [[min((a + b) % D2, -(a + b) % D2) for b in self.values]
                       for a in self.values] if self.typ == "D" else None
         mult = {"B": 1, "C": 2}.get(self.typ, 0)
-        self.end = [dist(mult * a) for a in self.values]
+        self.end = [min(mult * a % D2, -mult * a % D2) for a in self.values]
+
+    @classmethod
+    def of(cls, t: TorusElement):
+        """The orbit of t, over the least common denominator of its
+        angles."""
+        return cls(t.type, *_units(t.angles))
 
     def successors(self, rem):
         """(rem2, label, flip) for every next placement from remaining
@@ -520,7 +563,7 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     multiset of distinct angles; raises RankTooLargeForExact when the
     state space exceeds state_cap (use lambda_tilde_lower_bound then).
     """
-    orb = _Orbit(t)
+    orb = _Orbit.of(t)
     P = 2 if orb.typ == "D" else 1
     bound = len(orb.values) * P
     for c in orb.counts:
@@ -643,8 +686,7 @@ def ell1_prime(t: TorusElement) -> float:
     """
     spec = t.spectrum()
     # in units of 1/D; int / int rounds exactly as float(Fraction) does
-    D = math.lcm(*(a.denominator for a in spec))
-    nums = [a.numerator * (D // a.denominator) for a in spec]
+    nums, D = _units(spec)
     best = math.inf
     for kink in {D - (D + a) % (2 * D) for a in nums}:  # normalized -a
         val = sum(2 * abs(math.sin(math.pi * ((kink + a) / D) / 2))

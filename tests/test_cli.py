@@ -208,9 +208,12 @@ def test_acceptance_filter_and_noop(tmp_path, capsys):
     doc = json.loads(read(out))
     assert [s["name"] for s in doc["suites"]] == ["sandwich"]
     assert "PASS sandwich" in capsys.readouterr().err
-    # a filter matching nothing checks nothing and succeeds
+    # a filter matching nothing would check nothing: bad input
     assert run(["acceptance", "--set", "filter=nosuchsuite",
-                "--out", str(tmp_path / "empty.json")]) == 0
+                "--out", str(tmp_path / "empty.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no acceptance suite matches 'nosuchsuite'\n"
+    assert not (tmp_path / "empty.json").exists()
 
 
 def test_failing_invariant_gives_nonzero_exit(tmp_path):

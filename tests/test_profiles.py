@@ -1,8 +1,10 @@
 """Tests for profiles, their quasiorder, and monomial spectra."""
 
+import cmath
 import itertools
 import math
 import random
+import re
 import zlib
 from collections import Counter
 from fractions import Fraction as F
@@ -17,6 +19,11 @@ from lengthlab.profiles import (
     Profile,
     ProfileSequence,
     Unrealizable,
+    _monomial_units,
+    _product_units,
+    _realize_candidates,
+    _shifted_singular_values,
+    _spectrum_units,
     incomparability_demo,
     kyfan_profile_check,
     monomial_matrix,
@@ -32,7 +39,13 @@ from lengthlab.profiles import (
     realize_profile,
     underline_singular,
 )
-from lengthlab.roots import TorusElement, lfrac, normalize_angle
+from lengthlab.roots import (
+    TorusElement,
+    _distances,
+    _units,
+    lfrac,
+    normalize_angle,
+)
 
 
 def random_element(typ, rank, rng, denoms=(12,)):
@@ -115,6 +128,17 @@ def test_optimal_element_stays_in_orbit():
                 sorted(map(normalize_angle, t.angles))
 
 
+def test_integer_distances_match_betas():
+    rng = random.Random(17)
+    for typ in "AUBCD":
+        for denoms in ((12,), (3, 4, 5), (7,)):
+            for _ in range(20):
+                t = random_element(typ, rng.randint(2, 7), rng, denoms)
+                nums, D = _units(t.angles)
+                assert [F(d, D) for d in _distances(typ, nums, D)] == \
+                    [lfrac(b) for b in t.betas()]
+
+
 def test_heuristic_flagged_inexact():
     rng = random.Random(9)
     t = random_element("B", 6, rng)
@@ -166,8 +190,10 @@ def test_realize_rejects_oversized_support():
 
 def test_realize_from_float_values():
     # no exact distances attached: values get rationalized first
-    t = realize_profile(Profile((math.sin(math.pi / 8),), 1), "A", 1)
+    P = Profile((math.sin(math.pi / 8),), 1)
+    t = realize_profile(P, "A", 1)
     assert abs(profile_of(t).value(1) - math.sin(math.pi / 8)) < 1e-9
+    assert t == realize_profile_reference(P, "A", 1)
 
 
 def test_realize_detects_sandwich_obstruction():
@@ -175,6 +201,136 @@ def test_realize_detects_sandwich_obstruction():
     # three: the lone distinct point always gets flanked twice
     with pytest.raises(Unrealizable):
         realize_profile(Profile((0.5,), 3, (F(1, 3),)), "A", 3)
+
+
+# Fraction enumeration and realization, the oracle of the integer ones:
+# candidates and dedup keys in Fractions, each candidate checked through
+# the public optimal_torus_element.
+
+def distinct_orderings(items):
+    items = sorted(items, reverse=True)
+
+    def rec(rem):
+        if not rem:
+            yield ()
+            return
+        prev = object()
+        for i, x in enumerate(rem):
+            if x == prev:
+                continue
+            prev = x
+            for tail in rec(rem[:i] + rem[i + 1:]):
+                yield (x, *tail)
+
+    return rec(items)
+
+
+def realize_candidates_reference(dists, typ, rank):
+    n = rank + 1 if typ in ("A", "U") else rank
+    if typ in ("A", "U"):
+        for edges in distinct_orderings(dists):
+            for pat in itertools.product((1, -1), repeat=max(0, rank - 1)):
+                zig = [F(0), edges[0]] if rank else [F(0)]
+                for s, d in zip(pat, edges[1:]):
+                    zig.append(zig[-1] + s * d)
+                shift = -sum(zig) / n if typ == "A" else F(0)
+                yield tuple(z + shift for z in zig)
+        return
+    for e in sorted(set(dists)):
+        rest = list(dists)
+        rest.remove(e)
+        for edges in distinct_orderings(rest):
+            for pat in itertools.product((1, -1), repeat=max(0, n - 2)):
+                zig = [F(0)]
+                if n >= 2:
+                    zig.append(edges[0])
+                for s, d in zip(pat, edges[1:]):
+                    zig.append(zig[-1] + s * d)
+                for es in (1, -1):
+                    if typ == "B":
+                        shift = es * e - zig[-1]
+                    elif typ == "C":
+                        shift = F(es * e, 2) - zig[-1]
+                    else:
+                        shift = (es * e - zig[-2] - zig[-1]) / 2
+                    yield tuple(z + shift for z in zig)
+
+
+def realize_profile_reference(P, typ, rank, cap=100_000):
+    if P.distances is not None:
+        dists = [F(d) for d in P.distances]
+    else:
+        dists = [F(2 * math.asin(min(1.0, max(0.0, v))) / math.pi)
+                 .limit_denominator(10**12) for v in P.values]
+    if len(dists) > rank:
+        raise Unrealizable("support exceeds rank")
+    dists = sorted(dists + [F(0)] * (rank - len(dists)), reverse=True)
+    expect = Counter(dists)
+    tried = 0
+    seen = set()
+    for angles in realize_candidates_reference(dists, typ, rank):
+        norm = tuple(normalize_angle(a) for a in angles)
+        if typ in ("A", "U"):
+            key = tuple(sorted(norm))
+        else:
+            folded = tuple(sorted(lfrac(a) for a in norm))
+            par = 0
+            if typ == "D" and 0 not in folded and 1 not in folded:
+                par = sum(1 for a in norm if a < 0) % 2
+            key = (folded, par)
+        if key in seen:
+            continue
+        seen.add(key)
+        tried += 1
+        if tried > cap:
+            break
+        t = TorusElement(typ, rank, angles)
+        opt, exact = optimal_torus_element(t, expect=expect)
+        if opt is not None and exact:
+            return t
+    raise Unrealizable(f"no realization found for {dists} in type {typ}")
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_integer_candidates_match_fraction_reference(typ):
+    # realize_profile's D: every step and every shift is integral over it
+    rng = random.Random(zlib.crc32(typ.encode()) + 1)
+    for _ in range(12):
+        rank = rng.randint(2 if typ == "D" else 1, 5)
+        den = rng.choice((1, 2, 5, 12, 30))
+        dists = sorted((F(rng.randint(0, den), den) for _ in range(rank)),
+                       reverse=True)
+        n = rank + 1 if typ in ("A", "U") else rank
+        D = math.lcm(*(d.denominator for d in dists)) * \
+            {"A": n, "C": 2, "D": 2}.get(typ, 1)
+        units = [int(d * D) for d in dists]
+        got = [tuple(F(a, D) for a in c)
+               for c in _realize_candidates(units, typ, rank)]
+        assert got == list(realize_candidates_reference(dists, typ, rank))
+
+
+@pytest.mark.parametrize("typ", ["A", "B", "C", "D"])
+def test_realize_matches_fraction_reference(typ):
+    rng = random.Random(zlib.crc32(typ.encode()) + 2)
+    for rank in range(2, 7):
+        for denoms in ((12,), (3, 4)):
+            t = random_element(typ, rank, rng, denoms)
+            P = profile_of(t)
+            # the float path rationalizes the values first
+            for Q in (P, Profile(P.values, P.support_bound)):
+                assert realize_profile(Q, typ, rank) == \
+                    realize_profile_reference(Q, typ, rank)
+            # halving the top distance is often unrealizable; both agree
+            d = sorted([P.distances[0] / 2, *P.distances[1:]], reverse=True)
+            Q = Profile(tuple(math.sin(math.pi * float(x) / 2) for x in d),
+                        rank, tuple(d))
+            try:
+                want = realize_profile_reference(Q, typ, rank, cap=200)
+            except Unrealizable as exc:
+                with pytest.raises(Unrealizable, match=re.escape(str(exc))):
+                    realize_profile(Q, typ, rank, cap=200)
+            else:
+                assert realize_profile(Q, typ, rank, cap=200) == want
 
 
 # ------------------------------------------------------- quasiorder
@@ -251,6 +407,42 @@ def test_meet_join_lattice_laws():
             profile_join(a, b).value(i)
 
 
+def test_meet_join_match_validated_construction():
+    rng = random.Random(41)
+
+    def draw():
+        if rng.random() < 0.5:
+            return profile_of(random_element(rng.choice("ABCD"), 4, rng),
+                              state_cap=rng.choice((1, 50_000)))
+        k = rng.randint(0, 6)
+        return Profile(tuple(sorted((rng.random() for _ in range(k)),
+                                    reverse=True)), rng.randint(k, 8))
+
+    def reference(P, Q, op):
+        ln = max(len(P.values), len(Q.values))
+        values = [op(P.value(i), Q.value(i)) for i in range(1, ln + 1)]
+        dists = None
+        if P.distances is not None and Q.distances is not None:
+            pd = list(P.distances) + [F(0)] * (ln - len(P.distances))
+            qd = list(Q.distances) + [F(0)] * (ln - len(Q.distances))
+            dists = tuple(op(a, b) for a, b in zip(pd, qd))
+        return Profile(tuple(values), max(P.support_bound, Q.support_bound),
+                       dists, P.exact and Q.exact)
+
+    for _ in range(300):
+        a, b, c = draw(), draw(), draw()
+        for got, want in (
+                (profile_meet(a, b), reference(a, b, min)),
+                (profile_join(a, b), reference(a, b, max)),
+                (profile_meet(a, profile_join(b, c)),
+                 reference(a, reference(b, c, max), min)),
+                (profile_join(a, profile_meet(b, c)),
+                 reference(a, reference(b, c, min), max))):
+            assert got == want
+            assert (got.values, got.distances, got.exact) == \
+                (want.values, want.distances, want.exact)
+
+
 def test_index_errors():
     P = profile_of_finite_type(F(1, 2), 6)
     with pytest.raises(IndexOutOfRange):
@@ -316,6 +508,58 @@ def test_kyfan_profile_check_random_pairs():
         assert rep["main_ok"] and rep["kyfan_ok"], rep
         assert rep["violations"] == []
         assert rep["pairs_checked"] > 0
+
+
+def monomial_spectrum_reference(perm, phases):
+    """The eigenvalue angles summed and divided in Fractions."""
+    images = perm.images
+    seen = [False] * len(images)
+    angles = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cyc.append(cur)
+            cur = images[cur]
+        theta = sum((F(phases[i]) for i in cyc), F(0))
+        angles.extend(normalize_angle((theta + 2 * j) / len(cyc))
+                      for j in range(len(cyc)))
+    return sorted(angles)
+
+
+def mixed_monomial(n, rng):
+    img = list(range(n))
+    rng.shuffle(img)
+    dens = rng.sample((2, 3, 5, 7, 8, 9, 12, 24), 3)
+    phases = tuple(F(rng.randint(-d, d), d)
+                   for d in (rng.choice(dens) for _ in range(n)))
+    return Permutation(tuple(img)), phases
+
+
+@pytest.mark.parametrize("draw", [random_monomial, mixed_monomial],
+                         ids=["24ths", "mixed"])
+def test_integer_spectrum_matches_fraction_reference(draw):
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        g, h = draw(n, rng), draw(n, rng)
+        units = [_monomial_units(g), _monomial_units(h)]
+        units.append(_product_units(*units))
+        gh = monomial_product(g, h)
+        assert gh[1] == tuple(F(fh) + F(fg) for fh, fg in
+                              zip(h[1], (g[1][j] for j in h[0].images)))
+        for mon, mu in zip((g, h, gh), units):
+            nums, E = _spectrum_units(*mu)
+            assert all(-E < a <= E for a in nums) and nums == sorted(nums)
+            want = monomial_spectrum_reference(*mon)
+            assert [F(a, E) for a in nums] == want == monomial_spectrum(*mon)
+            for phi in (-24, -7, 0, 5, 24, 31):
+                assert _shifted_singular_values((nums, E), phi) == sorted(
+                    (abs(1 - cmath.exp(1j * math.pi * float(F(phi, 24) + a)))
+                     for a in want), reverse=True)
 
 
 # --------------------------------------------------- min singular value
