@@ -379,9 +379,9 @@ def main(argv=None) -> int:
         sp.add_argument("--out", help="write the report to this file")
     args, extras = parser.parse_known_args(argv)
     args.extras = extras
-    if args.seed < 0 or args.seed >= 1 << 64:
-        raise ConfigInvalid("seed must fit in 64 bits")
     try:
+        if args.seed < 0 or args.seed >= 1 << 64:
+            raise ConfigInvalid("seed must fit in 64 bits")
         ok = COMMANDS[args.command](args)
     except (LengthlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

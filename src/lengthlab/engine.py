@@ -20,13 +20,19 @@ class ids, from start to end: products, closures, filtrations and the
 normal subgroup lattice never touch the N-bit element bitsets. The
 public functions take and return element bitsets and convert at the
 boundary (class_mask in, union_of_classes out).
+
+The element objects (Permutation or FqMatrix) are built from the rows
+on the first read of GroupTable.elements; no query needs them. The
+named families A_n, S_n and PSL2(q) are checked against the cap by
+their closed-form orders before any generator is built, so a group too
+large to enumerate raises CapExceeded at once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,12 +74,12 @@ class GroupTable:
     """A finite group as image rows: inv, conjugacy classes and the
     class-product table, with no N x N structure."""
 
-    def __init__(self, elements: List, images: np.ndarray,
+    def __init__(self, element: Callable, images: np.ndarray,
                  index: Dict[bytes, int], generators: np.ndarray) -> None:
-        self.elements = elements
+        self._element = element
         self.images = images
         self._index = index
-        self.order = n = len(elements)
+        self.order = n = len(images)
         # the closure starts at the identity, so class 0 is {1}
         self.identity_index = 0
         self.full_bits = (1 << n) - 1
@@ -87,6 +93,11 @@ class GroupTable:
         self.inverse_class = [self.class_of[self.inv[cls[0]]]
                               for cls in self.classes]
         self.class_product = self._class_products()
+
+    @cached_property
+    def elements(self) -> List:
+        """The element objects, one per row, built on first read."""
+        return [self._element(r) for r in self.images.tolist()]
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of image rows."""
@@ -222,7 +233,8 @@ def _matrix_of(field: FqField, n: int, images: Sequence[int]) -> FqMatrix:
     """The matrix acting by `images`: column j is the image of e_j."""
     q = field.q
     cols = [images[q ** j] for j in range(n)]
-    return FqMatrix(field, [[c // q ** i % q for c in cols] for i in range(n)])
+    return FqMatrix._trusted(
+        field, tuple(tuple(c // q ** i % q for c in cols) for i in range(n)))
 
 
 def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
@@ -235,7 +247,7 @@ def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
     g0 = generators[0]
     if isinstance(g0, Permutation):
         rows = [g.images for g in generators]
-        element = Permutation
+        element = Permutation._trusted
     elif isinstance(g0, FqMatrix):
         rows = [_vector_action(g) for g in generators]
         element = partial(_matrix_of, g0.field, g0.n)
@@ -243,8 +255,7 @@ def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
         raise TypeError("generators must be Permutation or FqMatrix")
     gens = np.array(rows, dtype=np.min_scalar_type(len(rows[0]) - 1))
     images, index = _closure(gens, cap)
-    return GroupTable([element(r) for r in images.tolist()], images, index,
-                      gens)
+    return GroupTable(element, images, index, gens)
 
 
 def _product(t: GroupTable, a: int, b: int) -> int:
@@ -488,9 +499,37 @@ def normal_lattice_analyze(t: GroupTable) -> Dict:
 # ------------------------------------------------------- standard groups
 
 
+def _degree(family: str, n: int, least: int) -> int:
+    if n < least:
+        raise BadGroupName(f"{family}{n}: the generators need n >= {least}")
+    return n
+
+
+def _prime_power(q: int) -> Tuple[int, int]:
+    """(p, e) with q = p^e, by trial division up to isqrt(q)."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if rest == 1:
+            return p, e
+    raise BadGroupName(f"PSL2_{q}: q must be a prime power")
+
+
+def _check_order(factors: Iterable[int], cap: int) -> None:
+    """CapExceeded if the product of the factors (a group order) exceeds
+    cap; multiplies only until it does, so no huge n! is formed."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise CapExceeded(f"group exceeds cap {cap}")
+
+
 def alternating_group_gens(n: int) -> List[Permutation]:
-    if n < 3:
-        raise BadGroupName(f"A{n}: the generators need n >= 3")
+    _degree("A", n, 3)
     cyc3 = Permutation.from_cycles(n, [[0, 1, 2]])
     if n % 2 == 1:
         big = Permutation.from_cycles(n, [list(range(n))])
@@ -505,14 +544,7 @@ def psl2_gens(q: int) -> List[Permutation]:
     Points are 0..q-1 for (x : 1) and q for (1 : 0); the generators are
     the images of [[1,1],[0,1]] and [[0,1],[-1,0]].
     """
-    # find p, e with q = p^e
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    e, rest = 0, q
-    while p and rest % p == 0:
-        rest //= p
-        e += 1
-    if q < 2 or rest != 1:
-        raise BadGroupName(f"PSL2_{q}: q must be a prime power")
+    p, e = _prime_power(q)
     F = FqField(p, e)
     inf = q
 
@@ -540,20 +572,30 @@ def psl2_gens(q: int) -> List[Permutation]:
 
 
 def named_group(name: str, cap: int = DEFAULT_CAP) -> GroupTable:
+    """The group of a name: A<n>, S<n>, PSL2_<q>, Q8, D4 or SL2_3.
+
+    The name is validated first (BadGroupName), then A_n, S_n and PSL2(q)
+    are held to the cap by their orders n!/2, n! and q(q^2-1)/gcd(2, q-1)
+    before any generator is built.
+    """
     name = name.upper()
     if name.startswith("A") and name[1:].isdigit():
-        return generate_group(alternating_group_gens(int(name[1:])), cap)
+        n = _degree("A", int(name[1:]), 3)
+        _check_order(range(3, n + 1), cap)
+        return generate_group(alternating_group_gens(n), cap)
     if name.startswith("S") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 2:
-            raise BadGroupName(f"S{n}: the generators need n >= 2")
+        n = _degree("S", int(name[1:]), 2)
+        _check_order(range(2, n + 1), cap)
         gens = [
             Permutation.from_cycles(n, [[0, 1]]),
             Permutation.from_cycles(n, [list(range(n))]),
         ]
         return generate_group(gens, cap)
     if name.startswith("PSL2_"):
-        return generate_group(psl2_gens(int(name[5:])), cap)
+        q = int(name[5:])
+        _prime_power(q)
+        _check_order((q * (q * q - 1) // math.gcd(2, q - 1),), cap)
+        return generate_group(psl2_gens(q), cap)
     if name == "Q8":
         # quaternion group inside GL2(3): i = [[0,-1],[1,0]], j = [[1,1],[1,-1]]
         F3 = FqField(3)

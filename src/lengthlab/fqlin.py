@@ -262,6 +262,13 @@ class FqMatrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, field: FqField, rows: tuple) -> "FqMatrix":
+        # rows already a square tuple of tuples of field elements
+        m = cls.__new__(cls)
+        m.field, m.n, m.rows = field, len(rows), rows
+        return m
+
+    @classmethod
     def identity(cls, field: FqField, n: int) -> "FqMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

@@ -47,6 +47,14 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: Sequence[int]) -> "Permutation":
+        # images already a bijection of range(n): skip the check
+        p = cls.__new__(cls)
+        p.images = tuple(images)
+        p.n = len(p.images)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 

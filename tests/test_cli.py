@@ -92,18 +92,20 @@ def test_library_error_exits_2(argv, capsys):
 
 
 # Each subcommand against 0, 1, a negative value and an empty range (or
-# an empty name or angle list), with the exit code the contract gives:
+# an empty name or angle list), and the group commands against a group
+# above the build cap, with the exit code the contract gives:
 # 0 every invariant held, 1 one failed, 2 bad input.  linear-lengths takes
 # no parameters; acceptance's empty filter is test_acceptance_filter_and_noop.
 EDGE_CASES = {
     "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
                     (["n_min=-1", "n_max=3"], 2), (["n_min=5", "n_max=4"], 2)],
     "width": [(["group=S0"], 2), (["group=S1"], 2), (["group=S-1"], 2),
-              (["group="], 2)],
+              (["group="], 2), (["group=A12"], 2)],
     "ore-check": [(["group=A0"], 2), (["group=A1"], 2), (["group=A-1"], 2),
-                  (["group=PSL2_"], 2)],
+                  (["group=PSL2_"], 2), (["group=S9"], 2)],
     "lattice": [(["group=PSL2_0"], 2), (["group=PSL2_1"], 2),
-                (["group=PSL2_-1"], 2), (["group=S"], 2)],
+                (["group=PSL2_-1"], 2), (["group=S"], 2),
+                (["group=PSL2_59"], 2)],  # order 102660
     "root-check": [(["type=A", "rank=0"], 2), (["type=A", "rank=1"], 0),
                    (["type=B", "rank=-1"], 2), (["type=D", "rank=1"], 2)],
     "su2-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
@@ -223,6 +225,12 @@ def test_failing_invariant_gives_nonzero_exit(tmp_path):
                 "--set", "k_max=4", "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_bad_seed_rejected():
-    with pytest.raises(cli.ConfigInvalid):
-        run(["lattice", "--seed", "-1"])
+def test_bad_seed_rejected(tmp_path, capsys):
+    for seed in (-1, 1 << 64):
+        assert run(["lattice", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must fit in 64 bits\n")
+    out = tmp_path / "lat.json"
+    assert run(["lattice", "--seed", str((1 << 64) - 1),
+                "--out", str(out)]) == 0
+    assert json.loads(read(out))["seed"] == (1 << 64) - 1

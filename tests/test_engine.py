@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from lengthlab import LengthlabError
+from lengthlab import LengthlabError, engine
 from lengthlab.engine import (
+    BadGroupName,
     CapExceeded,
     IdentityElement,
     NotNormalSet,
@@ -55,6 +56,99 @@ def test_cap_exceeded():
              Permutation.from_cycles(8, [list(range(8))])],
             cap=100,
         )
+
+
+# ------------------------------------- the closed-form order gate
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, p))
+
+
+def _closed_form_order(name):
+    if name.startswith("PSL2_"):
+        q = int(name[5:])
+        return q * (q * q - 1) // math.gcd(2, q - 1)
+    n = math.factorial(int(name[1:]))
+    return n // 2 if name[0] == "A" else n
+
+
+def _forbid_enumeration(monkeypatch):
+    """Fail on any generator build or closure inside named_group."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated a group the gate should reject")
+
+    for fn in ("_closure", "generate_group", "alternating_group_gens",
+               "psl2_gens"):
+        monkeypatch.setattr(engine, fn, forbidden)
+
+
+GATED = ([f"A{n}" for n in range(3, 9)] + [f"S{n}" for n in range(2, 8)]
+         + [f"PSL2_{q}" for q in range(2, 33)
+            if len([p for p in range(2, q + 1)
+                    if q % p == 0 and _is_prime(p)]) == 1])
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_closed_form_order_matches_closure(name, monkeypatch):
+    order = _closed_form_order(name)
+    assert named_group(name, cap=order).order == order
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(CapExceeded, match=f"^group exceeds cap {order - 1}$"):
+        named_group(name, cap=order - 1)
+
+
+@pytest.mark.parametrize("name, gens", [
+    ("A5", alternating_group_gens(5)),
+    ("S4", [Permutation.from_cycles(4, [[0, 1]]),
+            Permutation.from_cycles(4, [[0, 1, 2, 3]])]),
+    ("PSL2_7", psl2_gens(7)),
+])
+def test_cap_boundary_same_through_gate_and_closure(name, gens):
+    order = _closed_form_order(name)
+    assert named_group(name, cap=order).order == order
+    assert generate_group(gens, cap=order).order == order
+    for build in (lambda: named_group(name, cap=order - 1),
+                  lambda: generate_group(gens, cap=order - 1)):
+        with pytest.raises(CapExceeded, match=f"group exceeds cap {order - 1}"):
+            build()
+
+
+@pytest.mark.parametrize("name", ["A100000", "S100000", "PSL2_1000003"])
+def test_gate_rejects_huge_groups_without_enumeration(name, monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(CapExceeded, match="^group exceeds cap 100000$"):
+        named_group(name)
+
+
+def test_gate_validates_the_name_first(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(BadGroupName,
+                       match="^PSL2_1000000: q must be a prime power$"):
+        named_group("PSL2_1000000")
+    for name in ("A2", "S1", "PSL2_1", "PSL2_6"):
+        with pytest.raises(BadGroupName):
+            named_group(name, cap=0)
+
+
+def test_prime_power_against_brute_force():
+    for q in range(-2, 3000):
+        primes = [p for p in range(2, q + 1) if q % p == 0 and _is_prime(p)]
+        if len(primes) == 1:
+            p = primes[0]
+            assert engine._prime_power(q) == (p, round(math.log(q, p)))
+        else:
+            with pytest.raises(BadGroupName,
+                               match=f"^PSL2_{q}: q must be a prime power$"):
+                engine._prime_power(q)
+
+
+def test_elements_built_on_first_read():
+    t = named_group("A5")
+    assert "elements" not in vars(t)
+    els = t.elements
+    assert t.elements is els and len(els) == t.order
+    assert all(Permutation(e.images) == e for e in els)
 
 
 def test_psl2_orders():
