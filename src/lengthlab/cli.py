@@ -160,7 +160,7 @@ def cmd_linear_lengths(args):
             if len(cls) == 1:
                 continue  # central
             lc = math.log(len(cls)) / math.log(t.order)
-            lj = float(fqlin.jordan_length(t.elements[cls[0]])[0])
+            lj = float(fqlin.jordan_length(t.element(cls[0]))[0])
             ratios.append(lc / lj)
         ok = ok and all(r > 0 and math.isfinite(r) for r in ratios)
         rows.append((f"GL{n}({q})", n, q, len(t.classes),

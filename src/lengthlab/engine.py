@@ -94,10 +94,14 @@ class GroupTable:
                               for cls in self.classes]
         self.class_product = self._class_products()
 
+    def element(self, i: int):
+        """The element object of row i, built afresh."""
+        return self._element(self.images[i].tolist())
+
     @cached_property
     def elements(self) -> List:
         """The element objects, one per row, built on first read."""
-        return [self._element(r) for r in self.images.tolist()]
+        return [self.element(i) for i in range(self.order)]
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of image rows."""

@@ -227,10 +227,6 @@ class FqField:
     def units(self):
         return range(1, self.q)
 
-    def from_int(self, k: int) -> int:
-        """Embed a small integer via repeated addition of 1 (prime subfield)."""
-        return self._encode([k % self.p])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqField)
@@ -515,13 +511,8 @@ class Subspace:
             row = [b[coord] for b in self.basis]
             row += [F.neg(b[coord]) for b in other.basis]
             system.append(row)
-        vecs = []
-        for sol in nullspace(F, system, cols):
-            v = [0] * n
-            for c, b in zip(sol[: self.dim], self.basis):
-                for j in range(n):
-                    v[j] = F.add(v[j], F.mul(c, b[j]))
-            vecs.append(v)
+        vecs = [_combine(F, n, sol[: self.dim], self.basis)
+                for sol in nullspace(F, system, cols)]
         return Subspace(F, n, vecs)
 
     def __eq__(self, other) -> bool:
@@ -550,15 +541,8 @@ def orthogonal_complement(space: BilinearSpace, w: Subspace) -> Subspace:
     F, n = space.field, space.n
     if w.dim == 0:
         return Subspace(F, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    rows = []
-    for b in w.basis:
-        # (b, v) = sum_j (b G)_j sigma(v_j): solve for sigma(v) first
-        rows.append(
-            [
-                _dot(F, b, [space.gram.rows[i][j] for i in range(n)])
-                for j in range(n)
-            ]
-        )
+    # (b, v) = sum_j (b G)_j sigma(v_j): solve for sigma(v) first
+    rows = [_times_gram(space, b) for b in w.basis]
     sols = nullspace(F, rows, n)
     return Subspace(F, n, [[space.sigma(x) for x in v] for v in sols])
 
@@ -571,6 +555,21 @@ def _dot(F: FqField, u: Sequence[int], v: Sequence[int]) -> int:
     return out
 
 
+def _combine(F: FqField, n: int, coeffs, basis) -> List[int]:
+    """sum_i coeffs[i] * basis[i] in F_q^n."""
+    v = [0] * n
+    for c, b in zip(coeffs, basis):
+        for j in range(n):
+            v[j] = F.add(v[j], F.mul(c, b[j]))
+    return v
+
+
+def _times_gram(space: BilinearSpace, b: Sequence[int]) -> List[int]:
+    """The row vector b G for the Gram matrix G of space."""
+    F, rows = space.field, space.gram.rows
+    return [_dot(F, b, [r[j] for r in rows]) for j in range(space.n)]
+
+
 def radical(space: BilinearSpace, w: Subspace) -> Subspace:
     """W cap W-perp, via the nullspace of the restricted Gram matrix."""
     F, n = space.field, space.n
@@ -580,14 +579,9 @@ def radical(space: BilinearSpace, w: Subspace) -> Subspace:
     restricted = [
         [space.form(w.basis[i], w.basis[j]) for j in range(r)] for i in range(r)
     ]
-    vecs = []
-    for sol in nullspace(F, restricted, r):
-        coeffs = [space.sigma(c) for c in sol]  # undo the sigma on v_j
-        v = [0] * n
-        for c, b in zip(coeffs, w.basis):
-            for j in range(n):
-                v[j] = F.add(v[j], F.mul(c, b[j]))
-        vecs.append(v)
+    # undo the sigma on v_j
+    vecs = [_combine(F, n, [space.sigma(c) for c in sol], w.basis)
+            for sol in nullspace(F, restricted, r)]
     return Subspace(F, n, vecs)
 
 
@@ -606,12 +600,7 @@ def solve_form_functional(
         raise ValueError("phi must list one value per basis vector")
     if not vectors:
         return [0] * n
-    rows = []
-    for b, target in zip(vectors, phi):
-        row = [
-            _dot(F, b, [space.gram.rows[i][j] for i in range(n)]) for j in range(n)
-        ]
-        rows.append(row + [target])
+    rows = [_times_gram(space, b) + [target] for b, target in zip(vectors, phi)]
     red = _row_reduce(F, rows, n)
     x = [0] * n
     for r in red:
@@ -725,16 +714,7 @@ def common_fix_restriction(
 
 
 def _apply(F: FqField, m: FqMatrix, v: Sequence[int]) -> List[int]:
-    n = m.n
-    out = [0] * n
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            a = m.rows[i][j]
-            if a and v[j]:
-                acc = F.add(acc, F.mul(a, v[j]))
-        out[i] = acc
-    return out
+    return [_dot(F, row, v) for row in m.rows]
 
 
 def symplectic_transvection(

@@ -226,12 +226,7 @@ def conj_length_perm(t: CycleType, ambient: str = SYM) -> float:
     order = group_order(t.n, ambient)
     if order == 1 or size == 1:
         return 0.0
-    return _log_big(size) / _log_big(order)
-
-
-def _log_big(k: int) -> float:
-    # math.log handles arbitrary-precision ints directly.
-    return math.log(k)
+    return math.log(size) / math.log(order)
 
 
 def partitions(n: int) -> Iterator[List[int]]:

@@ -119,13 +119,19 @@ class OrderWitness:
 _OPT_STATE_CAP = 50_000
 
 
-def _lex_greedy(orb, state_cap, budget):
-    """The lex-greedy orbit search of optimal_torus_element, in the
-    integer units of orb: (values, exact_flag), values the optimal
-    arrangement as integers over orb.D.  budget, a distance -> count map
-    in the same units, is drawn down as the search goes; values is None
-    when it rules the orbit out, or when the state cap is hit with a
-    budget.
+def _lex_greedy(orb, state_cap, budget=None):
+    """The lex-greedy orbit search in the integer units of orb: (values,
+    exact_flag), values the optimal arrangement as integers over orb.D.
+
+    Lex-maximality of cumulative distance sums equals lex-maximality of
+    the distance sequence, so the search keeps every partial arrangement
+    achieving the running maximum, over states (rem, label, parity): the
+    remaining count of each value, the last label placed and the parity
+    of the sign flips, which only type D's closing step reads.  Past
+    state_cap it falls back to a sorted zigzag (exact_flag False).
+    budget, a distance -> count map in orb's units, is drawn down as the
+    search goes; values is None when it rules the orbit out, or when the
+    state cap is hit with a budget.
     """
 
     def draw(d):
@@ -138,8 +144,15 @@ def _lex_greedy(orb, state_cap, budget):
         budget[d] -= 1
         return True
 
+    def successors(rem):
+        # (rem2, label, flip) for every next placement, values ascending
+        # and sign +1 first
+        return [(rem[:i] + (c - 1,) + rem[i + 1:], lab, orb.flips[lab])
+                for i, (c, labs) in enumerate(zip(rem, orb.labels)) if c
+                for lab in labs]
+
     # lex fold: state -> labels of the first-found prefix reaching it
-    states = {key: (key[1],) for key in orb.successors(orb.counts)}
+    states = {key: (key[1],) for key in successors(orb.counts)}
     draws = []
     exact = True
     for step in range(orb.n - 1):
@@ -152,9 +165,12 @@ def _lex_greedy(orb, state_cap, budget):
                    for r, c in zip(orb.step, orb.close)]
         best = -1
         nxt = {}
-        for lab, par, path, succ in orb.layer(states):
+        succ = {}
+        for (rem, lab, par), path in states.items():
+            if rem not in succ:
+                succ[rem] = successors(rem)
             row = tab[lab]
-            for rem2, lab2, flip in succ:
+            for rem2, lab2, flip in succ[rem]:
                 par2 = par ^ flip
                 if closing and par2:
                     continue
@@ -195,45 +211,30 @@ def _lex_greedy(orb, state_cap, budget):
     return values, True
 
 
-def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP,
-                          expect=None):
+def _profile(orb, rank, state_cap=_OPT_STATE_CAP) -> Profile:
+    """Decreasing half-distances of the optimal arrangement of orb, whose
+    D may be any common denominator of the angles."""
+    values, exact = _lex_greedy(orb, state_cap)
+    D = orb.D
+    dists = sorted(_distances(orb.typ, values, D), reverse=True)
+    return Profile._trusted(
+        tuple(math.sin(math.pi * (d / D) / 2) for d in dists), rank,
+        tuple(Fraction(d, D) for d in dists), exact)
+
+
+def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP):
     """Orbit representative with lexicographically maximal cumulative
-    character-distance sums; returns (element, exact_flag).
-
-    Lex-maximality of cumulative sums equals lex-maximality of the
-    distance sequence itself, found by a greedy search that keeps every
-    partial arrangement achieving the running maximum.  Falls back to a
-    sorted zigzag heuristic (exact_flag False) past state_cap.  With
-    expect (a distance -> count map) the search aborts and returns
-    (None, True) as soon as the optimal distance multiset cannot equal
-    the expected one.
-
-    The search runs in units of 1/D, D the least common denominator of
-    t's angles: an arrangement only adds, subtracts and doubles angles,
-    so every distance it draws is an integer in these units.
-    """
+    character-distance sums; returns (element, exact_flag), exact_flag
+    False for the zigzag heuristic past state_cap (see _lex_greedy)."""
     orb = _Orbit.of(t)
-    budget = None
-    if expect is not None:
-        # distances off the 1/D grid can never be drawn
-        budget = {int(u): c for u, c in
-                  ((Fraction(d) * orb.D, c) for d, c in expect.items())
-                  if u.denominator == 1}
-    values, exact = _lex_greedy(orb, state_cap, budget)
-    if values is None:
-        return None, exact
+    values, exact = _lex_greedy(orb, state_cap)
     return TorusElement._trusted(
         t.type, t.rank, tuple(Fraction(v, orb.D) for v in values)), exact
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
     """Decreasing half-distances of the optimal orbit representative."""
-    opt, exact = optimal_torus_element(t, state_cap=state_cap)
-    nums, D = _units(opt.angles)
-    dists = sorted(_distances(opt.type, nums, D), reverse=True)
-    return Profile._trusted(
-        tuple(math.sin(math.pi * (d / D) / 2) for d in dists), t.rank,
-        tuple(Fraction(d, D) for d in dists), exact)
+    return _profile(_Orbit.of(t), t.rank, state_cap)
 
 
 def profile_of_finite_type(ell, n) -> Profile:
@@ -492,9 +493,8 @@ def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
     rng = random.Random(seed)
     g, h = _monomial_units(g_mon), _monomial_units(h_mon)
     specs = [_spectrum_units(*m) for m in (g, h, _product_units(g, h))]
-    Fg, Fh, Fgh = (profile_of(TorusElement._trusted(
-        "U", len(nums) - 1, tuple(Fraction(a, E) for a in nums)))
-        for nums, E in specs)
+    Fg, Fh, Fgh = (_profile(_Orbit("U", nums, E), len(nums) - 1)
+                   for nums, E in specs)
 
     report = {"main_ok": True, "kyfan_ok": True, "violations": [],
               "pairs_checked": 0, "exact": Fg.exact and Fh.exact

@@ -494,15 +494,11 @@ class _Orbit:
     value is an integer in (-D, D] and lfrac is integer arithmetic mod
     2D: every table entry is lfrac of a sum or difference of two angles,
     or of an angle or its double.  `_Orbit.of` takes the least D of an
-    element; realize_profile passes a multiple of it that also makes its
-    candidate shifts integral.  Any such D gives the same search, since
-    the tables only scale with D and the labels, their order and every
-    comparison stay the same.  Label i*len(signs) + s names
-    distinct value i with sign signs[s].  Arrangements are built left to
-    right over states (rem, label, parity): the remaining count of each
-    value, the last label placed and the parity of the sign flips so
-    far.  Only type D's closing step reads the parity, so B and C never
-    flip it.
+    element; any multiple of it gives the same searches, since the
+    tables only scale with D and the labels, their order and every
+    comparison stay the same.  Label i*len(signs) + s names distinct
+    value i with sign signs[s]; flips[label] is 1 for the sign flips
+    that type D counts.
     """
 
     def __init__(self, typ, nums, D):
@@ -536,23 +532,6 @@ class _Orbit:
         """The orbit of t, over the least common denominator of its
         angles."""
         return cls(t.type, *_units(t.angles))
-
-    def successors(self, rem):
-        """(rem2, label, flip) for every next placement from remaining
-        counts rem, values ascending and sign +1 first; the start states
-        are successors(counts) at parity 0."""
-        return [(rem[:i] + (c - 1,) + rem[i + 1:], lab, self.flips[lab])
-                for i, (c, labs) in enumerate(zip(rem, self.labels)) if c
-                for lab in labs]
-
-    def layer(self, states):
-        """(label, parity, value, successors) for each state of one layer
-        of the search, in order; states with equal rem share one list."""
-        succ = {}
-        for (rem, lab, par), value in states.items():
-            if rem not in succ:
-                succ[rem] = self.successors(rem)
-            yield lab, par, value, succ[rem]
 
 
 def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:

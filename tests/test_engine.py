@@ -149,6 +149,12 @@ def test_elements_built_on_first_read():
     els = t.elements
     assert t.elements is els and len(els) == t.order
     assert all(Permutation(e.images) == e for e in els)
+    for name in ("A5", "SL2_3"):
+        t = named_group(name)
+        singles = [t.element(i) for i in range(t.order)]
+        # reading single elements leaves the list unbuilt
+        assert "elements" not in vars(t)
+        assert singles == t.elements
 
 
 def test_psl2_orders():

@@ -19,8 +19,11 @@ from lengthlab.profiles import (
     Profile,
     ProfileSequence,
     Unrealizable,
+    _OPT_STATE_CAP,
+    _lex_greedy,
     _monomial_units,
     _product_units,
+    _profile,
     _realize_candidates,
     _shifted_singular_values,
     _spectrum_units,
@@ -42,6 +45,7 @@ from lengthlab.profiles import (
 from lengthlab.roots import (
     TorusElement,
     _distances,
+    _Orbit,
     _units,
     lfrac,
     normalize_angle,
@@ -105,14 +109,19 @@ def test_optimal_element_matches_brute_force(typ, denoms):
 def test_optimal_element_early_abort(typ):
     rng = random.Random(3)
     t = random_element(typ, 4, rng, (3, 4, 5))
-    opt, _ = optimal_torus_element(t)
-    own = Counter(lfrac(b) for b in opt.betas())
-    assert optimal_torus_element(t, expect=own) == (opt, True)
-    # 1/7 lies off the 1/60 grid of every distance in this orbit
+    orb = _Orbit.of(t)
+    values, exact = _lex_greedy(orb, _OPT_STATE_CAP)
+    assert exact
+    own = Counter(_distances(orb.typ, values, orb.D))
+    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(own)) == (values, True)
+    # a distance in no table of the orbit is never drawn
+    tables = [orb.end, *orb.step, *(orb.close or [])]
+    never = [u for u in range(orb.D + 1) if all(u not in r for r in tables)]
+    assert never
     swapped = own.copy()
     swapped[next(iter(own))] -= 1
-    swapped[F(1, 7)] += 1
-    assert optimal_torus_element(t, expect=swapped) == (None, True)
+    swapped[never[0]] += 1
+    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(swapped)) == (None, True)
 
 
 def test_optimal_element_stays_in_orbit():
@@ -137,6 +146,23 @@ def test_integer_distances_match_betas():
                 nums, D = _units(t.angles)
                 assert [F(d, D) for d in _distances(typ, nums, D)] == \
                     [lfrac(b) for b in t.betas()]
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_profile_independent_of_denominator(typ):
+    # the Ky Fan spectra reach _profile over a multiple of the least D
+    rng = random.Random(zlib.crc32(typ.encode()) + 3)
+    for _ in range(12):
+        rank = rng.randint(2, 6)
+        t = random_element(typ, rank, rng, (3, 4, 5))
+        nums, D = _units(t.angles)
+        for cap in (_OPT_STATE_CAP, 2):
+            want = profile_of(t, state_cap=cap)
+            for k in (1, 2, 7):
+                got = _profile(_Orbit(typ, [k * a for a in nums], k * D),
+                               rank, cap)
+                assert (got.values, got.distances, got.exact) == \
+                    (want.values, want.distances, want.exact)
 
 
 def test_heuristic_flagged_inexact():
@@ -205,7 +231,7 @@ def test_realize_detects_sandwich_obstruction():
 
 # Fraction enumeration and realization, the oracle of the integer ones:
 # candidates and dedup keys in Fractions, each candidate checked through
-# the public optimal_torus_element.
+# the public optimal_torus_element, which runs without the early abort.
 
 def distinct_orderings(items):
     items = sorted(items, reverse=True)
@@ -285,8 +311,8 @@ def realize_profile_reference(P, typ, rank, cap=100_000):
         if tried > cap:
             break
         t = TorusElement(typ, rank, angles)
-        opt, exact = optimal_torus_element(t, expect=expect)
-        if opt is not None and exact:
+        opt, exact = optimal_torus_element(t)
+        if exact and Counter(lfrac(b) for b in opt.betas()) == expect:
             return t
     raise Unrealizable(f"no realization found for {dists} in type {typ}")
 
