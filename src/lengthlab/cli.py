@@ -264,14 +264,20 @@ def cmd_large_rank(args):
     return cert.product_error < 1e-8 and cert.check_bound()
 
 
+def _profile_sequence(typ, text):
+    """The one-term profile sequence of a torus element given by its
+    angles: rank + 1 of them for types A and U, rank for B, C and D."""
+    angles = _angles(text)
+    rank = len(angles) - 1 if typ in ("A", "U") else len(angles)
+    return profiles.ProfileSequence(
+        {0: profiles.profile_of(roots.TorusElement(typ, rank, angles))})
+
+
 def cmd_profile_order(args):
     p = _params({"f_type": "U", "f": "1/2,0,0", "h_type": "U",
                  "h": "1/3,1/3,0", "c_max": "8", "k_max": "8"}, args)
-    fa, ha = _angles(p["f"]), _angles(p["h"])
-    F = profiles.ProfileSequence({0: profiles.profile_of(
-        roots.TorusElement(p["f_type"], len(fa) - 1, fa))})
-    H = profiles.ProfileSequence({0: profiles.profile_of(
-        roots.TorusElement(p["h_type"], len(ha) - 1, ha))})
+    F = _profile_sequence(p["f_type"], p["f"])
+    H = _profile_sequence(p["h_type"], p["h"])
     w = profiles.precede_search(F, H, int(p["c_max"]), int(p["k_max"]))
     _emit_json(args, args.seed, {
         "witness": None if w is None else {"c": w.c, "k": w.k, "n0": w.n0}})

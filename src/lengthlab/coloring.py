@@ -3,9 +3,14 @@
 A strong s-coloring of the cycle C_n with a prescribed partition of the
 vertices into blocks of size s assigns each vertex one of s colors so
 that adjacent vertices differ and every block sees each color exactly
-once.  For s >= 3 such a coloring always exists; the search below is a
-most-constrained-first backtracker with forward checking and random
-restarts, and treats budget exhaustion as a bug signal.
+once.  For s = 3 (cycle plus triangles) one always exists (Fleischner
+and Stiebitz, Discrete Math. 101, 1992), but the proof builds none.  Up
+to n = 60 a most-constrained-first backtracker with forward checking and
+random restarts decides each instance; beyond, a repair search keeps
+every block rainbow and swaps colors inside blocks until no cycle edge
+is monochromatic (min-conflicts, Minton et al., Artificial Intelligence
+58, 1992).  Every result passes check_strong_coloring; an exhausted
+budget raises SearchExhausted, which is treated as a bug signal.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ class SearchExhausted(LengthlabError):
 
 DEFAULT_BUDGET = 10**7
 RESTART_NODES = 50_000
+# repair search: the chance of a random swap when none lowers the
+# conflict count, and the steps a swapped vertex is left alone
+NOISE = 0.1
+TABU = 8
+_POPCOUNT = [bin(x).count("1") for x in range(1 << 8)]
+
+
+class _BitCounts:  # the popcount table's interface for wider masks
+    __getitem__ = staticmethod(int.bit_count)
 
 
 def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
@@ -39,10 +53,13 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
     if seen != list(range(m)) or any(len(b) != s for b in blocks) or m < n:
         raise ValueError("blocks must partition 0..m-1 into s-sets, m >= n")
 
-    block_of = [0] * m
-    for bi, b in enumerate(blocks):
-        for v in b:
-            block_of[v] = bi
+    mates = [()] * m
+    for b in blocks:
+        for i, v in enumerate(b):
+            mates[v] = (*b[:i], *b[i + 1:])
+
+    # deterministic seed: restarts reshuffle value order only
+    rng = random.Random(n * 1_000_003 + len(blocks))
 
     def neighbors(v):
         if v >= n or n == 1:
@@ -51,111 +68,122 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
             return (1 - v,)
         return ((v - 1) % n, (v + 1) % n)
 
-    # deterministic seed: restarts reshuffle value order only
-    rng = random.Random(n * 1_000_003 + len(blocks))
-    full = (1 << s) - 1
-
-    if n > 60:
-        # large loose instances: repair search converges far faster than
-        # systematic backtracking
-        colors = _min_conflicts(n, m, s, blocks, block_of, rng, budget)
-        check_strong_coloring(n, blocks, s, colors)
-        return colors
-
-    popcount = [bin(x).count("1") for x in range(1 << s)]
-    nodes = 0
-    while True:
-        colors = _attempt(
-            n, m, s, blocks, block_of, neighbors, rng, full, popcount,
-            min(RESTART_NODES, budget - nodes),
-        )
-        if isinstance(colors, dict):
-            check_strong_coloring(n, blocks, s, colors)
-            return colors
-        if colors is None:
-            raise SearchExhausted(f"no strong {s}-coloring exists at n={n}")
-        nodes += colors
-        if nodes >= budget:
-            raise SearchExhausted(f"budget {budget} exhausted at n={n}")
+    if n > 60:  # large loose instances: the repair converges far faster
+        colors = _min_conflicts(n, m, s, mates, rng, budget)
+    else:
+        adj = [neighbors(v) + mates[v] for v in range(m)]
+        nodes = 0
+        while not isinstance(colors := _attempt(
+                m, s, adj, sorted(blocks[0]), rng,
+                min(RESTART_NODES, budget - nodes)), dict):
+            if colors is None:
+                raise SearchExhausted(
+                    f"no strong {s}-coloring exists at n={n}")
+            nodes += colors
+            if nodes >= budget:
+                raise SearchExhausted(f"budget {budget} exhausted at n={n}")
+    check_strong_coloring(n, blocks, s, colors)
+    return colors
 
 
-def _min_conflicts(n, m, s, blocks, block_of, rng, budget):
+def _min_conflicts(n, m, s, mates, rng, budget):
     """Repair search: keep every block rainbow, swap colors inside blocks
     until no cycle edge is monochromatic."""
-    color = [-1] * m
-    used = [0] * len(blocks)
-    for v in range(m):  # greedy init in cycle order, blocks stay rainbow
-        bi = block_of[v]
-        free = [c for c in range(s) if not (used[bi] >> c) & 1]
-        prev = color[v - 1] if 0 < v < n else -1
-        pick = [c for c in free if c != prev] or free
-        c = pick[0]
-        color[v] = c
-        used[bi] |= 1 << c
+    # padding vertices neighbor the sentinel m, which stays uncolored
+    nbrs = [((v - 1) % n, (v + 1) % n) for v in range(n)]
+    nbrs += [(m, m)] * (m - n)
+    color = [-1] * (m + 1)
+    bit = [1 << c for c in range(s)] + [0]  # bit[-1] == 0: uncolored
+    for v in range(m):  # greedy start in cycle order, blocks stay rainbow
+        p, q = nbrs[v]
+        taken = bit[color[p]] | bit[color[q]]
+        free = (1 << s) - 1
+        for u in mates[v]:
+            free &= ~bit[color[u]]
+        if free & ~taken:
+            free &= ~taken
+        else:  # forced: hand a free color to a block-mate that can take it
+            low = free & -free
+            for u in mates[v]:
+                pu, qu = nbrs[u]
+                if color[u] >= 0 and not (bit[color[u]] & taken or (
+                        bit[color[pu]] | bit[color[qu]]) & low):
+                    free, color[u] = bit[color[u]], low.bit_length() - 1
+                    break
+        color[v] = (free & -free).bit_length() - 1
 
-    def bad_edges_at(v):
-        cnt = 0
-        if v < n and n >= 2:
-            if color[v] == color[(v + 1) % n]:
-                cnt += 1
-            if color[v] == color[(v - 1) % n]:
-                cnt += 1
-        return cnt
-
-    conflicted = {v for v in range(n) if bad_edges_at(v)}
-    steps = 0
-    while conflicted:
+    conflicted, pos = [], [-1] * m  # swap-remove list, pos[v] index or -1
+    free_at = [0] * m  # tabu: a swapped vertex stays put until this step
+    rand = rng.random
+    steps, touched = 0, range(n)
+    while True:
+        for x in touched:
+            if x < n:
+                p, q = nbrs[x]
+                if color[x] == color[p] or color[x] == color[q]:
+                    if pos[x] < 0:
+                        pos[x] = len(conflicted)
+                        conflicted.append(x)
+                elif pos[x] >= 0:
+                    i, last = pos[x], conflicted[-1]
+                    conflicted[i], pos[last], pos[x] = last, i, -1
+                    conflicted.pop()
+        if not conflicted:
+            return dict(enumerate(color[:m]))
         steps += 1
         if steps > budget:
             raise SearchExhausted(f"budget {budget} exhausted at n={n}")
-        v = rng.choice(tuple(conflicted))
-        mates = [u for u in blocks[block_of[v]] if u != v]
-        best, best_delta = None, None
-        rng.shuffle(mates)
-        for u in mates:
-            before = bad_edges_at(v) + bad_edges_at(u)
-            color[v], color[u] = color[u], color[v]
-            delta = bad_edges_at(v) + bad_edges_at(u) - before
-            color[v], color[u] = color[u], color[v]
-            if best_delta is None or delta < best_delta:
-                best, best_delta = u, delta
-        # plateau escape: occasionally take a random sideways/uphill swap
-        if best_delta > 0 or (best_delta == 0 and rng.random() < 0.1):
-            best = rng.choice(mates)
-        u = best
-        color[v], color[u] = color[u], color[v]
-        for w in (v, u, (v - 1) % n, (v + 1) % n, (u - 1) % n, (u + 1) % n):
-            if w < n:
-                if bad_edges_at(w):
-                    conflicted.add(w)
-                else:
-                    conflicted.discard(w)
-    return {v: color[v] for v in range(m)}
+        # for a monochromatic edge, the swap of either end with one of its
+        # block-mates that removes the most such edges, ties at random
+        v = conflicted[int(rand() * len(conflicted))]
+        c, (p, q) = color[v], nbrs[v]
+        ends = (v, q if color[q] == c else p)
+        best, best_delta = None, 9
+        for a in ends:
+            pa, qa = nbrs[a]
+            for b in mates[a]:
+                if free_at[b] <= steps:
+                    cb, (pb, qb) = color[b], nbrs[b]
+                    delta = ((color[pa] == cb) + (color[qa] == cb)
+                             + (color[pb] == c) + (color[qb] == c)
+                             - (color[pa] == c) - (color[qa] == c)
+                             - (color[pb] == cb) - (color[qb] == cb)
+                             - 2 * (b == pa or b == qa) + rand())
+                    if delta < best_delta:
+                        best, best_delta = (a, b), delta
+        # plateau escape: occasionally take a random swap instead
+        if best is None or (best_delta >= 0 and rand() < NOISE):
+            a = ends[rand() < 0.5]
+            best = (a, mates[a][int(rand() * (s - 1))])
+        a, b = best
+        color[a], color[b] = color[b], color[a]
+        free_at[a] = free_at[b] = steps + TABU
+        touched = (a, b, *nbrs[a], *nbrs[b])
 
 
-def _attempt(n, m, s, blocks, block_of, neighbors, rng, full, popcount, cap):
-    """One restart: MRV backtracking. Returns dict on success, node count
-    on budget-slice exhaustion (caller restarts with fresh value order)."""
+def _attempt(m, s, adj, pinned, rng, cap):
+    """One restart: MRV backtracking over adj[v], the cycle neighbors and
+    then the block-mates of v.  Returns dict on success, None when the
+    tree is exhausted, the node count when the slice of cap runs out."""
     color = [-1] * m
-    allowed = [full] * m
+    allowed = [(1 << s) - 1] * m
+    trail = []  # (vertex, old allowed, was_assignment) for undo
+    popcount = _POPCOUNT if s <= 8 else _BitCounts()
 
-    # trail of (vertex, old_allowed, was_assignment) for undo
-    def prune(v, c, trail):
-        for w in (*neighbors(v), *(x for x in blocks[block_of[v]] if x != v)):
-            if color[w] == -1 and (allowed[w] >> c) & 1:
-                trail.append((w, allowed[w], False))
-                allowed[w] &= ~(1 << c)
-                if allowed[w] == 0:
+    def assign(v, c):
+        trail.append((v, allowed[v], True))
+        color[v] = c
+        allowed[v] = cbit = 1 << c
+        for w in adj[v]:  # forward checking
+            a = allowed[w]
+            if a & cbit and color[w] == -1:
+                trail.append((w, a, False))
+                allowed[w] = a ^ cbit
+                if a == cbit:
                     return False
         return True
 
-    def assign(v, c, trail):
-        trail.append((v, allowed[v], True))
-        color[v] = c
-        allowed[v] = 1 << c
-        return prune(v, c, trail)
-
-    def undo(trail, mark):
+    def undo(mark):
         while len(trail) > mark:
             w, old, was_assignment = trail.pop()
             if was_assignment:
@@ -163,66 +191,51 @@ def _attempt(n, m, s, blocks, block_of, neighbors, rng, full, popcount, cap):
             allowed[w] = old
 
     # symmetry breaking: colors are interchangeable, pin the first block
-    base_trail = []
-    ok = True
-    for c, v in enumerate(sorted(blocks[0])):
-        if not assign(v, c, base_trail):
-            ok = False
-            break
-    if not ok:
-        return None  # pinning is WLOG, so a conflict here means unsat
+    for c, v in enumerate(pinned):
+        if not assign(v, c):
+            return None  # pinning is WLOG, so a conflict here means unsat
 
     nodes = 0
-    stack = []  # (vertex, tried colors list, next index, trail mark)
-
-    def pick():
-        best, best_n = -1, s + 1
-        for v in range(m):
-            if color[v] == -1:
-                k = popcount[allowed[v]]
-                if k < best_n:
-                    best, best_n = v, k
+    stack = []  # (vertex, candidate colors, next index, trail mark)
+    while True:
+        v, fewest = -1, s + 1  # the first uncolored vertex with fewest colors
+        for u in range(m):
+            if color[u] == -1:
+                k = popcount[allowed[u]]
+                if k < fewest:
+                    v, fewest = u, k
                     if k <= 1:
                         break
-        return best
-
-    while True:
-        v = pick()
         if v == -1:
-            return {u: color[u] for u in range(m)}
+            return dict(enumerate(color))
         cand = [c for c in range(s) if (allowed[v] >> c) & 1]
         rng.shuffle(cand)
-        stack.append([v, cand, 0, None])
+        stack.append([v, cand, 0, 0])
         while True:
-            frame = stack[-1]
-            v, cand, idx, _ = frame
+            v, cand, idx, _ = frame = stack[-1]
             nodes += 1
             if nodes > cap:
                 return nodes
             if idx < len(cand):
                 frame[2] += 1
-                trail = []
-                frame[3] = trail
-                if assign(v, cand[idx], trail):
+                frame[3] = mark = len(trail)
+                if assign(v, cand[idx]):
                     break  # descend
-                undo(trail, 0)
+                undo(mark)
             else:
                 stack.pop()
                 if not stack:
                     return None  # tree exhausted: no coloring exists
-                undo(stack[-1][3], 0)
+                undo(stack[-1][3])
 
 
 def check_strong_coloring(n, blocks, s, color):
     """Independent verifier; raises AssertionError on a bad coloring."""
+    rainbow = list(range(s))
     for b in blocks:
-        assert sorted(color[v] for v in b) == list(range(s)), b
-    if n >= 2:
-        for v in range(n):
-            w = (v + 1) % n
-            if n == 2 and v == 1:
-                break
-            assert color[v] != color[w], (v, w)
+        assert sorted([color[v] for v in b]) == rainbow, b
+    for v in range(n if n > 2 else n - 1):  # C_2 has one edge, C_1 none
+        assert color[v] != color[(v + 1) % n], (v, (v + 1) % n)
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
@@ -237,26 +250,13 @@ def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
     n = len(sigma.images)
     if n % s != 0:
         raise ValueError("n must be divisible by s")
-
-    # label(value) = index of the block of s consecutive sigma-positions
-    # that produced it
-    inv = sigma.inverse()
-    label = {}
-    for value in range(1, n + 1):
-        k = inv.images[value - 1] + 1  # position with sigma(k) = value
-        label[value] = (k + s - 1) // s
-
-    # vertices of the cycle are the values 1..n (0-indexed: value-1);
-    # blocks group equal labels
-    blocks = [[] for _ in range(n // s)]
-    for value in range(1, n + 1):
-        blocks[label[value] - 1].append(value - 1)
-
+    # vertices of the cycle are the values 1..n (0-indexed: value-1); a
+    # block holds the values at s consecutive sigma-positions
+    blocks = [sorted(sigma.images[k:k + s]) for k in range(0, n, s)]
     color = strong_color_cycle(n, blocks, s, budget=budget)
-
     vectors = [[None] * (n // s) for _ in range(s)]
-    for value in range(1, n + 1):
-        vectors[color[value - 1]][label[value] - 1] = value
+    for k, x in enumerate(sigma.images):
+        vectors[color[x]][k // s] = x + 1
     for i, vec in enumerate(vectors):
         check_partition_vectors(sigma, s, i, vec)
     return vectors

@@ -509,15 +509,48 @@ def _degree(family: str, n: int, least: int) -> int:
     return n
 
 
+# Miller-Rabin with these bases decides primality of every n below
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES: exact below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        for _ in range(r):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // k)
+    while True:
+        t = ((k - 1) * r + q // r ** (k - 1)) // k
+        if t >= r:
+            return r
+        r = t
+
+
 def _prime_power(q: int) -> Tuple[int, int]:
-    """(p, e) with q = p^e, by trial division up to isqrt(q)."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        e, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if rest == 1:
+    """(p, e) with q = p^e: a k-th root check for each k <= log2(q) and a
+    primality test of the root, O(log q) big-number steps."""
+    for e in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, e)
+        if p ** e == q and _is_prime(p):
             return p, e
     raise BadGroupName(f"PSL2_{q}: q must be a prime power")
 

@@ -75,7 +75,7 @@ class Permutation:
         inv = [0] * self.n
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

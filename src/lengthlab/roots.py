@@ -85,6 +85,8 @@ def _units(angles):
 def _distances(typ, vals, D):
     """lfrac of each fundamental character (as TorusElement.betas) of
     the arrangement vals/D of normalized angles, in units of 1/D."""
+    if not vals:  # type B or C of rank 0: a trivial group
+        return []
     D2 = 2 * D
     out = [min((a - b) % D2, (b - a) % D2) for a, b in zip(vals, vals[1:])]
     if typ == "B":

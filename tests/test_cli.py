@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -201,6 +202,43 @@ def test_strong_color_report(tmp_path):
     assert all(colors[i] != colors[(i + 1) % n] for i in range(n))
     assert all(sorted(colors[v] for v in blk) == [0, 1, 2]
                for blk in doc["blocks"])
+
+
+@pytest.mark.parametrize("n, colors, digest", [
+    (30, "202102010102010121020201212121",
+     "22a5facd2081f4d44f3e6996c9bd1781171113d1ac2fff4533cd68dbdfc9fa64"),
+    (60, "121202021010201021021210120201012010202121212010120120210210",
+     "d82a6bace278e83866df6b74853b9ad7aefb131c5d68e3be627fe3ba06b72494"),
+])
+def test_strong_color_golden(n, colors, digest, tmp_path):
+    # the backtracker serves n <= 60: its report is pinned byte for byte
+    out = tmp_path / "col.json"
+    assert run(["strong-color", "--set", f"n={n}", "--seed", "5",
+                "--out", str(out)]) == 0
+    assert "".join(map(str, json.loads(read(out))["colors"])) == colors
+    assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sets, witness", [
+    (["f_type=B", "f=1/2,1/3"], {"c": 2, "k": 1, "n0": 0}),
+    (["f_type=C", "f=1/2,1/3", "h_type=C", "h=1/5,1/7"],
+     {"c": 2, "k": 1, "n0": 0}),
+    (["f_type=D", "f=1/2,1/3,1/4", "h_type=D", "h=1/5,0,0"],
+     {"c": 4, "k": 1, "n0": 0}),
+    (["f_type=B", "f=1/2", "h_type=C", "h=1/3"], {"c": 1, "k": 1, "n0": 0}),
+    (["f_type=B", "f=1/2,1/3", "c_max=1"], None),
+], ids=["B-U", "C-C", "D-D", "B-C", "B-U-no-witness"])
+def test_profile_order_signed_types(sets, witness, tmp_path):
+    # types B, C and D take one angle per rank, A and U one more
+    out = tmp_path / "po.json"
+    argv = ["profile-order"] + [a for s in sets for a in ("--set", s)]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(read(out))["witness"] == witness
+
+
+def test_profile_order_rank_rule_errors(capsys):
+    assert run(["profile-order", "--set", "f_type=D", "--set", "f=1/2"]) == 2
+    assert capsys.readouterr().err == "error: D needs rank >= 2\n"
 
 
 def test_acceptance_filter_and_noop(tmp_path, capsys):

@@ -2,16 +2,129 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from lengthlab.coloring import (
+    DEFAULT_BUDGET,
+    RESTART_NODES,
+    SearchExhausted,
     check_partition_vectors,
     check_strong_coloring,
     partition_permutation,
     strong_color_cycle,
 )
 from lengthlab.perms import Permutation
+
+
+def strong_color_cycle_reference(n, blocks, s=3, budget=DEFAULT_BUDGET):
+    """The backtracker that serves n <= 60, written with closures: the
+    same moves and random draws as strong_color_cycle, so the same
+    coloring."""
+    m = sum(len(b) for b in blocks)
+    block_of = [0] * m
+    for bi, b in enumerate(blocks):
+        for v in b:
+            block_of[v] = bi
+
+    def neighbors(v):
+        if v >= n or n == 1:
+            return ()
+        if n == 2:
+            return (1 - v,)
+        return ((v - 1) % n, (v + 1) % n)
+
+    rng = random.Random(n * 1_000_003 + len(blocks))
+    full = (1 << s) - 1
+    popcount = [bin(x).count("1") for x in range(1 << s)]
+    nodes = 0
+    while True:
+        colors = _attempt_reference(
+            n, m, s, blocks, block_of, neighbors, rng, full, popcount,
+            min(RESTART_NODES, budget - nodes),
+        )
+        if isinstance(colors, dict):
+            return colors
+        if colors is None:
+            raise SearchExhausted(f"no strong {s}-coloring exists at n={n}")
+        nodes += colors
+        if nodes >= budget:
+            raise SearchExhausted(f"budget {budget} exhausted at n={n}")
+
+
+def _attempt_reference(n, m, s, blocks, block_of, neighbors, rng, full,
+                       popcount, cap):
+    color = [-1] * m
+    allowed = [full] * m
+
+    # trail of (vertex, old_allowed, was_assignment) for undo
+    def prune(v, c, trail):
+        for w in (*neighbors(v), *(x for x in blocks[block_of[v]] if x != v)):
+            if color[w] == -1 and (allowed[w] >> c) & 1:
+                trail.append((w, allowed[w], False))
+                allowed[w] &= ~(1 << c)
+                if allowed[w] == 0:
+                    return False
+        return True
+
+    def assign(v, c, trail):
+        trail.append((v, allowed[v], True))
+        color[v] = c
+        allowed[v] = 1 << c
+        return prune(v, c, trail)
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            w, old, was_assignment = trail.pop()
+            if was_assignment:
+                color[w] = -1
+            allowed[w] = old
+
+    base_trail = []
+    for c, v in enumerate(sorted(blocks[0])):
+        if not assign(v, c, base_trail):
+            return None
+
+    nodes = 0
+    stack = []  # (vertex, tried colors list, next index, trail)
+
+    def pick():
+        best, best_n = -1, s + 1
+        for v in range(m):
+            if color[v] == -1:
+                k = popcount[allowed[v]]
+                if k < best_n:
+                    best, best_n = v, k
+                    if k <= 1:
+                        break
+        return best
+
+    while True:
+        v = pick()
+        if v == -1:
+            return {u: color[u] for u in range(m)}
+        cand = [c for c in range(s) if (allowed[v] >> c) & 1]
+        rng.shuffle(cand)
+        stack.append([v, cand, 0, None])
+        while True:
+            frame = stack[-1]
+            v, cand, idx, _ = frame
+            nodes += 1
+            if nodes > cap:
+                return nodes
+            if idx < len(cand):
+                frame[2] += 1
+                trail = []
+                frame[3] = trail
+                if assign(v, cand[idx], trail):
+                    break
+                undo(trail, 0)
+            else:
+                stack.pop()
+                if not stack:
+                    return None
+                undo(stack[-1][3], 0)
 
 
 def triple_partitions(items):
@@ -40,11 +153,37 @@ def test_arithmetic_blocks_n9():
     check_strong_coloring(9, blocks, 3, colors)
 
 
-@pytest.mark.parametrize("n", [6, 9, 12])
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
 def test_exhaustive_all_triple_partitions(n):
     for blocks in triple_partitions(range(n)):
         colors = strong_color_cycle(n, blocks)
         check_strong_coloring(n, blocks, 3, colors)
+        assert colors == strong_color_cycle_reference(n, blocks)
+
+
+def _padded_draw(rng, s, n_min, n_max):
+    """A cycle of random length with random s-blocks over it and up to
+    two blocks' worth of isolated padding vertices."""
+    n = rng.randint(n_min, n_max)
+    m = n + (-n) % s + s * rng.randint(0, 2)
+    verts = list(range(m))
+    rng.shuffle(verts)
+    return n, [verts[i:i + s] for i in range(0, m, s)]
+
+
+@pytest.mark.parametrize("s", [3, 4, 9])
+def test_backtracker_matches_reference(s):
+    # same coloring, or the same exception, as the closure-based oracle
+    rng = random.Random(s)
+    for _ in range(150):
+        n, blocks = _padded_draw(rng, s, 1, 60)
+        results = []
+        for search in (strong_color_cycle, strong_color_cycle_reference):
+            try:
+                results.append(search(n, blocks, s, budget=200_000))
+            except SearchExhausted as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (n, blocks)
 
 
 def test_padding_vertices():
@@ -86,6 +225,50 @@ def test_large_random_partitions(n):
     blocks = [verts[i:i + 3] for i in range(0, n, 3)]
     colors = strong_color_cycle(n, blocks)
     check_strong_coloring(n, blocks, 3, colors)
+
+
+def test_wide_blocks_backtrack_without_a_mask_table():
+    # 30 colors: the backtracker counts mask bits without a 2^30 table
+    rng = random.Random(30)
+    verts = list(range(60))
+    rng.shuffle(verts)
+    blocks = [verts[:30], verts[30:]]
+    check_strong_coloring(60, blocks, 30, strong_color_cycle(60, blocks, 30))
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_repair_search_with_padding(s):
+    rng = random.Random(100 + s)
+    for _ in range(20):
+        n, blocks = _padded_draw(rng, s, 61, 600)
+        colors = strong_color_cycle(n, blocks, s)
+        check_strong_coloring(n, blocks, s, colors)
+        assert len(colors) == s * len(blocks)
+        assert strong_color_cycle(n, blocks, s) == colors  # seeded
+
+
+def test_repair_budget_counts_steps():
+    rng = random.Random(0)
+    verts = list(range(300))
+    rng.shuffle(verts)
+    blocks = [verts[i:i + 3] for i in range(0, 300, 3)]
+    with pytest.raises(SearchExhausted, match="budget 1 exhausted at n=300"):
+        strong_color_cycle(300, blocks, budget=1)
+
+
+def test_repair_search_sweep():
+    # the repair needs about a quarter step per vertex (at most half in
+    # 1500 seeded draws), so a budget of 2n steps has a wide margin
+    rng = random.Random(2024)
+    start = time.perf_counter()
+    for _ in range(300):
+        n = 3 * rng.randint(21, 1000)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        blocks = [verts[i:i + 3] for i in range(0, n, 3)]
+        colors = strong_color_cycle(n, blocks, budget=2 * n)
+        check_strong_coloring(n, blocks, 3, colors)
+    assert time.perf_counter() - start < 10
 
 
 def test_partition_identity_n9():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,19 @@ def test_prime_power_against_brute_force():
             with pytest.raises(BadGroupName,
                                match=f"^PSL2_{q}: q must be a prime power$"):
                 engine._prime_power(q)
+
+
+@pytest.mark.parametrize("q, error", [
+    (18446744073709551557, CapExceeded),  # the largest prime below 2^64
+    (36472996377170786403, CapExceeded),  # 3^41
+    (9999999967 ** 2, CapExceeded),
+    (18446744073709551557 * 3, BadGroupName),
+])
+def test_psl2_twenty_digit_q_is_classified_fast(q, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        named_group(f"PSL2_{q}")
+    assert time.perf_counter() - start < 0.05
 
 
 def test_elements_built_on_first_read():

@@ -175,6 +175,17 @@ def test_heuristic_flagged_inexact():
     assert not profile_of(t, state_cap=1).exact
 
 
+@pytest.mark.parametrize("typ", ["B", "C"])
+def test_rank_zero_signed_types_have_the_empty_profile(typ):
+    # SO(1) and Sp(0) are trivial: like SU(1), the identity's profile is
+    # empty, and it is its own optimal element and realization
+    t = TorusElement(typ, 0, ())
+    assert profile_of(t) == Profile((), 0, (), True)
+    assert optimal_torus_element(t) == (t, True)
+    assert realize_profile(profile_of(t), typ, 0) == t
+    assert profile_of(TorusElement("A", 0, (0,))) == profile_of(t)
+
+
 def test_profile_is_decreasing_and_exact():
     rng = random.Random(11)
     for typ in ("A", "B", "C", "D"):
