@@ -30,11 +30,6 @@ RESTART_NODES = 50_000
 # conflict count, and the steps a swapped vertex is left alone
 NOISE = 0.1
 TABU = 8
-_POPCOUNT = [bin(x).count("1") for x in range(1 << 8)]
-
-
-class _BitCounts:  # the popcount table's interface for wider masks
-    __getitem__ = staticmethod(int.bit_count)
 
 
 def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
@@ -168,7 +163,6 @@ def _attempt(m, s, adj, pinned, rng, cap):
     color = [-1] * m
     allowed = [(1 << s) - 1] * m
     trail = []  # (vertex, old allowed, was_assignment) for undo
-    popcount = _POPCOUNT if s <= 8 else _BitCounts()
 
     def assign(v, c):
         trail.append((v, allowed[v], True))
@@ -201,7 +195,7 @@ def _attempt(m, s, adj, pinned, rng, cap):
         v, fewest = -1, s + 1  # the first uncolored vertex with fewest colors
         for u in range(m):
             if color[u] == -1:
-                k = popcount[allowed[u]]
+                k = allowed[u].bit_count()
                 if k < fewest:
                     v, fewest = u, k
                     if k <= 1:
@@ -231,11 +225,14 @@ def _attempt(m, s, adj, pinned, rng, cap):
 
 def check_strong_coloring(n, blocks, s, color):
     """Independent verifier; raises AssertionError on a bad coloring."""
-    rainbow = list(range(s))
     for b in blocks:
-        assert sorted([color[v] for v in b]) == rainbow, b
-    for v in range(n if n > 2 else n - 1):  # C_2 has one edge, C_1 none
-        assert color[v] != color[(v + 1) % n], (v, (v + 1) % n)
+        assert sorted(color[v] for v in b) == list(range(s)), b
+    if n >= 2:
+        for v in range(n):
+            w = (v + 1) % n
+            if n == 2 and v == 1:
+                break
+            assert color[v] != color[w], (v, w)
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):

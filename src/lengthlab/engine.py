@@ -510,12 +510,16 @@ def _degree(family: str, n: int, least: int) -> int:
 
 
 # Miller-Rabin with these bases decides primality of every n below
-# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017); above, a
+# strong Lucas test completes the Baillie-PSW test, which no known
+# composite passes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over _MR_BASES: exact below 3.3 * 10^24."""
+    """Miller-Rabin over _MR_BASES, then a strong Lucas test from
+    _MR_EXACT on: exact below _MR_EXACT, Baillie-PSW above."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -532,7 +536,53 @@ def _is_prime(n: int) -> bool:
             x = x * x % n
         else:
             return False
-    return True
+    return n < _MR_EXACT or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with Selfridge's
+    parameters: D the first of 5, -7, 9, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35, 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # n > 41 >= |D| shares a factor with D
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, r = n + 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q  # U_k, V_k, Q^k at k = 1
+    for bit in bin(d)[3:]:  # k -> 2k, then 2k -> 2k + 1 on a set bit
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(r - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _iroot(q: int, k: int) -> int:

@@ -151,8 +151,6 @@ def _lex_greedy(orb, state_cap, budget=None):
                 for i, (c, labs) in enumerate(zip(rem, orb.labels)) if c
                 for lab in labs]
 
-    if not orb.n:  # type B or C of rank 0: nothing to arrange
-        return [], True
     # lex fold: state -> labels of the first-found prefix reaching it
     states = {key: (key[1],) for key in successors(orb.counts)}
     draws = []
@@ -351,9 +349,8 @@ def _realize_candidates(dists, typ, rank):
                 shift = -sum(zig) // n if typ == "A" else 0
                 yield tuple(z + shift for z in zig)
         return
-    if not n:  # type B or C of rank 0: only the identity
-        yield ()
-    for e in sorted(set(dists)):
+    ends = sorted(set(dists))
+    for e in ends:
         rest = list(dists)
         rest.remove(e)
         for edges in _distinct_orderings(rest):

@@ -85,8 +85,6 @@ def _units(angles):
 def _distances(typ, vals, D):
     """lfrac of each fundamental character (as TorusElement.betas) of
     the arrangement vals/D of normalized angles, in units of 1/D."""
-    if not vals:  # type B or C of rank 0: a trivial group
-        return []
     D2 = 2 * D
     out = [min((a - b) % D2, (b - a) % D2) for a, b in zip(vals, vals[1:])]
     if typ == "B":
@@ -407,8 +405,9 @@ class TorusElement:
         elif self.type in ("B", "C", "D"):
             if len(angles) != self.rank:
                 raise ValueError("need rank angles")
-            if self.type == "D" and self.rank < 2:
-                raise BadRank("D needs rank >= 2")
+            least = 2 if self.type == "D" else 1  # SO(1), Sp(0) are trivial
+            if self.rank < least:
+                raise BadRank(f"{self.type} needs rank >= {least}")
         else:
             raise ValueError(f"unknown type {self.type}")
 

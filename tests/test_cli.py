@@ -121,7 +121,8 @@ EDGE_CASES = {
               (["pairs=5", "n_max=1"], 2)],
     "counterexample": [(["n_max=0"], 2), (["n_max=1"], 2), (["n_max=-1"], 2),
                        (["n_max=8", "c_max=0"], 2)],
-    "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2)],
+    "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2),
+                     (["n=63", "s=1"], 2), (["n=63", "s=2"], 2)],
 }
 
 

@@ -149,12 +149,26 @@ def test_prime_power_against_brute_force():
     (36472996377170786403, CapExceeded),  # 3^41
     (9999999967 ** 2, CapExceeded),
     (18446744073709551557 * 3, BadGroupName),
+    (2 ** 89 - 1, CapExceeded),  # a prime above the Miller-Rabin bound
+    # the least strong pseudoprime to all 13 Miller-Rabin bases, p * q
+    (3317044064679887385961981, BadGroupName),
 ])
 def test_psl2_twenty_digit_q_is_classified_fast(q, error):
     start = time.perf_counter()
     with pytest.raises(error):
         named_group(f"PSL2_{q}")
     assert time.perf_counter() - start < 0.05
+
+
+def test_strong_lucas_pseudoprimes():
+    # every prime passes; the odd composites below 26000 that pass too
+    # are OEIS A217255
+    sieve = bytearray([1]) * 26000
+    for p in range(2, 162):
+        sieve[p * p::p] = bytes(len(range(p * p, 26000, p)))
+    passing = [n for n in range(43, 26000, 2)
+               if engine._strong_lucas(n) != sieve[n]]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
 
 
 def test_elements_built_on_first_read():

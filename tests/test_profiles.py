@@ -43,6 +43,7 @@ from lengthlab.profiles import (
     underline_singular,
 )
 from lengthlab.roots import (
+    BadRank,
     TorusElement,
     _distances,
     _Orbit,
@@ -176,14 +177,13 @@ def test_heuristic_flagged_inexact():
 
 
 @pytest.mark.parametrize("typ", ["B", "C"])
-def test_rank_zero_signed_types_have_the_empty_profile(typ):
-    # SO(1) and Sp(0) are trivial: like SU(1), the identity's profile is
-    # empty, and it is its own optimal element and realization
-    t = TorusElement(typ, 0, ())
-    assert profile_of(t) == Profile((), 0, (), True)
-    assert optimal_torus_element(t) == (t, True)
-    assert realize_profile(profile_of(t), typ, 0) == t
-    assert profile_of(TorusElement("A", 0, (0,))) == profile_of(t)
+def test_rank_zero_signed_types_are_rejected(typ):
+    # SO(1) and Sp(0) are trivial, so B and C start at rank 1 as D starts
+    # at rank 2; no profile_of or optimal_torus_element call sees them
+    with pytest.raises(BadRank, match=f"^{typ} needs rank >= 1$"):
+        TorusElement(typ, 0, ())
+    with pytest.raises(Unrealizable):
+        realize_profile(Profile((), 0, (), True), typ, 0)
 
 
 def test_profile_is_decreasing_and_exact():
