@@ -10,4 +10,4 @@ class LengthlabError(Exception):
 
 
 class OutOfRange(LengthlabError, ValueError):
-    """A size below what a function covers, or an empty range to check."""
+    """A size outside what a function covers, or an empty range to check."""

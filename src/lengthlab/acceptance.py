@@ -1,8 +1,9 @@
 """Acceptance suites: one function per headline property of the library.
 
-Each suite returns a dict with name, ok, detail, and elapsed seconds so
-both the test harness and the CLI can print one pass/fail line per
-suite.  Randomized suites take a seed and are deterministic given it.
+Each suite takes a seed and returns (ok, detail); run_suite wraps it in a
+dict with the name, verdict, detail, elapsed seconds and budget, so both
+the test harness and the CLI can print one pass/fail line per suite.
+Randomized suites are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -314,22 +315,9 @@ def suite_l1_constants(seed=DEFAULT_SEED, per_type=1000):
 
 
 def suite_kyfan(seed=DEFAULT_SEED, pairs=10_000):
-    rng = random.Random(seed)
-    from .perms import Permutation
-
     bad = 0
-    for trial in range(pairs):
-        n = rng.randint(2, 10)
-
-        def mon():
-            img = list(range(n))
-            rng.shuffle(img)
-            return (Permutation(tuple(img)),
-                    tuple(Fraction(rng.randint(-24, 24), 24)
-                          for _ in range(n)))
-
-        rep = profiles.kyfan_profile_check(mon(), mon(), z_trials=2,
-                                           seed=trial)
+    for trial, g, h in profiles.random_monomial_pairs(seed, pairs):
+        rep = profiles.kyfan_profile_check(g, h, z_trials=2, seed=trial)
         # a profile from the zigzag fallback (exact=False) proves nothing
         if not (rep["main_ok"] and rep["kyfan_ok"] and rep["exact"]):
             bad += 1

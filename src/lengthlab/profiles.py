@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import LengthlabError, OutOfRange
+from .perms import Permutation
 from .roots import (
     TorusElement,
     _distances,
@@ -386,8 +387,11 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
     multiples of n, C's half an end distance and D's half a sum of
     three distances that are all even.
     """
-    if typ not in ("A", "U", "B", "C", "D"):
+    least = TorusElement.LEAST_RANK.get(typ)
+    if least is None:
         raise ValueError(f"unknown type {typ}")
+    if rank < least:
+        raise Unrealizable(f"{typ} has no elements of rank {rank}")
     if P.distances is not None:
         dists = [Fraction(d) for d in P.distances]
     else:
@@ -484,6 +488,29 @@ def monomial_matrix(mon):
     for i in range(n):
         M[perm.images[i], i] = cmath.exp(1j * math.pi * float(phases[i]))
     return M
+
+
+# one Ky Fan pair of size 1000 takes about 30 s on a 2-core VM
+MAX_MONOMIAL_N = 1000
+
+
+def random_monomial_pairs(seed, pairs, n_max=10):
+    """The seeded Ky Fan inputs: (trial, g, h) for each trial < pairs, g
+    and h monomials (permutation, phases in 24ths) of one size n drawn
+    from 2..n_max."""
+    if not 2 <= n_max <= MAX_MONOMIAL_N:
+        raise OutOfRange(f"need 2 <= n_max <= {MAX_MONOMIAL_N}, got {n_max}")
+    rng = random.Random(seed)
+
+    def mon(n):
+        img = list(range(n))
+        rng.shuffle(img)
+        return (Permutation(tuple(img)),
+                tuple(Fraction(rng.randint(-24, 24), 24) for _ in range(n)))
+
+    for trial in range(pairs):
+        n = rng.randint(2, n_max)
+        yield trial, mon(n), mon(n)
 
 
 def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:

@@ -104,7 +104,7 @@ def angle(theta) -> float:
 
 # ------------------------------------------------------- root systems
 
-_VALID_MU = (Fraction(1, 3), Fraction(1, 2), Fraction(1))
+_VALID_MU = {Fraction(sign, d) for sign in (1, -1) for d in (1, 2, 3)}
 
 
 def _dot(u, v):
@@ -302,9 +302,23 @@ def _validate_root_system(rs):
         assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
 
 
+def _direction(v):
+    """(scale, key) with v = scale * key, key the primitive integer vector
+    whose first nonzero entry is positive, or None for v = 0.  Rational v
+    are parallel exactly when their keys are equal."""
+    ints, den = _units(v)
+    g = math.gcd(*ints)
+    if g == 0:
+        return None
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return Fraction(g, den), tuple(x // g for x in ints)
+
+
 def check_root_combinations(rs) -> dict:
     """Exhaustive check of the two-root decompositions of long and short
-    roots, with the coefficient scan over all parallel combinations."""
+    roots.  Roots and long + long sums are keyed by their _direction, so
+    each sum meets only the short roots parallel to it."""
     report = {
         "type": rs.type,
         "rank": rs.rank,
@@ -318,62 +332,45 @@ def check_root_combinations(rs) -> dict:
         return report
     shorts = rs.short_roots()
     longs = rs.long_roots()
-    shortset = set(shorts)
+    if not any(shorts[0]):
+        raise ValueError("the zero vector is not a root")
+    # over one common denominator the roots and their sums are integer
+    # vectors, and all scales share a unit that no ratio of two sees
+    dim = len(shorts[0])
+    flat, _ = _units([a for r in shorts + longs for a in r])
+    ints = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
+    short_ints, long_ints = ints[:len(shorts)], ints[len(shorts):]
+    shortset = set(short_ints)
 
-    for beta in longs:
-        if not any(tuple(b - a for a, b in zip(a1, beta)) in shortset
-                   for a1 in shorts):
+    for beta, b in zip(longs, long_ints):
+        if not any(_add(b, _neg(a)) in shortset for a in short_ints):
             report["long_ok"] = False
             report["violations"].append(("long", beta))
 
-    allowed = {mu for mu in _VALID_MU} | {-mu for mu in _VALID_MU}
-    for idx, g1 in enumerate(longs):
-        for g2 in longs[idx:]:
-            v = _add(g1, g2)
-            if all(a == 0 for a in v):
+    short_dirs = [_direction(v) for v in short_ints]
+    by_key = {}
+    for s, (scale, key) in zip(shorts, short_dirs):
+        by_key.setdefault(key, []).append((s, scale))
+    sum_scales = {}  # key -> scales of the nonzero long + long sums
+    for i, g1 in enumerate(longs):
+        for j in range(i, len(longs)):
+            d = _direction(_add(long_ints[i], long_ints[j]))
+            if d is None:
                 continue
-            for s in shorts:
-                mu = _parallel_ratio(s, v)
-                if mu is None:
-                    continue
+            scale, key = d
+            sum_scales.setdefault(key, set()).add(scale)
+            for s, s_scale in by_key.get(key, ()):
+                mu = s_scale / scale
                 report["mu_values"].add(mu)
-                if mu not in allowed:
-                    report["violations"].append(("mu", g1, g2, s, mu))
+                if mu not in _VALID_MU:
+                    report["violations"].append(("mu", g1, longs[j], s, mu))
 
-    for alpha in shorts:
-        found = False
-        for g1 in longs:
-            for g2 in longs:
-                v = _add(g1, g2)
-                if all(a == 0 for a in v):
-                    continue
-                mu = _parallel_ratio(alpha, v)
-                if mu in allowed:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+    for alpha, (scale, key) in zip(shorts, short_dirs):
+        if not any(scale / v in _VALID_MU for v in sum_scales.get(key, ())):
             report["short_ok"] = False
             report["violations"].append(("short", alpha))
     report["mu_values"] = sorted(report["mu_values"])
     return report
-
-
-def _parallel_ratio(s, v):
-    """mu with s = mu*v if the vectors are parallel, else None."""
-    mu = None
-    for a, b in zip(s, v):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = Fraction(a) / b
-        if mu is None:
-            mu = r
-        elif mu != r:
-            return None
-    return mu
 
 
 # ------------------------------------------------------ torus elements
@@ -388,6 +385,9 @@ class TorusElement:
     the spectrum of SO(2n+1), Sp(2n), SO(2n).
     """
 
+    # SO(1) and Sp(0) are trivial; type D's last character needs 2 angles
+    LEAST_RANK = {"A": 0, "U": 0, "B": 1, "C": 1, "D": 2}
+
     type: str
     rank: int
     angles: tuple
@@ -395,21 +395,20 @@ class TorusElement:
     def __post_init__(self):
         angles = tuple(normalize_angle(a) for a in self.angles)
         object.__setattr__(self, "angles", angles)
+        least = self.LEAST_RANK.get(self.type)
+        if least is None:
+            raise ValueError(f"unknown type {self.type}")
         if self.rank < 0:
             raise BadRank(f"rank {self.rank} < 0")
+        if self.rank < least:
+            raise BadRank(f"{self.type} needs rank >= {least}")
         if self.type in ("A", "U"):
             if len(angles) != self.rank + 1:
                 raise ValueError("need rank+1 angles")
             if self.type == "A" and sum(angles) % 2 != 0:
                 raise ValueError("SU angles must sum to an even integer")
-        elif self.type in ("B", "C", "D"):
-            if len(angles) != self.rank:
-                raise ValueError("need rank angles")
-            least = 2 if self.type == "D" else 1  # SO(1), Sp(0) are trivial
-            if self.rank < least:
-                raise BadRank(f"{self.type} needs rank >= {least}")
-        else:
-            raise ValueError(f"unknown type {self.type}")
+        elif len(angles) != self.rank:
+            raise ValueError("need rank angles")
 
     @classmethod
     def _trusted(cls, typ, rank, angles):
@@ -974,14 +973,14 @@ def cocharacter_split(rs: RootSystem, alpha_short, beta_long):
     if rs.norm2(alpha) == rs.norm2(beta):
         raise NoSplit("equal-length fundamental roots")
     longs = [r for r in rs.roots if rs.norm2(r) == rs.norm2(beta)]
-    allowed = [mu for mu in _VALID_MU] + [-mu for mu in _VALID_MU]
+    a_scale, a_key = _direction(alpha)
     for g1 in longs:
         for g2 in longs:
-            v = _add(g1, g2)
-            if all(a == 0 for a in v):
+            d = _direction(v := _add(g1, g2))
+            if d is None or d[1] != a_key:
                 continue
-            mu = _parallel_ratio(alpha, v)
-            if mu not in allowed:
+            mu = a_scale / d[0]
+            if mu not in _VALID_MU:
                 continue
             w1 = weyl_search(rs, g1, beta)
             w2 = weyl_search(rs, g2, beta)
@@ -1194,8 +1193,8 @@ def large_rank_decompose(g: TorusElement, h: TorusElement, k,
     r = g.rank
     if r <= 20 * k:
         raise RankTooSmall(f"rank {r} <= 20k = {20 * k}")
-    if m < 2 or m % 2:
-        raise ValueError("m must be even and at least 2")
+    if k < 1 or m < 2 or m % 2:
+        raise ValueError("need k >= 1 and an even m >= 2")
     bound = 140 * k * m + 4 * m
     n = r + 1
 

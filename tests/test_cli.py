@@ -1,9 +1,15 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lengthlab import cli
+from lengthlab import acceptance, cli, profiles
 
 
 def run(argv):
@@ -36,6 +42,23 @@ def test_seeded_json_reports_identical(tmp_path):
     assert doc["schema_version"] == 1
     assert doc["seed"] == 99
     assert doc["violations"] == 0
+
+
+def test_kyfan_exits_1_on_inexact_profile(monkeypatch, tmp_path):
+    exact_profile = profiles._profile
+
+    def fallback(*args):
+        # as if every orbit search had fallen back to the zigzag
+        return dataclasses.replace(exact_profile(*args), exact=False)
+
+    monkeypatch.setattr(profiles, "_profile", fallback)
+    out = tmp_path / "k.json"
+    assert run(["kyfan", "--set", "pairs=5", "--out", str(out)]) == 1
+    assert json.loads(read(out)) == {
+        "pairs": 5, "schema_version": 1, "seed": 20260823, "violations": 0}
+    # the suite draws the same pairs and counts each one
+    assert acceptance.suite_kyfan(pairs=5) == (
+        False, "5 monomial pairs, violations=5")
 
 
 def test_config_file_with_override(tmp_path):
@@ -136,6 +159,75 @@ def test_edge_values_keep_exit_contract(argv, code, tmp_path, capsys):
     assert "Traceback" not in err
     if code == 2:
         lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+HUGE = (str(2**64), str(-2**64))
+_small = st.integers(-3, 12).map(str)
+_junk = st.sampled_from(["", "x", "1/2", "-1/3", "1e3", "0x10", " 7", "3.5"])
+_angles = st.lists(st.fractions(-2, 2, max_denominator=12).map(str),
+                   max_size=4).map(",".join)
+
+
+def _ints(*huge):
+    return st.one_of(_small, _junk, *[st.sampled_from(huge)] if huge else [])
+
+
+def _words(*words):
+    return st.one_of(st.sampled_from(words), _junk)
+
+
+# Each parameter's values.  Left out because they start real work, not
+# because they break the contract: 2**64 as sym-lengths n_max, large-rank
+# rank and m, kyfan pairs and z_trials and counterexample n_max, c_max
+# and k_max; acceptance filters that match a slow suite, such as "x" or
+# the empty one, which matches all; and linear-lengths, which takes no
+# parameter and runs for a second.
+PARAMETERS = {
+    "sym-lengths": {"n_min": _ints(*HUGE), "n_max": _ints(HUGE[1]),
+                    "ambient": _words("Sym", "Alt")},
+    "width": {"group": _words("A5", "S4", "PSL2_7", "Q8", "A0", "S-1",
+                              "PSL2_", "PSL2_" + HUGE[0], "A" + HUGE[0]),
+              "symmetric": _words("true", "false")},
+    "ore-check": {"group": _words("A5", "D4", "SL2_3", "PSL2_4", "A1")},
+    "lattice": {"group": _words("S4", "A5", "PSL2_8", "PSL2_1", "S")},
+    "root-check": {"type": _words("A", "B", "C", "D", "G2", "F4", "E8"),
+                   "rank": _ints(*HUGE)},
+    "su2-decompose": {"theta_g": _angles, "theta_h": _angles,
+                      "m": _ints(*HUGE)},
+    "torus-decompose": {"g": _angles, "h": _angles, "m": _ints(*HUGE)},
+    "large-rank": {"rank": st.one_of(_ints(), st.sampled_from(["21", "41"])),
+                   "k": _ints(*HUGE), "m": _ints(HUGE[1]),
+                   "denom": _ints(*HUGE)},
+    "profile-order": {"f_type": _words("U", "A", "B", "C", "D"), "f": _angles,
+                      "h_type": _words("U", "A", "B", "C", "D"), "h": _angles,
+                      "c_max": _ints(*HUGE), "k_max": _ints(*HUGE)},
+    "kyfan": {"pairs": _ints(HUGE[1]), "n_max": _ints(*HUGE),
+              "z_trials": _ints(HUGE[1])},
+    "counterexample": {"n_max": _ints(HUGE[1]), "c_max": _ints(HUGE[1]),
+                       "k_max": _ints(HUGE[1])},
+    "strong-color": {"n": _ints(*HUGE), "s": _ints(*HUGE)},
+    "acceptance": {"filter": st.sampled_from(
+        ["sandwich", "nosuchsuite", "-1", "2", "1/2", " 7"])},
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_exit_contract_property(data):
+    cmd = data.draw(st.sampled_from(sorted(PARAMETERS)))
+    argv = [cmd, "--out", os.devnull]
+    for key, values in PARAMETERS[cmd].items():
+        # acceptance without a filter would run every suite
+        if key == "filter" or data.draw(st.booleans()):
+            argv += ["--set", f"{key}={data.draw(values)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 

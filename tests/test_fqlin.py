@@ -16,6 +16,7 @@ from lengthlab.fqlin import (
     HypothesisViolated,
     Singular,
     Subspace,
+    _is_prime,
     common_fix_restriction,
     extend_to_nondegenerate,
     fixed_space,
@@ -87,6 +88,17 @@ def random_invertible(rng, F, n):
 
 
 # ----------------------------------------------------------------- fields
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-2, 5000) if _is_prime(n)] == [
+        n for n in range(2, 5000) if all(n % d for d in range(2, n))]
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 91, 65536])
+def test_field_of_non_prime_characteristic_is_rejected(p):
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        FqField(p)
 
 
 def test_smallest_irreducible_modulus_f4():

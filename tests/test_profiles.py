@@ -186,6 +186,23 @@ def test_rank_zero_signed_types_are_rejected(typ):
         realize_profile(Profile((), 0, (), True), typ, 0)
 
 
+def test_realize_profile_follows_the_torus_rank_rule():
+    # every rank TorusElement rejects is unrealizable, D at rank 1 too;
+    # every other rank realizes the empty profile by a central element
+    empty = Profile((), 0, (), True)
+    for typ in ("A", "U", "B", "C", "D"):
+        for rank in range(-2, 4):
+            n = rank + 1 if typ in ("A", "U") else rank
+            try:
+                TorusElement(typ, rank, (0,) * max(n, 0))
+            except BadRank:
+                with pytest.raises(Unrealizable):
+                    realize_profile(empty, typ, rank)
+            else:
+                t = realize_profile(empty, typ, rank)
+                assert not any(profile_of(t).values)
+
+
 def test_profile_is_decreasing_and_exact():
     rng = random.Random(11)
     for typ in ("A", "B", "C", "D"):

@@ -101,7 +101,7 @@ def test_negation_closure_and_coroot_relations():
 @pytest.mark.parametrize(
     "typ,r",
     [("A", r) for r in range(1, 9)]
-    + [("B", r) for r in range(2, 9)]
+    + [("B", r) for r in range(2, 13)]
     + [("C", r) for r in range(2, 9)]
     + [("D", r) for r in range(4, 9)]
     + [("F4", 4), ("G2", 2)],
@@ -118,6 +118,164 @@ def test_root_combinations(typ, r):
     else:
         assert F(1, 2) in mus
         assert F(1, 3) not in mus
+
+
+def parallel_ratio_reference(s, v):
+    """mu with s = mu*v if the vectors are parallel, else None."""
+    mu = None
+    for a, b in zip(s, v):
+        if b == 0:
+            if a != 0:
+                return None
+            continue
+        r = F(a) / b
+        if mu is None:
+            mu = r
+        elif mu != r:
+            return None
+    return mu
+
+
+def check_root_combinations_reference(rs):
+    """The scan check_root_combinations replaced: every long + long sum
+    against every short root, by a per-coordinate ratio."""
+    report = {
+        "type": rs.type,
+        "rank": rs.rank,
+        "simply_laced": rs.simply_laced(),
+        "long_ok": True,
+        "short_ok": True,
+        "mu_values": set(),
+        "violations": [],
+    }
+    if report["simply_laced"]:
+        return report
+    shorts = rs.short_roots()
+    longs = rs.long_roots()
+    shortset = set(shorts)
+
+    for beta in longs:
+        if not any(tuple(b - a for a, b in zip(a1, beta)) in shortset
+                   for a1 in shorts):
+            report["long_ok"] = False
+            report["violations"].append(("long", beta))
+
+    allowed = {F(1, 3), F(1, 2), F(1), F(-1, 3), F(-1, 2), F(-1)}
+    for idx, g1 in enumerate(longs):
+        for g2 in longs[idx:]:
+            v = tuple(a + b for a, b in zip(g1, g2))
+            if all(a == 0 for a in v):
+                continue
+            for s in shorts:
+                mu = parallel_ratio_reference(s, v)
+                if mu is None:
+                    continue
+                report["mu_values"].add(mu)
+                if mu not in allowed:
+                    report["violations"].append(("mu", g1, g2, s, mu))
+
+    for alpha in shorts:
+        found = False
+        for g1 in longs:
+            for g2 in longs:
+                v = tuple(a + b for a, b in zip(g1, g2))
+                if all(a == 0 for a in v):
+                    continue
+                mu = parallel_ratio_reference(alpha, v)
+                if mu in allowed:
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            report["short_ok"] = False
+            report["violations"].append(("short", alpha))
+    report["mu_values"] = sorted(report["mu_values"])
+    return report
+
+
+def cocharacter_split_reference(rs, alpha_short, beta_long):
+    """cocharacter_split by the per-coordinate ratio, without its exact
+    re-verification."""
+    alpha, beta = tuple(alpha_short), tuple(beta_long)
+    if alpha not in rs.fundamental or beta not in rs.fundamental:
+        raise ValueError("both roots must be fundamental")
+    if rs.norm2(alpha) == rs.norm2(beta):
+        raise NoSplit("equal-length fundamental roots")
+    longs = [r for r in rs.roots if rs.norm2(r) == rs.norm2(beta)]
+    allowed = [F(1, 3), F(1, 2), F(1), F(-1, 3), F(-1, 2), F(-1)]
+    for g1 in longs:
+        for g2 in longs:
+            v = tuple(a + b for a, b in zip(g1, g2))
+            if all(a == 0 for a in v):
+                continue
+            mu = parallel_ratio_reference(alpha, v)
+            if mu in allowed:
+                return (weyl_search(rs, g1, beta), weyl_search(rs, g2, beta),
+                        mu)
+    raise NoSplit("no two-root combination found")
+
+
+# B9-B12 are left to test_root_combinations: the reference scan takes
+# 22 s over them, and about 8 s over everything below
+@pytest.mark.parametrize(
+    "typ,r",
+    [(t, r) for t in "ACD" for r in range(1 if t == "A" else 2, 13)]
+    + [("B", r) for r in range(2, 9)] + [("F4", 4), ("G2", 2)],
+)
+def test_root_combinations_match_reference(typ, r):
+    rs = build_root_system(typ, r)
+    new, ref = check_root_combinations(rs), check_root_combinations_reference(rs)
+    assert new == ref and repr(new) == repr(ref)
+
+
+def _signed_permutations(b):
+    out = {tuple(s * a for s, a in zip(signs, p))
+           for p in itertools.permutations(b)
+           for signs in itertools.product((1, -1), repeat=len(b))}
+    out.discard((0,) * len(b))
+    return out
+
+
+def test_root_combinations_reference_on_rational_systems():
+    # G2 and B3 scaled out of 1/2 Z, then planar systems of two root
+    # lengths, each the signed permutations of a random rational vector:
+    # they have coefficients outside +-1/3, +-1/2, +-1 and short roots
+    # with no allowed sum, which no genuine root system has
+    systems = [R.RootSystem(t, r, tuple(tuple(c * a for a in v)
+                                        for v in build_root_system(t, r).roots),
+                            ()) for t, r, c in [("G2", 2, F(1, 3)),
+                                                ("B", 3, F(-2, 7))]]
+    rng = random.Random(5)
+    while len(systems) < 62:
+        bs = [F(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(2)]
+        bl = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(2)]
+        if 0 < sum(a * a for a in bs) < sum(a * a for a in bl):
+            systems.append(R.RootSystem("X", 2, tuple(sorted(
+                _signed_permutations(bs) | _signed_permutations(bl))), ()))
+    kinds = set()
+    for rs in systems:
+        new = check_root_combinations(rs)
+        ref = check_root_combinations_reference(rs)
+        assert new == ref and repr(new) == repr(ref)
+        kinds |= {v[0] for v in new["violations"]}
+    assert kinds == {"long", "short", "mu"}
+    assert check_root_combinations(systems[0])["mu_values"] == [F(-1, 3),
+                                                                F(1, 3)]
+    with pytest.raises(ValueError, match="zero vector"):
+        check_root_combinations(R.RootSystem("X", 2, ((0, 0), (1, 0)), ()))
+
+
+def test_cocharacter_split_matches_reference():
+    for typ, r in [("B", r) for r in range(2, 7)] \
+            + [("C", r) for r in range(2, 7)] + [("F4", 4), ("G2", 2)]:
+        rs = build_root_system(typ, r)
+        short = min(rs.norm2(f) for f in rs.fundamental)
+        for a in rs.fundamental:
+            for b in rs.fundamental:
+                if rs.norm2(a) == short < rs.norm2(b):
+                    assert cocharacter_split(rs, a, b) == \
+                        cocharacter_split_reference(rs, a, b)
 
 
 # ------------------------------------------------------------- angles
