@@ -19,8 +19,18 @@ from . import (LengthlabError, OutOfRange, acceptance, coloring, engine,
                fqlin, perms, profiles, roots)
 
 SCHEMA_VERSION = 1
-# strong-color at n = 10^5 takes about 1 s and 75 MB on a 2-core VM
-STRONG_COLOR_MAX_N = 10**6
+# Caps on the sizes that set a run's cost, checked before any work; each is
+# above its default and every README value.  The comments time one run at
+# the cap, the other parameters at their defaults, on a 2-core VM.
+CAPS = {
+    "sym-lengths": {"n_max": 50},  # 18 s
+    "large-rank": {"rank": 200, "m": 1024},  # 10-13 s; 7 s
+    # 7.5 s, the acceptance suite's number of pairs; 4 s
+    "kyfan": {"pairs": 10**4, "z_trials": 1000},
+    # 1.5 s (at 256 the orbit DP's state cap stops it after 4 s); 1.1 s; 4.7 s
+    "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
+    "strong-color": {"n": 10**6},  # 1 s and 75 MB at n = 10^5
+}
 
 
 class ConfigInvalid(LengthlabError, ValueError):
@@ -80,7 +90,7 @@ def _flag_overrides(extras, defaults):
 
 def _params(defaults, args):
     """Defaults, overridden by the config file, then convenience flags,
-    then --set."""
+    then --set; then the command's CAPS are checked."""
     params = dict(defaults)
     for source in (_load_config(args.config),
                    _flag_overrides(args.extras, defaults),
@@ -90,6 +100,9 @@ def _params(defaults, args):
                 raise ConfigInvalid(f"unknown parameter {key!r}; "
                                     f"known: {sorted(params)}")
             params[key] = val
+    for key, cap in CAPS.get(args.command, {}).items():
+        if int(params[key]) > cap:
+            raise OutOfRange(f"need {key} <= {cap}, got {int(params[key])}")
     return params
 
 
@@ -319,8 +332,6 @@ def cmd_strong_color(args):
 
     rng = random.Random(args.seed)
     n, s = int(p["n"]), int(p["s"])
-    if n > STRONG_COLOR_MAX_N:  # before the n vertices are drawn
-        raise OutOfRange(f"need n <= {STRONG_COLOR_MAX_N}, got {n}")
     verts = list(range(n))
     rng.shuffle(verts)
     blocks = [verts[i:i + s] for i in range(0, n, s)]

@@ -10,13 +10,17 @@ with the involution x -> x^q.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import LengthlabError
 
 MAX_Q = 1 << 16
 MAX_N = 64
+# fields up to this size keep q x q tables (16384 entries each at most)
+TABLE_MAX_Q = 128
 
 TRIVIAL = "trivial"
 SYMMETRIC = "symmetric"
@@ -115,17 +119,38 @@ def _strong_lucas(n: int) -> bool:
 # -------------------------------------------------------------- the field
 
 
+class _Computed:
+    """A field table above TABLE_MAX_Q: t[a] is fn(a)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[int], object]):
+        self.fn = fn
+
+    def __getitem__(self, a: int):
+        return self.fn(a)
+
+
+# (add, sub, mul, inv) of each field built so far, by (p, e, modulus)
+_TABLES: Dict[Tuple, tuple] = {}
+
+
+def _digits(a: int, p: int, count: int) -> List[int]:
+    """The lowest count base-p digits of a, lowest first."""
+    return [a // p**i % p for i in range(count)]
+
+
 class FqField:
-    """F_{p^e} with elements encoded as base-p digit integers."""
+    """F_{p^e} with elements encoded as base-p digit integers; arithmetic
+    reads add, sub, mul and inverse tables built once per field and shared
+    by equal fields (above TABLE_MAX_Q, t[a][b] computes each entry)."""
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1 or p**e > MAX_Q:
             raise ValueError("field size out of range")
-        self.p = p
-        self.e = e
-        self.q = p**e
+        self.p, self.e, self.q = p, e, p**e
         if e == 1:
             self.modulus = (0, 1) if modulus is None else tuple(modulus)
         else:
@@ -138,12 +163,10 @@ class FqField:
                 if not self._poly_irreducible(modulus):
                     raise ValueError("modulus is reducible")
             self.modulus = tuple(modulus)
-        self._inv_cache: Dict[int, int] = {}
-        self._mul_table: Optional[List[List[int]]] = None
-        if self.q <= 128:
-            self._build_tables()
-
-    # polynomial helpers (coefficient tuples over F_p, low degree first)
+        key = (p, e, self.modulus)
+        if key not in _TABLES:
+            _TABLES[key] = self._tables()
+        self._add, self._sub, self._mul, self._inv = _TABLES[key]
 
     def _poly_mod(self, a: List[int], m: Sequence[int]) -> List[int]:
         p = self.p
@@ -172,93 +195,79 @@ class FqField:
     def _poly_irreducible(self, m: Sequence[int]) -> bool:
         # trial division by all monic polynomials of degree <= deg/2
         p = self.p
-        deg = len(m) - 1
-
-        def divides(d: Sequence[int]) -> bool:
-            rem = list(m)
-            dd = len(d) - 1
-            while len(rem) - 1 >= dd and any(rem):
-                lead = rem[-1]
-                if lead:
-                    shift = len(rem) - 1 - dd
-                    for i in range(dd + 1):
-                        rem[shift + i] = (rem[shift + i] - lead * d[i]) % p
-                rem.pop()
-            return not any(rem)
-
-        for dd in range(1, deg // 2 + 1):
-            for k in range(p**dd):
-                coeffs = []
-                kk = k
-                for _ in range(dd):
-                    coeffs.append(kk % p)
-                    kk //= p
-                coeffs.append(1)
-                if divides(coeffs):
-                    return False
-        return True
+        return all(self._poly_mod(m, _digits(k, p, d) + [1])
+                   for d in range(1, (len(m) - 1) // 2 + 1) for k in range(p**d))
 
     def _smallest_irreducible(self) -> Tuple[int, ...]:
         p, e = self.p, self.e
-        for k in range(p**e):
-            coeffs = []
-            kk = k
-            for _ in range(e):
-                coeffs.append(kk % p)
-                kk //= p
-            coeffs.append(1)
-            if self._poly_irreducible(coeffs):
-                return tuple(coeffs)
-        raise RuntimeError("no irreducible found")  # pragma: no cover
+        return next(m for m in (tuple(_digits(k, p, e) + [1]) for k in range(p**e))
+                    if self._poly_irreducible(m))
 
     # element encoding
 
     def _decode(self, a: int) -> List[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _digits(a, self.p, self.e)
 
     def _encode(self, coeffs: Sequence[int]) -> int:
-        a = 0
-        for c in reversed(list(coeffs) + [0] * (self.e - len(coeffs))):
-            a = a * self.p + (c % self.p)
-        return a
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
 
-    def _build_tables(self) -> None:
-        q = self.q
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        for a in range(1, q):
-            self._inv_cache[a] = next(
-                b for b in range(1, q) if self._mul_table[a][b] == 1
-            )
-
-    # arithmetic
-
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, digit by digit mod p."""
+        p = self.p
+        return self._encode([(x + sign * y) % p
+                             for x, y in zip(self._decode(a), self._decode(b))])
 
     def _mul_slow(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
         return self._encode(self._poly_mulmod(self._decode(a), self._decode(b)))
 
+    def _tables(self) -> tuple:
+        """(add, sub, mul, inv): add[a][b] = a + b and so on, inv[0] = 0.
+        Above TABLE_MAX_Q each entry is computed when it is read."""
+        p, q = self.p, self.q
+        if q > TABLE_MAX_Q:
+            ops = (partial(self._digitwise, sign=1),
+                   partial(self._digitwise, sign=-1), self._mul_slow)
+            return tuple(_Computed(lambda a, op=op: _Computed(partial(op, a)))
+                         for op in ops) + (_Computed(lambda a: self.pow(a, q - 2)),)
+        def digitwise(s: int) -> List[List[int]]:
+            # a + s b, one base-p digit at a time: a = a_0 + p a'
+            one = t = [[(a + s * b) % p for b in range(p)] for a in range(p)]
+            for size in (p**k for k in range(2, self.e + 1)):
+                digits = [(b % p, b // p) for b in range(size)]
+                t = [[one[a % p][b0] + p * t[a // p][b1] for b0, b1 in digits]
+                     for a in range(size)]
+            return t
+
+        # mul and inv from the powers of a generator of the unit group
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_slow(x, g)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp * 2
+        mul = [[0] * q] + [[0] + [exp2[i + j] for j in log[1:]] for i in log[1:]]
+        return digitwise(1), digitwise(-1), mul, [0] + [exp[-i] for i in log[1:]]
+
+    # arithmetic
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._sub[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._sub[0][a]
+
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
+        return self._mul[a][b]
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -275,14 +284,11 @@ class FqField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if a in self._inv_cache:
-            return self._inv_cache[a]
-        r = self.pow(a, self.q - 2)
-        self._inv_cache[a] = r
-        return r
+        return self._inv[a]
 
     def conj(self, a: int) -> int:
-        """The involution x -> x^q0 of F_{q0^2}; identity on prime-square-free use."""
+        """The involution x -> x^(p^(e/2)) of F_{p^e}, e even: the Frobenius
+        power whose fixed field is F_{p^(e/2)}."""
         if self.e % 2 != 0:
             raise ValueError("conjugation needs an even extension degree")
         return self.pow(a, self.p ** (self.e // 2))
@@ -319,9 +325,7 @@ class FqMatrix:
             raise ValueError("matrix must be square, n <= 64")
         if any(not (0 <= x < field.q) for r in rows for x in r):
             raise ValueError("entries outside field")
-        self.field = field
-        self.n = n
-        self.rows = rows
+        self.field, self.n, self.rows = field, n, rows
 
     @classmethod
     def _trusted(cls, field: FqField, rows: tuple) -> "FqMatrix":
@@ -340,29 +344,13 @@ class FqMatrix:
 
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
         F = self.field
-        n = self.n
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            ri = self.rows[i]
-            oi = out[i]
-            for k in range(n):
-                a = ri[k]
-                if a:
-                    rk = other.rows[k]
-                    for j in range(n):
-                        if rk[j]:
-                            oi[j] = F.add(oi[j], F.mul(a, rk[j]))
-        return FqMatrix(F, out)
+        return FqMatrix._trusted(F, _products(F, self.rows, list(zip(*other.rows))))
 
     def __sub__(self, other: "FqMatrix") -> "FqMatrix":
-        F = self.field
-        return FqMatrix(
-            F,
-            [
-                [F.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        sub = self.field._sub
+        return FqMatrix._trusted(self.field, tuple(
+            tuple(sub[a][b] for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FqMatrix) and self.rows == other.rows
@@ -381,9 +369,8 @@ class FqMatrix:
         aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.rows)]
         aug = _row_reduce(F, aug, n)
-        for i in range(n):
-            if aug[i][i] != 1:
-                raise Singular("matrix not invertible")
+        if any(aug[i][i] != 1 for i in range(n)):
+            raise Singular("matrix not invertible")
         return FqMatrix(F, [r[n:] for r in aug])
 
     def is_invertible(self) -> bool:
@@ -393,22 +380,23 @@ class FqMatrix:
 def _row_reduce(F: FqField, rows: List[List[int]], pivot_cols: int) -> List[List[int]]:
     """In-place reduced row echelon form, pivots searched in the first
     pivot_cols columns; returns the row list (pivot rows first)."""
+    sub, mul, inv = F._sub, F._mul, F._inv
     m = len(rows)
-    width = len(rows[0]) if rows else 0
     prow = 0
     for col in range(pivot_cols):
-        sel = next((r for r in range(prow, m) if rows[r][col]), None)
-        if sel is None:
+        for sel in range(prow, m):
+            if rows[sel][col]:
+                break
+        else:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = F.inv(rows[prow][col])
-        rows[prow] = [F.mul(inv, x) for x in rows[prow]]
+        scale = mul[inv[rows[prow][col]]]
+        pivot = rows[prow] = [scale[x] for x in rows[prow]]
         for r in range(m):
-            if r != prow and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [
-                    F.sub(x, F.mul(c, y)) for x, y in zip(rows[r], rows[prow])
-                ]
+            c = rows[r][col]
+            if c and r != prow:
+                times_c = mul[c]
+                rows[r] = [sub[x][times_c[y]] for x, y in zip(rows[r], pivot)]
         prow += 1
         if prow == m:
             break
@@ -430,43 +418,100 @@ def mat_rank(m: FqMatrix) -> int:
 def nullspace(F: FqField, rows: Sequence[Sequence[int]], width: int) -> List[List[int]]:
     """Basis of {v : rows @ v = 0} for an m x width coefficient matrix."""
     red = rref(F, rows) if rows else []
-    pivots = []
-    for r in red:
-        pivots.append(next(j for j, x in enumerate(r) if x))
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
     free = [j for j in range(width) if j not in pivots]
+    neg = F._sub[0]
     basis = []
     for fcol in free:
         v = [0] * width
         v[fcol] = 1
         for r, pcol in zip(red, pivots):
-            v[pcol] = F.neg(r[fcol])
+            v[pcol] = neg[r[fcol]]
         basis.append(v)
     return basis
+
+
+def _shift(g: FqMatrix, alpha: int) -> List[List[int]]:
+    """The rows of alpha - g."""
+    sub = g.field._sub
+    return [[sub[alpha if i == j else 0][x] for j, x in enumerate(r)]
+            for i, r in enumerate(g.rows)]
 
 
 def rank_length_mat(g: FqMatrix) -> Fraction:
     """rank(1 - g)/n for invertible g."""
     if not g.is_invertible():
         raise Singular("rank length needs an invertible matrix")
-    one = FqMatrix.identity(g.field, g.n)
-    return Fraction(mat_rank(one - g), g.n)
+    return Fraction(len(rref(g.field, _shift(g, 1))), g.n)
+
+
+def _charpoly(F: FqField, rows: Sequence[Sequence[int]]) -> List[int]:
+    """det(x - m), low degree first, of the square matrix m with these rows.
+
+    m is brought to upper Hessenberg form h by similarity. The polynomials
+    P_k of its leading k x k blocks then satisfy P_0 = 1 and
+    P_{k+1} = x P_k - sum_{i<=k} h[i][k] h[k][k-1] ... h[i+1][i] P_i
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9;
+    valid over any field).
+    """
+    add, sub, mul, inv = F._add, F._sub, F._mul, F._inv
+    n = len(rows)
+    h = [list(r) for r in rows]
+    for m in range(1, n - 1):
+        for sel in range(m, n):
+            if h[sel][m - 1]:
+                break
+        else:
+            continue
+        if sel != m:
+            h[sel], h[m] = h[m], h[sel]
+            for r in h:
+                r[sel], r[m] = r[m], r[sel]
+        t = inv[h[m][m - 1]]
+        for i in range(m + 1, n):
+            u = mul[h[i][m - 1]][t]
+            if u:  # row i -= u row m, then column m += u column i
+                times_u = mul[u]
+                h[i] = [sub[x][times_u[y]] for x, y in zip(h[i], h[m])]
+                for r in h:
+                    r[m] = add[r[m]][times_u[r[i]]]
+    polys = [[1]]
+    for k in range(n):
+        out, t = [0] + polys[k], 1
+        for i in range(k, -1, -1):  # t = h[k][k-1] ... h[i+1][i]
+            times_c = mul[mul[t][h[i][k]]]
+            for j, c in enumerate(polys[i]):
+                out[j] = sub[out[j]][times_c[c]]
+            t = mul[t][h[i][i - 1]] if i else 0
+            if not t:
+                break
+        polys.append(out)
+    return polys[n]
 
 
 def jordan_length(g: FqMatrix) -> Tuple[Fraction, int, int]:
-    """(l_J(g), m_g, best alpha): m_g = max_alpha dim ker(alpha - g).
+    """(l_J(g), m_g, best alpha): m_g = max_alpha dim ker(alpha - g) over
+    the nonzero alpha in F_q.
 
-    The maximization runs over all q-1 nonzero scalars; ties go to the
-    smallest alpha in the field's integer encoding.
+    Only eigenvalues of g have a nonzero kernel, so only the nonzero roots
+    of the characteristic polynomial are ranked, in increasing integer
+    encoding; ties go to the smallest. With no eigenvalue in F_q every
+    kernel is zero and the result is (1, 0, 1).
     """
-    if not g.is_invertible():
-        raise Singular("Jordan length needs an invertible matrix")
     F, n = g.field, g.n
-    best_dim, best_alpha = -1, None
+    chi = _charpoly(F, g.rows)
+    if not chi[0]:
+        raise Singular("Jordan length needs an invertible matrix")
+    add, mul = F._add, F._mul
+    best_dim, best_alpha = 0, 1
     for alpha in F.units():
-        a = FqMatrix.scalar(F, n, alpha) - g
-        dim = n - mat_rank(a)
-        if dim > best_dim:
-            best_dim, best_alpha = dim, alpha
+        times_alpha, value = mul[alpha], 0
+        for c in reversed(chi):
+            value = add[times_alpha[value]][c]
+        if not value:
+            dim = n - len(rref(F, _shift(g, alpha)))
+            if dim > best_dim:
+                best_dim, best_alpha = dim, alpha
     return Fraction(n - best_dim, n), best_dim, best_alpha
 
 
@@ -484,10 +529,7 @@ class BilinearSpace:
             raise CharTwoSymmetric("symmetric forms excluded in characteristic 2")
         if form_kind == HERMITIAN and field.e % 2 != 0:
             raise ValueError("Hermitian forms need a square field")
-        self.field = field
-        self.n = n
-        self.form_kind = form_kind
-        self.gram = gram
+        self.field, self.n, self.form_kind, self.gram = field, n, form_kind, gram
         self._check_symmetry()
 
     def _check_symmetry(self) -> None:
@@ -495,9 +537,8 @@ class BilinearSpace:
         if self.form_kind == SYMMETRIC:
             ok = G == G.transpose()
         elif self.form_kind == SYMPLECTIC:
-            ok = G.transpose() == G.map_entries(F.neg) and all(
-                G.rows[i][i] == 0 for i in range(self.n)
-            )
+            ok = G.transpose() == G.map_entries(F.neg) and not any(
+                G.rows[i][i] for i in range(self.n))
         elif self.form_kind == HERMITIAN:
             ok = G.transpose().map_entries(F.conj) == G
         else:
@@ -526,15 +567,13 @@ class BilinearSpace:
         return self.field.conj(a) if self.form_kind == HERMITIAN else a
 
     def form(self, u: Sequence[int], v: Sequence[int]) -> int:
-        F = self.field
+        add, mul = self.field._add, self.field._mul
         out = 0
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            gi = self.gram.rows[i]
-            for j, vj in enumerate(v):
-                if vj and gi[j]:
-                    out = F.add(out, F.mul(F.mul(ui, gi[j]), self.sigma(vj)))
+        for ui, gi in zip(u, self.gram.rows):
+            if ui:
+                for gij, vj in zip(gi, v):
+                    if gij and vj:
+                        out = add[out][mul[mul[ui][gij]][self.sigma(vj)]]
         return out
 
     def is_nondegenerate(self) -> bool:
@@ -542,7 +581,6 @@ class BilinearSpace:
 
     def is_isometry(self, g: FqMatrix) -> bool:
         """(gu, gv) = (u, v) for all u, v, via the Gram identity."""
-        F = self.field
         gs = g.map_entries(self.sigma) if self.form_kind == HERMITIAN else g
         return g.transpose() * self.gram * gs == self.gram
 
@@ -551,8 +589,7 @@ class Subspace:
     """Row-reduced basis of a subspace of F_q^n."""
 
     def __init__(self, field: FqField, n: int, basis: Sequence[Sequence[int]]):
-        self.field = field
-        self.n = n
+        self.field, self.n = field, n
         self.basis = [list(r) for r in rref(field, basis)]
 
     @property
@@ -569,16 +606,10 @@ class Subspace:
         # v in both spans: solve for coefficient pairs (a, b) with
         # a . basis1 - b . basis2 = 0, read the intersection off a.
         F, n = self.field, self.n
-        cols = self.dim + other.dim
-        if cols == 0:
-            return Subspace(F, n, [])
-        system = []
-        for coord in range(n):
-            row = [b[coord] for b in self.basis]
-            row += [F.neg(b[coord]) for b in other.basis]
-            system.append(row)
+        system = [[b[coord] for b in self.basis] + [F.neg(b[coord]) for b in other.basis]
+                  for coord in range(n)]
         vecs = [_combine(F, n, sol[: self.dim], self.basis)
-                for sol in nullspace(F, system, cols)]
+                for sol in nullspace(F, system, self.dim + other.dim)]
         return Subspace(F, n, vecs)
 
     def __eq__(self, other) -> bool:
@@ -592,68 +623,62 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n})"
 
 
-def kernel_of(g: FqMatrix, shift: FqMatrix) -> Subspace:
-    """ker(shift - g) as a subspace."""
-    F = g.field
-    return Subspace(F, g.n, nullspace(F, (shift - g).rows, g.n))
-
-
 def fixed_space(g: FqMatrix) -> Subspace:
-    return kernel_of(g, FqMatrix.identity(g.field, g.n))
+    """ker(1 - g) as a subspace."""
+    return Subspace(g.field, g.n, nullspace(g.field, _shift(g, 1), g.n))
 
 
 def orthogonal_complement(space: BilinearSpace, w: Subspace) -> Subspace:
     """W-perp: all v with (w_i, v) = 0 for the basis of W."""
     F, n = space.field, space.n
-    if w.dim == 0:
-        return Subspace(F, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
     # (b, v) = sum_j (b G)_j sigma(v_j): solve for sigma(v) first
     rows = [_times_gram(space, b) for b in w.basis]
-    sols = nullspace(F, rows, n)
-    return Subspace(F, n, [[space.sigma(x) for x in v] for v in sols])
+    return Subspace(F, n, [[space.sigma(x) for x in v] for v in nullspace(F, rows, n)])
 
 
-def _dot(F: FqField, u: Sequence[int], v: Sequence[int]) -> int:
-    out = 0
-    for a, b in zip(u, v):
-        if a and b:
-            out = F.add(out, F.mul(a, b))
-    return out
+def _products(F: FqField, rows, cols: list) -> tuple:
+    """The tuple of tuples of dot products u . v, u in rows, v in cols."""
+    if F.e == 1:
+        p, times = F.p, operator.mul
+        flat = [sum(map(times, u, v)) % p for u in rows for v in cols]
+    else:
+        add, mul = F._add, F._mul
+
+        def dot(u, v):
+            s = 0
+            for a, b in zip(u, v):
+                s = add[s][mul[a][b]]
+            return s
+        flat = [dot(u, v) for u in rows for v in cols]
+    return tuple(zip(*[iter(flat)] * len(cols)))
 
 
 def _combine(F: FqField, n: int, coeffs, basis) -> List[int]:
     """sum_i coeffs[i] * basis[i] in F_q^n."""
+    add, mul = F._add, F._mul
     v = [0] * n
     for c, b in zip(coeffs, basis):
-        for j in range(n):
-            v[j] = F.add(v[j], F.mul(c, b[j]))
+        times_c = mul[c]
+        v = [add[x][times_c[y]] for x, y in zip(v, b)]
     return v
 
 
 def _times_gram(space: BilinearSpace, b: Sequence[int]) -> List[int]:
     """The row vector b G for the Gram matrix G of space."""
-    F, rows = space.field, space.gram.rows
-    return [_dot(F, b, [r[j] for r in rows]) for j in range(space.n)]
+    return [r[0] for r in _products(space.field, zip(*space.gram.rows), [b])]
 
 
 def radical(space: BilinearSpace, w: Subspace) -> Subspace:
     """W cap W-perp, via the nullspace of the restricted Gram matrix."""
     F, n = space.field, space.n
-    r = w.dim
-    if r == 0:
-        return Subspace(F, n, [])
-    restricted = [
-        [space.form(w.basis[i], w.basis[j]) for j in range(r)] for i in range(r)
-    ]
+    restricted = [[space.form(a, b) for b in w.basis] for a in w.basis]
     # undo the sigma on v_j
     vecs = [_combine(F, n, [space.sigma(c) for c in sol], w.basis)
-            for sol in nullspace(F, restricted, r)]
+            for sol in nullspace(F, restricted, w.dim)]
     return Subspace(F, n, vecs)
 
 
-def solve_form_functional(
-    space: BilinearSpace, w, phi: Sequence[int]
-) -> List[int]:
+def solve_form_functional(space: BilinearSpace, w, phi: Sequence[int]) -> List[int]:
     """A vector v with (w_i, v) = phi_i for every basis vector of W.
 
     W may be a Subspace (its reduced basis is used) or an explicit list
@@ -664,8 +689,6 @@ def solve_form_functional(
     vectors = w.basis if isinstance(w, Subspace) else [list(v) for v in w]
     if len(phi) != len(vectors):
         raise ValueError("phi must list one value per basis vector")
-    if not vectors:
-        return [0] * n
     rows = [_times_gram(space, b) + [target] for b, target in zip(vectors, phi)]
     red = _row_reduce(F, rows, n)
     x = [0] * n
@@ -709,29 +732,21 @@ def extend_to_nondegenerate(
     chosen: List[List[int]] = []
     for i in range(r):
         vectors = rad.basis + wprime.basis + chosen
-        phi = [0] * len(vectors)
-        phi[i] = 1
-        v = solve_form_functional(space, vectors, phi)
-        chosen.append(v)
+        chosen.append(solve_form_functional(
+            space, vectors, [int(j == i) for j in range(len(vectors))]))
     wdblprime = Subspace(F, n, chosen)
     _check_extension(space, w, rad, wprime, wdblprime)
     return wprime, wdblprime
 
 
-def _check_extension(
-    space: BilinearSpace,
-    w: Subspace,
-    rad: Subspace,
-    wprime: Subspace,
-    wdblprime: Subspace,
-) -> None:
-    F, n = space.field, space.n
+def _check_extension(space: BilinearSpace, w: Subspace, rad: Subspace,
+                     wprime: Subspace, wdblprime: Subspace) -> None:
     assert wdblprime.dim == rad.dim, "dim W'' != dim rad W"
     assert wprime.dim + rad.dim == w.dim, "W' is not a complement of rad in W"
     wperp = orthogonal_complement(space, w)
     u = wdblprime.add(wperp)
     assert u.dim == wdblprime.dim + wperp.dim, "W'' meets W-perp"
-    assert u.dim + wprime.dim == n, "U + W' does not fill V"
+    assert u.dim + wprime.dim == space.n, "U + W' does not fill V"
     assert u.intersect(wprime).dim == 0, "U meets W'"
     for a in u.basis:
         for b in wprime.basis:
@@ -757,9 +772,7 @@ def common_fix_restriction(
     wprime, wdblprime = extend_to_nondegenerate(space, w)
     wperp = orthogonal_complement(space, w)
     u = wdblprime.add(wperp)
-    one = FqMatrix.identity(F, n)
-    rg = mat_rank(one - g)
-    rh = mat_rank(one - h)
+    rg, rh = (len(rref(F, _shift(m, 1))) for m in (g, h))
     dims = {
         "n": n,
         "dim_w": w.dim,
@@ -774,26 +787,18 @@ def common_fix_restriction(
     uperp = orthogonal_complement(space, u)
     for m in (g, h):
         for b in uperp.basis:
-            img = _apply(F, m, b)
-            assert img == list(b), "element moves U-perp"
+            img = _products(F, m.rows, [b])
+            assert [r[0] for r in img] == list(b), "element moves U-perp"
     return u, dims
 
 
-def _apply(F: FqField, m: FqMatrix, v: Sequence[int]) -> List[int]:
-    return [_dot(F, row, v) for row in m.rows]
-
-
-def symplectic_transvection(
-    space: BilinearSpace, v: Sequence[int], c: int
-) -> FqMatrix:
+def symplectic_transvection(space: BilinearSpace, v: Sequence[int], c: int) -> FqMatrix:
     """x -> x + c (x, v) v, an isometry of a symplectic space."""
     F, n = space.field, space.n
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        s = F.mul(c, space.form(e, v))
-        cols.append([F.add(e[i], F.mul(s, v[i])) for i in range(n)])
-    return FqMatrix(F, [[cols[j][i] for j in range(n)] for i in range(n)])
+    # column j is e_j + s_j v with s_j = c (e_j, v)
+    s = [F.mul(c, space.form([int(i == j) for i in range(n)], v)) for j in range(n)]
+    return FqMatrix(F, [[F.add(int(i == j), F.mul(sj, vi)) for j, sj in enumerate(s)]
+                        for i, vi in enumerate(v)])
 
 
 # ----------------------------------------------------------------- JSON
@@ -801,13 +806,8 @@ def symplectic_transvection(
 
 def matrix_to_json(m: FqMatrix) -> Dict:
     F = m.field
-    return {
-        "p": F.p,
-        "e": F.e,
-        "modulus": list(F.modulus),
-        "n": m.n,
-        "entries": [[F._decode(x) for x in row] for row in m.rows],
-    }
+    return {"p": F.p, "e": F.e, "modulus": list(F.modulus), "n": m.n,
+            "entries": [[F._decode(x) for x in row] for row in m.rows]}
 
 
 def matrix_from_json(obj: Dict) -> FqMatrix:

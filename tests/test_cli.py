@@ -116,13 +116,16 @@ def test_library_error_exits_2(argv, capsys):
 
 
 # Each subcommand against 0, 1, a negative value and an empty range (or
-# an empty name or angle list), and the group commands against a group
-# above the build cap, with the exit code the contract gives:
-# 0 every invariant held, 1 one failed, 2 bad input.  linear-lengths takes
-# no parameters; acceptance's empty filter is test_acceptance_filter_and_noop.
+# an empty name or angle list), the group commands against a group above
+# the build cap, and every size in cli.CAPS just above its cap and at
+# 2**64, with the exit code the contract gives: 0 every invariant held,
+# 1 one failed, 2 bad input.  linear-lengths takes no parameters;
+# acceptance's empty filter is test_acceptance_filter_and_noop.
+BIG = f"={2**64}"
 EDGE_CASES = {
     "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
-                    (["n_min=-1", "n_max=3"], 2), (["n_min=5", "n_max=4"], 2)],
+                    (["n_min=-1", "n_max=3"], 2), (["n_min=5", "n_max=4"], 2),
+                    (["n_max=51"], 2), (["n_max" + BIG], 2)],
     "width": [(["group=S0"], 2), (["group=S1"], 2), (["group=S-1"], 2),
               (["group="], 2), (["group=A12"], 2)],
     "ore-check": [(["group=A0"], 2), (["group=A1"], 2), (["group=A-1"], 2),
@@ -137,15 +140,22 @@ EDGE_CASES = {
     "torus-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
                         (["g=", "h="], 2)],
     "large-rank": [(["denom=0"], 2), (["denom=1"], 0), (["rank=-1"], 2),
-                   (["k=0"], 2)],
+                   (["k=0"], 2), (["rank=201"], 2), (["rank" + BIG], 2),
+                   (["m=1026"], 2), (["m=1000000"], 2), (["m" + BIG], 2)],
     "profile-order": [(["c_max=0"], 2), (["c_max=1"], 0), (["k_max=-1"], 2),
                       (["f=", "h="], 2)],
     "kyfan": [(["pairs=0"], 2), (["pairs=1"], 0), (["pairs=-1"], 2),
-              (["pairs=5", "n_max=1"], 2)],
+              (["pairs=5", "n_max=1"], 2), (["pairs=10001"], 2),
+              (["pairs" + BIG], 2), (["z_trials=1001"], 2),
+              (["z_trials" + BIG], 2)],
     "counterexample": [(["n_max=0"], 2), (["n_max=1"], 2), (["n_max=-1"], 2),
-                       (["n_max=8", "c_max=0"], 2)],
+                       (["n_max=8", "c_max=0"], 2), (["n_max=129"], 2),
+                       (["n_max" + BIG], 2), (["c_max=1025"], 2),
+                       (["c_max" + BIG], 2), (["k_max=65"], 2),
+                       (["k_max" + BIG], 2)],
     "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2),
-                     (["n=63", "s=1"], 2), (["n=63", "s=2"], 2)],
+                     (["n=63", "s=1"], 2), (["n=63", "s=2"], 2),
+                     (["n=1000001"], 2), (["n" + BIG], 2)],
 }
 
 
@@ -178,13 +188,11 @@ def _words(*words):
 
 
 # Each parameter's values.  Left out because they start real work, not
-# because they break the contract: 2**64 as sym-lengths n_max, large-rank
-# rank and m, kyfan pairs and z_trials and counterexample n_max, c_max
-# and k_max; acceptance filters that match a slow suite, such as "x" or
-# the empty one, which matches all; and linear-lengths, which takes no
-# parameter and runs for a second.
+# because they break the contract: acceptance filters that match a slow
+# suite, such as "x" or the empty one, which matches all; and
+# linear-lengths, which takes no parameter and runs for a second.
 PARAMETERS = {
-    "sym-lengths": {"n_min": _ints(*HUGE), "n_max": _ints(HUGE[1]),
+    "sym-lengths": {"n_min": _ints(*HUGE), "n_max": _ints(*HUGE),
                     "ambient": _words("Sym", "Alt")},
     "width": {"group": _words("A5", "S4", "PSL2_7", "Q8", "A0", "S-1",
                               "PSL2_", "PSL2_" + HUGE[0], "A" + HUGE[0]),
@@ -196,16 +204,17 @@ PARAMETERS = {
     "su2-decompose": {"theta_g": _angles, "theta_h": _angles,
                       "m": _ints(*HUGE)},
     "torus-decompose": {"g": _angles, "h": _angles, "m": _ints(*HUGE)},
-    "large-rank": {"rank": st.one_of(_ints(), st.sampled_from(["21", "41"])),
-                   "k": _ints(*HUGE), "m": _ints(HUGE[1]),
+    "large-rank": {"rank": st.one_of(_ints(*HUGE),
+                                     st.sampled_from(["21", "41"])),
+                   "k": _ints(*HUGE), "m": _ints(*HUGE),
                    "denom": _ints(*HUGE)},
     "profile-order": {"f_type": _words("U", "A", "B", "C", "D"), "f": _angles,
                       "h_type": _words("U", "A", "B", "C", "D"), "h": _angles,
                       "c_max": _ints(*HUGE), "k_max": _ints(*HUGE)},
-    "kyfan": {"pairs": _ints(HUGE[1]), "n_max": _ints(*HUGE),
-              "z_trials": _ints(HUGE[1])},
-    "counterexample": {"n_max": _ints(HUGE[1]), "c_max": _ints(HUGE[1]),
-                       "k_max": _ints(HUGE[1])},
+    "kyfan": {"pairs": _ints(*HUGE), "n_max": _ints(*HUGE),
+              "z_trials": _ints(*HUGE)},
+    "counterexample": {"n_max": _ints(*HUGE), "c_max": _ints(*HUGE),
+                       "k_max": _ints(*HUGE)},
     "strong-color": {"n": _ints(*HUGE), "s": _ints(*HUGE)},
     "acceptance": {"filter": st.sampled_from(
         ["sandwich", "nosuchsuite", "-1", "2", "1/2", " 7"])},

@@ -16,6 +16,7 @@ from lengthlab.fqlin import (
     HypothesisViolated,
     Singular,
     Subspace,
+    _charpoly,
     _is_prime,
     common_fix_restriction,
     extend_to_nondegenerate,
@@ -87,6 +88,48 @@ def random_invertible(rng, F, n):
             return m
 
 
+def jordan_length_reference(g):
+    """The search over every nonzero scalar: one full rank of alpha - g
+    for each of the q - 1 values, ties to the smallest alpha."""
+    if not g.is_invertible():
+        raise Singular("Jordan length needs an invertible matrix")
+    F, n = g.field, g.n
+    best_dim, best_alpha = -1, None
+    for alpha in F.units():
+        a = FqMatrix.scalar(F, n, alpha) - g
+        dim = n - mat_rank(a)
+        if dim > best_dim:
+            best_dim, best_alpha = dim, alpha
+    return Fraction(n - best_dim, n), best_dim, best_alpha
+
+
+def slow_product(F, a, b):
+    """a @ b through the polynomial arithmetic the tables are built from."""
+    out = []
+    for row in a.rows:
+        out.append([])
+        for col in zip(*b.rows):
+            s = 0
+            for x, y in zip(row, col):
+                s = F._digitwise(s, F._mul_slow(x, y), 1)
+            out[-1].append(s)
+    return FqMatrix(F, out)
+
+
+def with_eigenvalues(rng, F, n):
+    """x d x^-1 for a random invertible x and a block-diagonal d of
+    Jordan blocks whose eigenvalues repeat, so kernels of every
+    dimension and ties between eigenvalues occur."""
+    d = [[0] * n for _ in range(n)]
+    values = [rng.randrange(1, F.q) for _ in range(rng.randint(1, 2))]
+    for i in range(n):
+        d[i][i] = rng.choice(values)
+        if i and d[i - 1][i - 1] == d[i][i] and rng.random() < 0.3:
+            d[i - 1][i] = 1
+    x = random_invertible(rng, F, n)
+    return x * FqMatrix(F, d) * x.inverse()
+
+
 # ----------------------------------------------------------------- fields
 
 
@@ -113,7 +156,8 @@ def test_smallest_irreducible_modulus_f9():
     assert F9.modulus == (1, 0, 1)
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (7, 2)])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (7, 2),
+                                 (3, 5)])
 def test_field_axioms(p, e):
     F = FqField(p, e)
     rng = random.Random(7)
@@ -127,6 +171,25 @@ def test_field_axioms(p, e):
             assert F.mul(a, b) == F.mul(b, a)
             for c in sample[:4]:
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 1, None), (3, 1, None), (13, 1, None), (127, 1, None), (131, 1, None),
+    (2, 3, None), (2, 4, None), (3, 2, None), (3, 3, None), (5, 2, None),
+    (2, 3, (1, 0, 1, 1)), (2, 7, None), (3, 5, None)])
+def test_field_tables_match_polynomial_arithmetic(p, e, modulus):
+    F = FqField(p, e, modulus)
+    rng = random.Random(p * e)
+    pairs = (itertools.product(F.elements(), repeat=2) if F.q <= 32 else
+             [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(400)])
+    for a, b in pairs:
+        assert F.add(a, b) == F._digitwise(a, b, 1)
+        assert F.sub(a, b) == F._digitwise(a, b, -1)
+        assert F.mul(a, b) == F._mul_slow(a, b)
+        if a:
+            assert F._mul_slow(a, F.inv(a)) == 1
+    # equal fields share one set of tables
+    assert FqField(p, e, modulus)._mul is F._mul
 
 
 def test_frobenius_involution():
@@ -149,7 +212,7 @@ def test_rank_trivial():
 
 def test_rank_matches_minor_oracle():
     rng = random.Random(3)
-    for F in (FqField(2), FqField(5), FqField(3, 2)):
+    for F in (FqField(2), FqField(5), FqField(3, 2), FqField(3, 5)):
         for _ in range(60):
             n = rng.randrange(1, 5)
             m = FqMatrix(
@@ -170,7 +233,79 @@ def test_rank_length_examples():
         rank_length_mat(FqMatrix(F5, [[0, 0], [0, 0]]))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 3), (3, 2), (3, 5)])
+def test_matrix_product_matches_polynomial_arithmetic(p, e):
+    F = FqField(p, e)
+    rng = random.Random(p + e)
+    for n in range(1, 5):
+        a, b = (FqMatrix(F, [[rng.randrange(F.q) for _ in range(n)]
+                             for _ in range(n)]) for _ in range(2))
+        assert a * b == slow_product(F, a, b)
+
+
 # ---------------------------------------------------------- Jordan length
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (2, 3), (3, 2), (2, 4), (5, 2), (7, 2)])
+def test_jordan_length_matches_reference(p, e):
+    F = FqField(p, e)
+    rng = random.Random(100 * p + e)
+    for n in range(1, 7):
+        for _ in range(8):
+            for g in (random_invertible(rng, F, n), with_eigenvalues(rng, F, n)):
+                assert jordan_length(g) == jordan_length_reference(g)
+
+
+def test_jordan_length_matches_reference_past_the_table_bound():
+    F = FqField(3, 5)  # q = 243: every entry computed, none read
+    rng = random.Random(35)
+    for n in range(1, 4):
+        for g in (random_invertible(rng, F, n), with_eigenvalues(rng, F, n)):
+            assert jordan_length(g) == jordan_length_reference(g)
+
+
+def test_charpoly_matches_determinant():
+    rng = random.Random(8)
+    for F in (FqField(2), FqField(7), FqField(2, 2), FqField(3, 2)):
+        for n in range(1, 5):
+            for _ in range(6):
+                g = FqMatrix(F, [[rng.randrange(F.q) for _ in range(n)]
+                                 for _ in range(n)])
+                chi = _charpoly(F, g.rows)
+                assert len(chi) == n + 1 and chi[n] == 1
+                for x in F.elements():
+                    value = 0
+                    for c in reversed(chi):
+                        value = F.add(F.mul(value, x), c)
+                    assert value == _det(F, (FqMatrix.scalar(F, n, x) - g).rows)
+
+
+@pytest.mark.parametrize("g, expect", [
+    # a scalar matrix: its one eigenvalue has the whole space as kernel
+    (FqMatrix.scalar(FqField(3, 2), 4, 7), (0, 4, 7)),
+    # companions of x^2 + 1 over F_3 and x^3 + x + 1 over F_2: no eigenvalue
+    (FqMatrix(FqField(3), [[0, 2], [1, 0]]), (1, 0, 1)),
+    (FqMatrix(FqField(2), [[0, 0, 1], [1, 0, 1], [0, 1, 0]]), (1, 0, 1)),
+    # 3 and 2 each have a plane as kernel: the smaller encoding wins
+    (FqMatrix(FqField(5), [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0],
+                           [0, 0, 0, 2]]), (Fraction(1, 2), 2, 2)),
+    # a 2-block of 4 and a line of 1 over F_7: 1 and 4 tie at dimension 1
+    (FqMatrix(FqField(7), [[4, 1, 0], [0, 4, 0], [0, 0, 1]]),
+     (Fraction(2, 3), 1, 1)),
+], ids=["scalar", "no-eigenvalue-F3", "no-eigenvalue-F2", "tie", "tie-block"])
+def test_jordan_length_edge_cases(g, expect):
+    assert jordan_length(g) == expect == jordan_length_reference(g)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[0, 0], [0, 0]],
+                                  [[1, 0, 0], [0, 0, 0], [0, 0, 3]]])
+def test_singular_matrices_are_rejected(rows):
+    g = FqMatrix(FqField(5), rows)
+    with pytest.raises(Singular):
+        jordan_length(g)
+    with pytest.raises(Singular):
+        rank_length_mat(g)
 
 
 def test_jordan_length_scalar():
