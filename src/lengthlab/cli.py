@@ -25,8 +25,10 @@ SCHEMA_VERSION = 1
 CAPS = {
     "sym-lengths": {"n_max": 50},  # 18 s
     "large-rank": {"rank": 200, "m": 1024},  # 10-13 s; 7 s
-    # 7.5 s, the acceptance suite's number of pairs; 4 s
-    "kyfan": {"pairs": 10**4, "z_trials": 1000},
+    # 7.5 s, the acceptance suite's number of pairs; 4 s; n_max is the
+    # library's own cap (one pair at n = 1000 takes about 30 s)
+    "kyfan": {"pairs": 10**4, "z_trials": 1000,
+              "n_max": profiles.MAX_MONOMIAL_N},
     # 1.5 s (at 256 the orbit DP's state cap stops it after 4 s); 1.1 s; 4.7 s
     "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
     "strong-color": {"n": 10**6},  # 1 s and 75 MB at n = 10^5

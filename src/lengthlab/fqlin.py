@@ -119,16 +119,30 @@ def _strong_lucas(n: int) -> bool:
 # -------------------------------------------------------------- the field
 
 
-class _Computed:
-    """A field table above TABLE_MAX_Q: t[a] is fn(a)."""
+class _Row:
+    """Row a of a field table above TABLE_MAX_Q: row[b] = op(a, b) % q.
+    op is integer +, - or * in a prime field (q = p), and the field
+    operation itself, already reduced, in an extension."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("op", "a", "q")
 
-    def __init__(self, fn: Callable[[int], object]):
-        self.fn = fn
+    def __init__(self, op: Callable[[int, int], int], a: int, q: int):
+        self.op, self.a, self.q = op, a, q
 
-    def __getitem__(self, a: int):
-        return self.fn(a)
+    def __getitem__(self, b: int) -> int:
+        return self.op(self.a, b) % self.q
+
+
+class _Lazy(dict):
+    """A field table above TABLE_MAX_Q: t[a] = make(a), made on the first
+    read and kept (at most q entries)."""
+
+    def __init__(self, make: Callable[[int], object]):
+        self.make = make
+
+    def __missing__(self, a: int):
+        value = self[a] = self.make(a)
+        return value
 
 
 # (add, sub, mul, inv) of each field built so far, by (p, e, modulus)
@@ -143,14 +157,17 @@ def _digits(a: int, p: int, count: int) -> List[int]:
 class FqField:
     """F_{p^e} with elements encoded as base-p digit integers; arithmetic
     reads add, sub, mul and inverse tables built once per field and shared
-    by equal fields (above TABLE_MAX_Q, t[a][b] computes each entry)."""
+    by equal fields (above TABLE_MAX_Q, t[a][b] computes each entry and
+    keeps only the rows and inverses it has read)."""
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Sequence[int]] = None):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1 or p**e > MAX_Q:
             raise ValueError("field size out of range")
-        self.p, self.e, self.q = p, e, p**e
+        self.p = p
+        self.e = e
+        self.q = p**e
         if e == 1:
             self.modulus = (0, 1) if modulus is None else tuple(modulus)
         else:
@@ -167,6 +184,8 @@ class FqField:
         if key not in _TABLES:
             _TABLES[key] = self._tables()
         self._add, self._sub, self._mul, self._inv = _TABLES[key]
+
+    # polynomial helpers (coefficient tuples over F_p, low degree first)
 
     def _poly_mod(self, a: List[int], m: Sequence[int]) -> List[int]:
         p = self.p
@@ -206,10 +225,17 @@ class FqField:
     # element encoding
 
     def _decode(self, a: int) -> List[int]:
-        return _digits(a, self.p, self.e)
+        out = []
+        for _ in range(self.e):
+            out.append(a % self.p)
+            a //= self.p
+        return out
 
     def _encode(self, coeffs: Sequence[int]) -> int:
-        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
+        a = 0
+        for c in reversed(list(coeffs) + [0] * (self.e - len(coeffs))):
+            a = a * self.p + (c % self.p)
+        return a
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """a + sign * b, digit by digit mod p."""
@@ -227,10 +253,14 @@ class FqField:
         Above TABLE_MAX_Q each entry is computed when it is read."""
         p, q = self.p, self.q
         if q > TABLE_MAX_Q:
-            ops = (partial(self._digitwise, sign=1),
-                   partial(self._digitwise, sign=-1), self._mul_slow)
-            return tuple(_Computed(lambda a, op=op: _Computed(partial(op, a)))
-                         for op in ops) + (_Computed(lambda a: self.pow(a, q - 2)),)
+            if self.e == 1:
+                ops = (operator.add, operator.sub, operator.mul)
+                inv = partial(pow, exp=q - 2, mod=q)
+            else:
+                ops = (partial(self._digitwise, sign=1),
+                       partial(self._digitwise, sign=-1), self._mul_slow)
+                inv = partial(self.pow, k=q - 2)
+            return tuple(_Lazy(partial(_Row, op, q=q)) for op in ops) + (_Lazy(inv),)
         def digitwise(s: int) -> List[List[int]]:
             # a + s b, one base-p digit at a time: a = a_0 + p a'
             one = t = [[(a + s * b) % p for b in range(p)] for a in range(p)]
@@ -325,7 +355,9 @@ class FqMatrix:
             raise ValueError("matrix must be square, n <= 64")
         if any(not (0 <= x < field.q) for r in rows for x in r):
             raise ValueError("entries outside field")
-        self.field, self.n, self.rows = field, n, rows
+        self.field = field
+        self.n = n
+        self.rows = rows
 
     @classmethod
     def _trusted(cls, field: FqField, rows: tuple) -> "FqMatrix":
@@ -369,8 +401,9 @@ class FqMatrix:
         aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.rows)]
         aug = _row_reduce(F, aug, n)
-        if any(aug[i][i] != 1 for i in range(n)):
-            raise Singular("matrix not invertible")
+        for i in range(n):
+            if aug[i][i] != 1:
+                raise Singular("matrix not invertible")
         return FqMatrix(F, [r[n:] for r in aug])
 
     def is_invertible(self) -> bool:
@@ -418,7 +451,9 @@ def mat_rank(m: FqMatrix) -> int:
 def nullspace(F: FqField, rows: Sequence[Sequence[int]], width: int) -> List[List[int]]:
     """Basis of {v : rows @ v = 0} for an m x width coefficient matrix."""
     red = rref(F, rows) if rows else []
-    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    pivots = []
+    for r in red:
+        pivots.append(next(j for j, x in enumerate(r) if x))
     free = [j for j in range(width) if j not in pivots]
     neg = F._sub[0]
     basis = []
@@ -529,7 +564,10 @@ class BilinearSpace:
             raise CharTwoSymmetric("symmetric forms excluded in characteristic 2")
         if form_kind == HERMITIAN and field.e % 2 != 0:
             raise ValueError("Hermitian forms need a square field")
-        self.field, self.n, self.form_kind, self.gram = field, n, form_kind, gram
+        self.field = field
+        self.n = n
+        self.form_kind = form_kind
+        self.gram = gram
         self._check_symmetry()
 
     def _check_symmetry(self) -> None:
@@ -537,8 +575,9 @@ class BilinearSpace:
         if self.form_kind == SYMMETRIC:
             ok = G == G.transpose()
         elif self.form_kind == SYMPLECTIC:
-            ok = G.transpose() == G.map_entries(F.neg) and not any(
-                G.rows[i][i] for i in range(self.n))
+            ok = G.transpose() == G.map_entries(F.neg) and all(
+                G.rows[i][i] == 0 for i in range(self.n)
+            )
         elif self.form_kind == HERMITIAN:
             ok = G.transpose().map_entries(F.conj) == G
         else:
@@ -589,7 +628,8 @@ class Subspace:
     """Row-reduced basis of a subspace of F_q^n."""
 
     def __init__(self, field: FqField, n: int, basis: Sequence[Sequence[int]]):
-        self.field, self.n = field, n
+        self.field = field
+        self.n = n
         self.basis = [list(r) for r in rref(field, basis)]
 
     @property
@@ -606,8 +646,11 @@ class Subspace:
         # v in both spans: solve for coefficient pairs (a, b) with
         # a . basis1 - b . basis2 = 0, read the intersection off a.
         F, n = self.field, self.n
-        system = [[b[coord] for b in self.basis] + [F.neg(b[coord]) for b in other.basis]
-                  for coord in range(n)]
+        system = []
+        for coord in range(n):
+            row = [b[coord] for b in self.basis]
+            row += [F.neg(b[coord]) for b in other.basis]
+            system.append(row)
         vecs = [_combine(F, n, sol[: self.dim], self.basis)
                 for sol in nullspace(F, system, self.dim + other.dim)]
         return Subspace(F, n, vecs)
@@ -633,23 +676,20 @@ def orthogonal_complement(space: BilinearSpace, w: Subspace) -> Subspace:
     F, n = space.field, space.n
     # (b, v) = sum_j (b G)_j sigma(v_j): solve for sigma(v) first
     rows = [_times_gram(space, b) for b in w.basis]
-    return Subspace(F, n, [[space.sigma(x) for x in v] for v in nullspace(F, rows, n)])
+    sols = nullspace(F, rows, n)
+    return Subspace(F, n, [[space.sigma(x) for x in v] for v in sols])
 
 
 def _products(F: FqField, rows, cols: list) -> tuple:
     """The tuple of tuples of dot products u . v, u in rows, v in cols."""
-    if F.e == 1:
-        p, times = F.p, operator.mul
-        flat = [sum(map(times, u, v)) % p for u in rows for v in cols]
-    else:
-        add, mul = F._add, F._mul
+    add, mul = F._add, F._mul
 
-        def dot(u, v):
-            s = 0
-            for a, b in zip(u, v):
-                s = add[s][mul[a][b]]
-            return s
-        flat = [dot(u, v) for u in rows for v in cols]
+    def dot(u, v):
+        s = 0
+        for a, b in zip(u, v):
+            s = add[s][mul[a][b]]
+        return s
+    flat = [dot(u, v) for u in rows for v in cols]
     return tuple(zip(*[iter(flat)] * len(cols)))
 
 
@@ -678,7 +718,9 @@ def radical(space: BilinearSpace, w: Subspace) -> Subspace:
     return Subspace(F, n, vecs)
 
 
-def solve_form_functional(space: BilinearSpace, w, phi: Sequence[int]) -> List[int]:
+def solve_form_functional(
+    space: BilinearSpace, w, phi: Sequence[int]
+) -> List[int]:
     """A vector v with (w_i, v) = phi_i for every basis vector of W.
 
     W may be a Subspace (its reduced basis is used) or an explicit list
@@ -732,21 +774,29 @@ def extend_to_nondegenerate(
     chosen: List[List[int]] = []
     for i in range(r):
         vectors = rad.basis + wprime.basis + chosen
-        chosen.append(solve_form_functional(
-            space, vectors, [int(j == i) for j in range(len(vectors))]))
+        phi = [0] * len(vectors)
+        phi[i] = 1
+        v = solve_form_functional(space, vectors, phi)
+        chosen.append(v)
     wdblprime = Subspace(F, n, chosen)
     _check_extension(space, w, rad, wprime, wdblprime)
     return wprime, wdblprime
 
 
-def _check_extension(space: BilinearSpace, w: Subspace, rad: Subspace,
-                     wprime: Subspace, wdblprime: Subspace) -> None:
+def _check_extension(
+    space: BilinearSpace,
+    w: Subspace,
+    rad: Subspace,
+    wprime: Subspace,
+    wdblprime: Subspace,
+) -> None:
+    n = space.n
     assert wdblprime.dim == rad.dim, "dim W'' != dim rad W"
     assert wprime.dim + rad.dim == w.dim, "W' is not a complement of rad in W"
     wperp = orthogonal_complement(space, w)
     u = wdblprime.add(wperp)
     assert u.dim == wdblprime.dim + wperp.dim, "W'' meets W-perp"
-    assert u.dim + wprime.dim == space.n, "U + W' does not fill V"
+    assert u.dim + wprime.dim == n, "U + W' does not fill V"
     assert u.intersect(wprime).dim == 0, "U meets W'"
     for a in u.basis:
         for b in wprime.basis:
@@ -792,13 +842,17 @@ def common_fix_restriction(
     return u, dims
 
 
-def symplectic_transvection(space: BilinearSpace, v: Sequence[int], c: int) -> FqMatrix:
+def symplectic_transvection(
+    space: BilinearSpace, v: Sequence[int], c: int
+) -> FqMatrix:
     """x -> x + c (x, v) v, an isometry of a symplectic space."""
     F, n = space.field, space.n
-    # column j is e_j + s_j v with s_j = c (e_j, v)
-    s = [F.mul(c, space.form([int(i == j) for i in range(n)], v)) for j in range(n)]
-    return FqMatrix(F, [[F.add(int(i == j), F.mul(sj, vi)) for j, sj in enumerate(s)]
-                        for i, vi in enumerate(v)])
+    cols = []
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        s = F.mul(c, space.form(e, v))
+        cols.append([F.add(e[i], F.mul(s, v[i])) for i in range(n)])
+    return FqMatrix(F, [[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 # ----------------------------------------------------------------- JSON
@@ -806,8 +860,13 @@ def symplectic_transvection(space: BilinearSpace, v: Sequence[int], c: int) -> F
 
 def matrix_to_json(m: FqMatrix) -> Dict:
     F = m.field
-    return {"p": F.p, "e": F.e, "modulus": list(F.modulus), "n": m.n,
-            "entries": [[F._decode(x) for x in row] for row in m.rows]}
+    return {
+        "p": F.p,
+        "e": F.e,
+        "modulus": list(F.modulus),
+        "n": m.n,
+        "entries": [[F._decode(x) for x in row] for row in m.rows],
+    }
 
 
 def matrix_from_json(obj: Dict) -> FqMatrix:

@@ -147,7 +147,8 @@ EDGE_CASES = {
     "kyfan": [(["pairs=0"], 2), (["pairs=1"], 0), (["pairs=-1"], 2),
               (["pairs=5", "n_max=1"], 2), (["pairs=10001"], 2),
               (["pairs" + BIG], 2), (["z_trials=1001"], 2),
-              (["z_trials" + BIG], 2)],
+              (["z_trials" + BIG], 2), (["n_max=1001"], 2),
+              (["n_max" + BIG], 2)],
     "counterexample": [(["n_max=0"], 2), (["n_max=1"], 2), (["n_max=-1"], 2),
                        (["n_max=8", "c_max=0"], 2), (["n_max=129"], 2),
                        (["n_max" + BIG], 2), (["c_max=1025"], 2),

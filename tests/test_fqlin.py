@@ -176,7 +176,7 @@ def test_field_axioms(p, e):
 @pytest.mark.parametrize("p,e,modulus", [
     (2, 1, None), (3, 1, None), (13, 1, None), (127, 1, None), (131, 1, None),
     (2, 3, None), (2, 4, None), (3, 2, None), (3, 3, None), (5, 2, None),
-    (2, 3, (1, 0, 1, 1)), (2, 7, None), (3, 5, None)])
+    (2, 3, (1, 0, 1, 1)), (2, 7, None), (3, 5, None), (65521, 1, None)])
 def test_field_tables_match_polynomial_arithmetic(p, e, modulus):
     F = FqField(p, e, modulus)
     rng = random.Random(p * e)
@@ -190,6 +190,13 @@ def test_field_tables_match_polynomial_arithmetic(p, e, modulus):
             assert F._mul_slow(a, F.inv(a)) == 1
     # equal fields share one set of tables
     assert FqField(p, e, modulus)._mul is F._mul
+
+
+def test_tables_past_the_bound_keep_only_what_was_read():
+    F = FqField(137)  # no other test builds F_137
+    assert F.inv(5) == pow(5, -1, 137) and list(F._inv) == [5]
+    assert F.mul(3, 100) == 300 % 137 and list(F._mul) == [3]
+    assert F.sub(3, 100) == 40 and list(F._sub) == [3]
 
 
 def test_frobenius_involution():
@@ -212,7 +219,7 @@ def test_rank_trivial():
 
 def test_rank_matches_minor_oracle():
     rng = random.Random(3)
-    for F in (FqField(2), FqField(5), FqField(3, 2), FqField(3, 5)):
+    for F in (FqField(2), FqField(5), FqField(3, 2), FqField(3, 5), FqField(131)):
         for _ in range(60):
             n = rng.randrange(1, 5)
             m = FqMatrix(
@@ -257,9 +264,10 @@ def test_jordan_length_matches_reference(p, e):
                 assert jordan_length(g) == jordan_length_reference(g)
 
 
-def test_jordan_length_matches_reference_past_the_table_bound():
-    F = FqField(3, 5)  # q = 243: every entry computed, none read
-    rng = random.Random(35)
+@pytest.mark.parametrize("p,e", [(3, 5), (131, 1)])
+def test_jordan_length_matches_reference_past_the_table_bound(p, e):
+    F = FqField(p, e)  # q = 243 or 131: every entry computed when read
+    rng = random.Random(p * e)
     for n in range(1, 4):
         for g in (random_invertible(rng, F, n), with_eigenvalues(rng, F, n)):
             assert jordan_length(g) == jordan_length_reference(g)
