@@ -168,18 +168,20 @@ class FqField:
         self.p = p
         self.e = e
         self.q = p**e
+        if modulus is not None:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[e] != 1:
+                raise ValueError("modulus must be monic of degree e")
         if e == 1:
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
+            # every x + c gives the same arithmetic mod p, so a prime field
+            # keeps the one modulus x and shares its tables and equality
+            self.modulus = (0, 1)
         else:
             if modulus is None:
                 modulus = self._smallest_irreducible()
-            else:
-                modulus = tuple(c % p for c in modulus)
-                if len(modulus) != e + 1 or modulus[e] != 1:
-                    raise ValueError("modulus must be monic of degree e")
-                if not self._poly_irreducible(modulus):
-                    raise ValueError("modulus is reducible")
-            self.modulus = tuple(modulus)
+            elif not self._poly_irreducible(modulus):
+                raise ValueError("modulus is reducible")
+            self.modulus = modulus
         key = (p, e, self.modulus)
         if key not in _TABLES:
             _TABLES[key] = self._tables()

@@ -133,6 +133,18 @@ def _lex_greedy(orb, state_cap, budget=None):
     budget, a distance -> count map in orb's units, is drawn down as the
     search goes; values is None when it rules the orbit out, or when the
     state cap is hit with a budget.
+
+    Each layer walks, for every state in order, the next labels ranked by
+    decreasing score, ties in ascending label order (type D's closing
+    layer ranks its (step, close) pairs as one integer).  It skips labels
+    whose value is used up or whose parity the closing step rules out,
+    and stops at the first score below the layer's best so far; a score
+    above it restarts the layer.  A scan of every successor in ascending
+    label order, restarting at each new maximum, keeps the same after its
+    last restart: from the state with the first maximum on, each
+    successor at the maximum, in label order.  So the states, their order
+    and first-found paths agree, and with them the witness, the
+    early-abort point and the state-cap hit.
     """
 
     def draw(d):
@@ -145,42 +157,47 @@ def _lex_greedy(orb, state_cap, budget=None):
         budget[d] -= 1
         return True
 
-    def successors(rem):
-        # (rem2, label, flip) for every next placement, values ascending
-        # and sign +1 first
-        return [(rem[:i] + (c - 1,) + rem[i + 1:], lab, orb.flips[lab])
-                for i, (c, labs) in enumerate(zip(rem, orb.labels)) if c
-                for lab in labs]
+    flips = orb.flips
+    value_of = [i for i, labs in enumerate(orb.labels) for _ in labs]
+
+    def ranked(row):
+        # the labels by decreasing score in row, ties in ascending order
+        return sorted(range(len(row)), key=row.__getitem__, reverse=True)
 
     # lex fold: state -> labels of the first-found prefix reaching it
-    states = {key: (key[1],) for key in successors(orb.counts)}
+    rem = orb.counts
+    states = {(rem[:i] + (c - 1,) + rem[i + 1:], lab, flips[lab]): (lab,)
+              for i, (c, labs) in enumerate(zip(rem, orb.labels))
+              for lab in labs}
+    tab = orb.step
+    order = [ranked(row) for row in tab]
     draws = []
     exact = True
-    for step in range(orb.n - 1):
-        closing = orb.close is not None and step == orb.n - 2
-        tab = orb.step
+    for layer in range(orb.n - 1):
+        closing = orb.close is not None and layer == orb.n - 2
         if closing:
-            # rank (step, close) pairs lexicographically as one integer
+            # (step, close) pairs as one integer, for the labels states end on
             width = orb.D + 1
-            tab = [[a * width + b for a, b in zip(r, c)]
-                   for r, c in zip(orb.step, orb.close)]
+            tab = {lab: [a * width + b for a, b in
+                         zip(orb.step[lab], orb.close[lab])]
+                   for lab in {key[1] for key in states}}
+            order = {lab: ranked(row) for lab, row in tab.items()}
         best = -1
         nxt = {}
-        succ = {}
         for (rem, lab, par), path in states.items():
-            if rem not in succ:
-                succ[rem] = successors(rem)
             row = tab[lab]
-            for rem2, lab2, flip in succ[rem]:
-                par2 = par ^ flip
-                if closing and par2:
+            for lab2 in order[lab]:
+                i = value_of[lab2]
+                if not rem[i] or closing and par ^ flips[lab2]:
                     continue
                 score = row[lab2]
+                if score < best:
+                    break
                 if score > best:
                     best = score
                     nxt = {}
-                if score == best:
-                    nxt.setdefault((rem2, lab2, par2), path + (lab2,))
+                nxt.setdefault((rem[:i] + (rem[i] - 1,) + rem[i + 1:], lab2,
+                                par ^ flips[lab2]), path + (lab2,))
         got = divmod(best, width) if closing else (best,)
         if not all(draw(d) for d in got):
             return None, True
@@ -341,26 +358,26 @@ def _realize_candidates(dists, typ, rank):
     the angles are not normalized.
     """
     n = rank + 1 if typ in ("A", "U") else rank
+
+    def zigzags(edges):
+        # the n - 1 edges as steps from 0, the first one up
+        for pat in itertools.product((1, -1), repeat=max(0, n - 2)):
+            zig = [0, edges[0]] if n >= 2 else [0]
+            for s, d in zip(pat, edges[1:]):
+                zig.append(zig[-1] + s * d)
+            yield zig
+
     if typ in ("A", "U"):
         for edges in _distinct_orderings(dists):
-            for pat in itertools.product((1, -1), repeat=max(0, rank - 1)):
-                zig = [0, edges[0]] if rank else [0]
-                for s, d in zip(pat, edges[1:]):
-                    zig.append(zig[-1] + s * d)
+            for zig in zigzags(edges):
                 shift = -sum(zig) // n if typ == "A" else 0
                 yield tuple(z + shift for z in zig)
         return
-    ends = sorted(set(dists))
-    for e in ends:
+    for e in sorted(set(dists)):
         rest = list(dists)
         rest.remove(e)
         for edges in _distinct_orderings(rest):
-            for pat in itertools.product((1, -1), repeat=max(0, n - 2)):
-                zig = [0]
-                if n >= 2:
-                    zig.append(edges[0])
-                for s, d in zip(pat, edges[1:]):
-                    zig.append(zig[-1] + s * d)
+            for zig in zigzags(edges):
                 for es in (1, -1):
                     if typ == "B":
                         shift = es * e - zig[-1]

@@ -204,14 +204,10 @@ def build_root_system(typ, rank) -> RootSystem:
         elif typ == "C":
             fund.append(_scale(2, e[rank - 1]))
         else:
-            if rank == 1:
-                raise BadRank("D needs rank >= 2")
-            fund = [_add(e[i], _neg(e[i + 1])) for i in range(rank - 1)]
             fund.append(_add(e[rank - 2], e[rank - 1]))
     elif typ == "G2":
         if rank != 2:
             raise BadRank("G2 has rank 2")
-        rank = 2
         shorts = [(1, -1, 0), (-1, 1, 0), (0, 1, -1),
                   (0, -1, 1), (1, 0, -1), (-1, 0, 1)]
         longs = [(2, -1, -1), (-2, 1, 1), (-1, 2, -1),
@@ -222,7 +218,6 @@ def build_root_system(typ, rank) -> RootSystem:
     elif typ == "F4":
         if rank != 4:
             raise BadRank("F4 has rank 4")
-        rank = 4
         e = [_unit(i, 4) for i in range(4)]
         for i in range(4):
             roots.extend([e[i], _neg(e[i])])
@@ -511,21 +506,25 @@ class _Orbit:
         signs = (1, -1) if self.typ in ("B", "C", "D") else (1,)
         self.D = D
         # s*v normalized to (-D, D]
-        self.values = [D - (D - s * v) % (2 * D) for v in vals for s in signs]
+        self.values = values = [D - (D - s * v) % (2 * D)
+                                for v in vals for s in signs]
         self.flips = [int(s < 0 and self.typ == "D")
                       for _ in vals for s in signs]
         self.labels = [range(i * len(signs), (i + 1) * len(signs))
                        for i in range(len(vals))]
 
-        D2 = 2 * D
         # step[a][b] = lfrac(a - b); the type-D arrangement closes with
-        # lfrac(a + b) on its last pair, B and C end on lfrac(a), lfrac(2a)
-        self.step = [[min((a - b) % D2, (b - a) % D2) for b in self.values]
-                     for a in self.values]
-        self.close = [[min((a + b) % D2, -(a + b) % D2) for b in self.values]
-                      for a in self.values] if self.typ == "D" else None
+        # lfrac(a + b) on its last pair, B and C end on lfrac(a), lfrac(2a);
+        # each x there is in (-2D, 2D]: lfrac(x) is |x| up to D, else 2D - |x|
+        D2 = 2 * D
+        self.step = [[d if (d := abs(a - b)) <= D else D2 - d
+                      for b in values] for a in values]
+        self.close = [[d if (d := abs(a + b)) <= D else D2 - d
+                       for b in values] for a in values] \
+            if self.typ == "D" else None
         mult = {"B": 1, "C": 2}.get(self.typ, 0)
-        self.end = [min(mult * a % D2, -mult * a % D2) for a in self.values]
+        self.end = [d if (d := abs(mult * a)) <= D else D2 - d
+                    for a in values]
 
     @classmethod
     def of(cls, t: TorusElement):
@@ -892,14 +891,12 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
     target = math.pi * abs(float(tg))
     a = math.pi * abs(float(th))
     path = None
-    used = 0
     if target < 1e-15:
         path = []
     else:
         for c in range(1, m + 1):
             path = _plan_polar_path(target, a, c)
             if path is not None:
-                used = c
                 break
         if path is None:
             raise PolarInfeasible(
@@ -916,13 +913,11 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
     prod = (1.0, 0.0, 0.0, 0.0)
     for v, _ in conjugators:
         prod = _qmul(prod, _qmul(_qmul(v, base_q), _qconj(v)))
-    err = max(abs(x - y) for x, y in zip(prod, target_q)) if conjugators \
-        else max(abs(x - y) for x, y in zip((1.0, 0.0, 0.0, 0.0), target_q))
+    err = max(abs(x - y) for x, y in zip(prod, target_q))
 
     cert = DecompositionCertificate(
         kind="su2", target=tg, base=th,
         factors=conjugators, bound=m, product_error=err)
-    assert used <= m
     return cert
 
 
@@ -1005,13 +1000,6 @@ def _psi_coordinates(t: TorusElement):
     return psis
 
 
-def _block_embed(n, i, mat2):
-    """Place a 2x2 block at coordinates (i, i+1), 1-based."""
-    out = np.eye(n, dtype=complex)
-    out[i - 1:i + 1, i - 1:i + 1] = mat2
-    return out
-
-
 def _block_permutation(n, pairs):
     """Unimodular permutation-style matrix sending block (b, b+1) to
     (a, a+1) for each (b, a) pair, disjointly; determinant fixed by a
@@ -1051,19 +1039,13 @@ def _block_factor_group(n, h, j, targets, count):
     per factor.  Returns None if some target is unreachable in count
     steps."""
     assert count % 2 == 0
-    paths = []
-    for (a, psi), jj in zip(targets, j):
-        step = math.pi * abs(float(_h_block_parameter(h, jj)))
-        target = math.pi * abs(float(psi))
-        path = _plan_polar_path(target, step, count)
-        if path is None:
-            return None
-        paths.append(path)
-
     per_block = []
-    for (a, psi), jj, path in zip(targets, j, paths):
+    for (_, psi), jj in zip(targets, j):
         chi = _h_block_parameter(h, jj)
         step = math.pi * abs(float(chi))
+        path = _plan_polar_path(math.pi * abs(float(psi)), step, count)
+        if path is None:
+            return None
         tpf = math.pi * float(psi)
         target_q = (math.cos(tpf), 0.0, 0.0, math.sin(tpf))
         chif = math.pi * float(chi)
@@ -1071,16 +1053,17 @@ def _block_factor_group(n, h, j, targets, count):
         factors, _ = _realize_path(path, step, target_q)
         per_block.append((base_q, factors))
 
-    pairs = [(jj, a) for (a, _), jj in zip(targets, j)]
-    W = _block_permutation(n, pairs)
+    W = _block_permutation(n, [(jj, a) for (a, _), jj in zip(targets, j)])
     group = []
     for tind in range(count):
         eps = 1 if tind < count // 2 else -1
+        # the driving blocks (jj, jj+1), 1-based, are disjoint: their
+        # product is each 2x2 block written in place
         E = np.eye(n, dtype=complex)
         for (base_q, factors), jj in zip(per_block, j):
             bq = base_q if eps == 1 else _qconj(base_q)
             v = _conjugator_for(factors[tind], bq)
-            E = E @ _block_embed(n, jj, su2_matrix(v))
+            E[jj - 1:jj + 1, jj - 1:jj + 1] = su2_matrix(v)
         group.append((W @ E, eps))
     return group
 

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -117,10 +120,11 @@ def test_library_error_exits_2(argv, capsys):
 
 # Each subcommand against 0, 1, a negative value and an empty range (or
 # an empty name or angle list), the group commands against a group above
-# the build cap, and every size in cli.CAPS just above its cap and at
-# 2**64, with the exit code the contract gives: 0 every invariant held,
-# 1 one failed, 2 bad input.  linear-lengths takes no parameters;
-# acceptance's empty filter is test_acceptance_filter_and_noop.
+# the build cap, every size in cli.CAPS just above its cap and at 2**64,
+# and each product cap there just above and at the cap, with the exit
+# code the contract gives: 0 every invariant held, 1 one failed, 2 bad
+# input.  linear-lengths takes no parameters; acceptance's empty filter
+# is test_acceptance_filter_and_noop.
 BIG = f"={2**64}"
 EDGE_CASES = {
     "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
@@ -153,7 +157,11 @@ EDGE_CASES = {
                        (["n_max=8", "c_max=0"], 2), (["n_max=129"], 2),
                        (["n_max" + BIG], 2), (["c_max=1025"], 2),
                        (["c_max" + BIG], 2), (["k_max=65"], 2),
-                       (["k_max" + BIG], 2)],
+                       (["k_max" + BIG], 2),
+                       # the product cap c_max * k_max <= 2**14
+                       (["c_max=1024", "k_max=17"], 2),
+                       (["c_max=257", "k_max=64"], 2),
+                       (["n_max=2", "c_max=256", "k_max=64"], 1)],
     "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2),
                      (["n=63", "s=1"], 2), (["n=63", "s=2"], 2),
                      (["n=1000001"], 2), (["n" + BIG], 2)],
@@ -305,6 +313,19 @@ def test_strong_color_report(tmp_path):
     assert all(colors[i] != colors[(i + 1) % n] for i in range(n))
     assert all(sorted(colors[v] for v in blk) == [0, 1, 2]
                for blk in doc["blocks"])
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # a checkout without an install: the package directory on PYTHONPATH
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "lengthlab", "strong-color", "--set", "n=30"],
+        env=env, capture_output=True, timeout=60)
+    out = tmp_path / "col.json"
+    assert run(["strong-color", "--set", "n=30", "--out", str(out)]) == 0
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == read(out)
 
 
 @pytest.mark.parametrize("n, colors, digest", [

@@ -16,6 +16,7 @@ from lengthlab.fqlin import (
     HypothesisViolated,
     Singular,
     Subspace,
+    _TABLES,
     _charpoly,
     _is_prime,
     common_fix_restriction,
@@ -190,6 +191,23 @@ def test_field_tables_match_polynomial_arithmetic(p, e, modulus):
             assert F._mul_slow(a, F.inv(a)) == 1
     # equal fields share one set of tables
     assert FqField(p, e, modulus)._mul is F._mul
+
+
+@pytest.mark.parametrize("modulus", [(7, 7, 7), (1,), (3, 2), (0, 0), ()])
+def test_prime_field_modulus_must_be_monic_of_degree_one(modulus):
+    with pytest.raises(ValueError, match="^modulus must be monic of degree"):
+        FqField(5, 1, modulus)
+
+
+def test_prime_field_keeps_one_modulus():
+    # x + c gives the arithmetic mod p for every c: one field, one table set
+    F = FqField(5)
+    for modulus in ((0, 1), (3, 1), (7, 6), [2, 1]):
+        G = FqField(5, 1, modulus)
+        assert G.modulus == (0, 1)
+        assert G == F and hash(G) == hash(F)
+        assert G._mul is F._mul
+    assert [key for key in _TABLES if key[:2] == (5, 1)] == [(5, 1, (0, 1))]
 
 
 def test_tables_past_the_bound_keep_only_what_was_read():

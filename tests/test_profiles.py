@@ -48,6 +48,7 @@ from lengthlab.roots import (
     _distances,
     _Orbit,
     _units,
+    _zigzag,
     lfrac,
     normalize_angle,
 )
@@ -174,6 +175,137 @@ def test_heuristic_flagged_inexact():
     assert sorted(lfrac(a) for a in opt.angles) == \
         sorted(lfrac(a) for a in t.angles)
     assert not profile_of(t, state_cap=1).exact
+
+
+# The scan of all successors, the oracle of the ranked scan: the same
+# values, exact flag and budget left behind on every input.
+
+def lex_greedy_reference(orb, state_cap, budget=None):
+    """The lex-greedy search as a scan of every successor of every state
+    in ascending label order, restarting the layer at each new maximum:
+    the oracle of _lex_greedy's ranked scan."""
+
+    def draw(d):
+        # early abort: the greedy maximum is forced, so any draw outside
+        # the expected multiset already decides the mismatch
+        if budget is None:
+            return True
+        if budget.get(d, 0) == 0:
+            return False
+        budget[d] -= 1
+        return True
+
+    def successors(rem):
+        # (rem2, label, flip) for every next placement, values ascending
+        # and sign +1 first
+        return [(rem[:i] + (c - 1,) + rem[i + 1:], lab, orb.flips[lab])
+                for i, (c, labs) in enumerate(zip(rem, orb.labels)) if c
+                for lab in labs]
+
+    # lex fold: state -> labels of the first-found prefix reaching it
+    states = {key: (key[1],) for key in successors(orb.counts)}
+    draws = []
+    exact = True
+    for step in range(orb.n - 1):
+        closing = orb.close is not None and step == orb.n - 2
+        tab = orb.step
+        if closing:
+            # rank (step, close) pairs lexicographically as one integer
+            width = orb.D + 1
+            tab = [[a * width + b for a, b in zip(r, c)]
+                   for r, c in zip(orb.step, orb.close)]
+        best = -1
+        nxt = {}
+        succ = {}
+        for (rem, lab, par), path in states.items():
+            if rem not in succ:
+                succ[rem] = successors(rem)
+            row = tab[lab]
+            for rem2, lab2, flip in succ[rem]:
+                par2 = par ^ flip
+                if closing and par2:
+                    continue
+                score = row[lab2]
+                if score > best:
+                    best = score
+                    nxt = {}
+                if score == best:
+                    nxt.setdefault((rem2, lab2, par2), path + (lab2,))
+        got = divmod(best, width) if closing else (best,)
+        if not all(draw(d) for d in got):
+            return None, True
+        draws.extend(got)
+        states = nxt
+        if len(states) > state_cap:
+            exact = False
+            break
+
+    if not exact:
+        if budget is not None:
+            return None, False
+        # zigzag of the sorted angles: large distances first
+        return _zigzag([orb.values[labs[0]] for labs, c in
+                        zip(orb.labels, orb.counts) for _ in range(c)]), False
+
+    if orb.typ in ("B", "C"):
+        best_end = max(orb.end[key[1]] for key in states)
+        states = {key: path for key, path in states.items()
+                  if orb.end[key[1]] == best_end}
+        if not draw(best_end):
+            return None, True
+        draws.append(best_end)
+
+    values = [orb.values[lab] for lab in next(iter(states.values()))]
+    # all survivors share the draws by construction; cross-check the
+    # witness
+    assert orb.typ == "D" or _distances(orb.typ, values, orb.D) == draws
+    return values, True
+
+
+def orbit_tables_reference(orb):
+    """(step, close, end) of orb by the mod-2D formulas."""
+    D2 = 2 * orb.D
+    step = [[min((a - b) % D2, (b - a) % D2) for b in orb.values]
+            for a in orb.values]
+    close = [[min((a + b) % D2, -(a + b) % D2) for b in orb.values]
+             for a in orb.values] if orb.typ == "D" else None
+    mult = {"B": 1, "C": 2}.get(orb.typ, 0)
+    end = [min(mult * a % D2, -mult * a % D2) for a in orb.values]
+    return step, close, end
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_orbit_tables_match_reference(typ):
+    rng = random.Random(zlib.crc32(typ.encode()) + 5)
+    for D in (1, 2, 3, 6, 12, 24, 60):
+        for _ in range(20):
+            nums = [rng.randint(-3 * D, 3 * D)
+                    for _ in range(rng.randint(2, 10))]
+            orb = _Orbit(typ, nums, D)
+            assert (orb.step, orb.close, orb.end) == \
+                orbit_tables_reference(orb)
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_lex_greedy_matches_reference(typ):
+    # budgets: none, the orbit's own distances, and each of them short
+    # by one; caps that stop the search at once, early, or not at all
+    rng = random.Random(zlib.crc32(typ.encode()) + 7)
+    for D in (2, 6, 12, 24, 60):
+        for n in range(2 if typ == "D" else 1, 11):
+            for _ in range(2):
+                nums = [rng.randint(-D, D) for _ in range(n)]
+                orb = _Orbit(typ, nums, D)
+                values, exact = lex_greedy_reference(orb, _OPT_STATE_CAP)
+                own = Counter(_distances(orb.typ, values, D))
+                budgets = [None, own] + [own - Counter({d: 1}) for d in own]
+                for cap in (1, 3, _OPT_STATE_CAP):
+                    for budget in budgets:
+                        want = None if budget is None else dict(budget)
+                        got = None if budget is None else dict(budget)
+                        assert _lex_greedy(orb, cap, got) == \
+                            lex_greedy_reference(orb, cap, want)
+                        assert got == want
 
 
 @pytest.mark.parametrize("typ", ["B", "C"])
