@@ -20,9 +20,8 @@ from . import (LengthlabError, OutOfRange, acceptance, coloring, engine,
 
 SCHEMA_VERSION = 1
 # Caps on the sizes that set a run's cost, checked before any work; each is
-# above its default and every README value.  A tuple of names caps the
-# product of sizes whose costs multiply.  The comments time one run at the
-# cap, the other parameters at their defaults, on a 2-core VM.
+# above its default and every README value.  The comments time one run at
+# the cap, the other parameters at their defaults, on a 2-core VM.
 CAPS = {
     "sym-lengths": {"n_max": 50},  # 18 s
     "large-rank": {"rank": 200, "m": 1024},  # 5-5.5 s; 4-5 s
@@ -30,11 +29,9 @@ CAPS = {
     # library's own cap (one pair at n = 1000 takes about 30 s)
     "kyfan": {"pairs": 10**4, "z_trials": 1000,
               "n_max": profiles.MAX_MONOMIAL_N},
-    # 1.5 s (at 256 the orbit DP's state cap stops it after 4 s); 1.1 s;
-    # 4.7 s; 11-13 s at c_max=256, k_max=64, the slowest split of the
-    # product cap (c_max=1024, k_max=64 took 40 s)
-    "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64,
-                       ("c_max", "k_max"): 2**14},
+    # 1.3-1.5 s (at 256 the orbit DP's state cap stops it after 4 s);
+    # 0.6 s; 0.55 s; 2.2-2.4 s with all three at their caps
+    "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
     "strong-color": {"n": 10**6},  # 1 s and 75 MB at n = 10^5
 }
 
@@ -107,10 +104,8 @@ def _params(defaults, args):
                                     f"known: {sorted(params)}")
             params[key] = val
     for key, cap in CAPS.get(args.command, {}).items():
-        keys = key if isinstance(key, tuple) else (key,)
-        size = math.prod(int(params[k]) for k in keys)
-        if size > cap:
-            raise OutOfRange(f"need {' * '.join(keys)} <= {cap}, got {size}")
+        if (size := int(params[key])) > cap:
+            raise OutOfRange(f"need {key} <= {cap}, got {size}")
     return params
 
 

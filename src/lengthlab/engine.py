@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import LengthlabError
-from .fqlin import FqField, FqMatrix, _is_prime
+from .fqlin import FqField, FqMatrix, _digits, _is_prime, _products
 from .perms import Permutation
 
 DEFAULT_CAP = 100_000
@@ -219,26 +219,18 @@ def _closure(gens: np.ndarray, cap: int) -> Tuple[np.ndarray, Dict[bytes, int]]:
 def _vector_action(m: FqMatrix) -> List[int]:
     """Images of the column vectors under m; the vector (c_0, ..., c_{n-1})
     is the integer sum of c_i q^i."""
-    F, n, q = m.field, m.n, m.field.q
-    out = []
-    for v in range(q ** n):
-        c = [v // q ** j % q for j in range(n)]
-        w = 0
-        for r in reversed(m.rows):
-            s = 0
-            for a, x in zip(r, c):
-                s = F.add(s, F.mul(a, x))
-            w = w * q + s
-        out.append(w)
-    return out
+    n, q = m.n, m.field.q
+    vecs = [_digits(v, q, n) for v in range(q ** n)]
+    weights = [q ** i for i in range(n)]
+    return [sum(s * w for s, w in zip(img, weights))
+            for img in _products(m.field, vecs, m.rows)]
 
 
 def _matrix_of(field: FqField, n: int, images: Sequence[int]) -> FqMatrix:
     """The matrix acting by `images`: column j is the image of e_j."""
     q = field.q
-    cols = [images[q ** j] for j in range(n)]
-    return FqMatrix._trusted(
-        field, tuple(tuple(c // q ** i % q for c in cols) for i in range(n)))
+    cols = [_digits(images[q ** j], q, n) for j in range(n)]
+    return FqMatrix._trusted(field, tuple(zip(*cols)))
 
 
 def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:

@@ -226,13 +226,6 @@ class FqField:
 
     # element encoding
 
-    def _decode(self, a: int) -> List[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _encode(self, coeffs: Sequence[int]) -> int:
         a = 0
         for c in reversed(list(coeffs) + [0] * (self.e - len(coeffs))):
@@ -241,14 +234,15 @@ class FqField:
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """a + sign * b, digit by digit mod p."""
-        p = self.p
+        p, e = self.p, self.e
         return self._encode([(x + sign * y) % p
-                             for x, y in zip(self._decode(a), self._decode(b))])
+                             for x, y in zip(_digits(a, p, e), _digits(b, p, e))])
 
     def _mul_slow(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._encode(self._poly_mulmod(self._decode(a), self._decode(b)))
+        p, e = self.p, self.e
+        if e == 1:
+            return (a * b) % p
+        return self._encode(self._poly_mulmod(_digits(a, p, e), _digits(b, p, e)))
 
     def _tables(self) -> tuple:
         """(add, sub, mul, inv): add[a][b] = a + b and so on, inv[0] = 0.
@@ -852,9 +846,8 @@ def symplectic_transvection(
     cols = []
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]
-        s = F.mul(c, space.form(e, v))
-        cols.append([F.add(e[i], F.mul(s, v[i])) for i in range(n)])
-    return FqMatrix(F, [[cols[j][i] for j in range(n)] for i in range(n)])
+        cols.append(_combine(F, n, [1, F._mul[c][space.form(e, v)]], [e, v]))
+    return FqMatrix(F, list(zip(*cols)))
 
 
 # ----------------------------------------------------------------- JSON
@@ -867,7 +860,7 @@ def matrix_to_json(m: FqMatrix) -> Dict:
         "e": F.e,
         "modulus": list(F.modulus),
         "n": m.n,
-        "entries": [[F._decode(x) for x in row] for row in m.rows],
+        "entries": [[_digits(x, F.p, F.e) for x in row] for row in m.rows],
     }
 
 

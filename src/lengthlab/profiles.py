@@ -18,6 +18,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,16 +286,32 @@ def precede_search(F: ProfileSequence, H: ProfileSequence,
                    c_max, k_max, n0=0):
     """Least (k, then c) integer witness on the grid, or None.
 
-    None is grid-relative only; it never proves incomparability.
+    A violation at H(i+1) > 0 fails for every smaller c too, one at
+    H(i+1) < 0 (Profile allows -1e-12) for every larger c, and one at
+    H(i+1) = 0 for every c; so the passing c of each k form an interval
+    and bisection finds its least.  From k = the longest F's length on,
+    every F(k*i+1) with i >= 1 reads 0.0, so those k all make the same
+    check.  None is grid-relative only; it never proves incomparability.
     """
     if c_max < 1 or k_max < 1:
         raise OutOfRange(f"empty (c, k) grid: c_max={c_max}, k_max={k_max}")
-    for k in range(1, k_max + 1):
-        for c in range(1, c_max + 1):
-            w = OrderWitness(c, k, n0)
-            ok, _ = precede_check(F, H, w)
+    # a larger c overflows the float product c * H(i+1)
+    c_max = min(c_max, int(sys.float_info.max))
+    longest = max((len(p.values) for p in F.profiles.values()), default=0)
+    for k in range(1, min(k_max, longest + 1) + 1):
+        lo, hi, best = 1, c_max, None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            ok, bad = precede_check(F, H, OrderWitness(mid, k, n0))
             if ok:
-                return w
+                best, hi = mid, mid - 1
+                continue
+            h = H.profiles[bad[0]].value(bad[1] + 1)
+            if h == 0:
+                break
+            lo, hi = (mid + 1, hi) if h > 0 else (lo, mid - 1)
+        if best is not None:
+            return OrderWitness(best, k, n0)
     return None
 
 
@@ -637,15 +654,15 @@ def incomparability_demo(n_max, c_max=64, k_max=8) -> list:
     for direction, F, H in (("g_preceq_h", g_rank, h_rank),
                             ("h_preceq_g", h_tilde, g_tilde)):
         for k in range(1, k_max + 1):
+            # on these step profiles (values 0 and 1) a larger c passes
+            # wherever a smaller one does, so the first failing n never
+            # decreases in c: resume where c - 1 failed
+            n = 2
             for c in range(1, c_max + 1):
-                first = None
-                for n in ns:
-                    ok, _ = precede_check(
+                while n <= n_max and precede_check(
                         ProfileSequence({n: F[n]}),
                         ProfileSequence({n: H[n]}),
-                        OrderWitness(c, k))
-                    if not ok:
-                        first = n
-                        break
-                rows.append((direction, c, k, first))
+                        OrderWitness(c, k))[0]:
+                    n += 1
+                rows.append((direction, c, k, n if n <= n_max else None))
     return rows

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import LengthlabError
+from .perms import Permutation
 
 
 class BadRank(LengthlabError, ValueError):
@@ -1013,9 +1014,8 @@ def _block_permutation(n, pairs):
     it = iter(free_targets)
     perm = [mapping[s] if s in mapping else next(it) for s in range(n)]
     P = np.zeros((n, n))
-    for src, dst in enumerate(perm):
-        P[dst, src] = 1.0
-    if round(np.linalg.det(P)) == -1:
+    P[perm, range(n)] = 1.0
+    if not Permutation(perm).is_even():
         blocked = {a - 1 for _, a in pairs} | {a for _, a in pairs}
         spot = next(i for i in range(n) if i not in blocked)
         P[spot, :] *= -1

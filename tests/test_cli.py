@@ -120,11 +120,10 @@ def test_library_error_exits_2(argv, capsys):
 
 # Each subcommand against 0, 1, a negative value and an empty range (or
 # an empty name or angle list), the group commands against a group above
-# the build cap, every size in cli.CAPS just above its cap and at 2**64,
-# and each product cap there just above and at the cap, with the exit
-# code the contract gives: 0 every invariant held, 1 one failed, 2 bad
-# input.  linear-lengths takes no parameters; acceptance's empty filter
-# is test_acceptance_filter_and_noop.
+# the build cap and every size in cli.CAPS just above its cap and at
+# 2**64, with the exit code the contract gives: 0 every invariant held,
+# 1 one failed, 2 bad input.  linear-lengths takes no parameters;
+# acceptance's empty filter is test_acceptance_filter_and_noop.
 BIG = f"={2**64}"
 EDGE_CASES = {
     "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
@@ -147,7 +146,10 @@ EDGE_CASES = {
                    (["k=0"], 2), (["rank=201"], 2), (["rank" + BIG], 2),
                    (["m=1026"], 2), (["m=1000000"], 2), (["m" + BIG], 2)],
     "profile-order": [(["c_max=0"], 2), (["c_max=1"], 0), (["k_max=-1"], 2),
-                      (["f=", "h="], 2)],
+                      (["f=", "h="], 2),
+                      # no witness, on a grid that has no cap
+                      (["f=1/2,0,0", "h=0,0,0", "c_max" + BIG, "k_max" + BIG],
+                       0)],
     "kyfan": [(["pairs=0"], 2), (["pairs=1"], 0), (["pairs=-1"], 2),
               (["pairs=5", "n_max=1"], 2), (["pairs=10001"], 2),
               (["pairs" + BIG], 2), (["z_trials=1001"], 2),
@@ -158,10 +160,9 @@ EDGE_CASES = {
                        (["n_max" + BIG], 2), (["c_max=1025"], 2),
                        (["c_max" + BIG], 2), (["k_max=65"], 2),
                        (["k_max" + BIG], 2),
-                       # the product cap c_max * k_max <= 2**14
-                       (["c_max=1024", "k_max=17"], 2),
-                       (["c_max=257", "k_max=64"], 2),
-                       (["n_max=2", "c_max=256", "k_max=64"], 1)],
+                       # c_max and k_max at their caps run; k > 32 first
+                       # fails past the default n_max = 64
+                       (["c_max=1024", "k_max=64"], 1)],
     "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2),
                      (["n=63", "s=1"], 2), (["n=63", "s=2"], 2),
                      (["n=1000001"], 2), (["n" + BIG], 2)],

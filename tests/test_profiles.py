@@ -552,6 +552,84 @@ def test_precede_search_finds_least_witness():
     assert precede_search(O, Z, c_max=64, k_max=8) is None
 
 
+def precede_search_reference(F_seq, H_seq, c_max, k_max, n0=0):
+    """The full grid scan: every k, then every c, one check each."""
+    for k in range(1, k_max + 1):
+        for c in range(1, c_max + 1):
+            w = OrderWitness(c, k, n0)
+            if precede_check(F_seq, H_seq, w)[0]:
+                return w
+    return None
+
+
+def random_values(rng, length):
+    """Decreasing values in [0, 1] with Profile's 1e-12 slack: some rise
+    by up to 1e-12 and some sit at -1e-12."""
+    pool = [0.0, 1.0, 0.5, 1 / 3, 0.25]
+    vals = sorted((rng.choice(pool + [rng.random()]) for _ in range(length)),
+                  reverse=True)
+    for j in range(1, length):
+        if rng.random() < 0.15:
+            vals[j] = min(vals[j - 1] + rng.choice([1e-13, 1e-12]), 1.0)
+    if vals and rng.random() < 0.15:
+        vals[-1] = -1e-12
+    return vals
+
+
+def random_pair(rng):
+    """Two profile sequences on ragged, partly shared indices."""
+    seqs = []
+    for _ in range(2):
+        seq = {}
+        for n in rng.sample(range(6), rng.randint(1, 4)):
+            vals = random_values(rng, rng.randint(0, 9))
+            try:
+                seq[n] = Profile(tuple(vals), 9)
+            except AssertionError:  # a rise broke the 1e-12 slack
+                seq[n] = Profile(tuple(sorted(vals, reverse=True)), 9)
+        seqs.append(seq)
+    Fd, Hd = seqs
+    if rng.random() < 0.2:
+        # a value exactly at c * H + 1e-12, which passes
+        n = rng.choice(sorted(Hd))
+        h, c = rng.random() / 16, rng.randint(1, 12)
+        Hd[n] = Profile((h,), 9)
+        Fd[n] = Profile((c * h + 1e-12, 0.0), 9)
+    if rng.random() < 0.1:
+        # F(1) > 0 over H(1) = 0: no witness at any (c, k)
+        n = rng.choice(sorted(Fd))
+        Fd[n], Hd[n] = Profile((0.5,), 9), Profile((0.0, 0.0), 9)
+    return ProfileSequence(Fd), ProfileSequence(Hd)
+
+
+def test_precede_search_matches_grid_reference():
+    rng = random.Random(97)
+    found = none = 0
+    for _ in range(3000):
+        F_seq, H_seq = random_pair(rng)
+        c_max, k_max, n0 = (rng.randint(1, 12), rng.randint(1, 12),
+                            rng.randint(0, 3))
+        w = precede_search(F_seq, H_seq, c_max, k_max, n0)
+        assert w == precede_search_reference(F_seq, H_seq, c_max, k_max, n0)
+        found += w is not None and w.c > 1
+        none += w is None
+    assert found > 100 and none > 100
+
+
+def test_precede_search_huge_grid():
+    O = ProfileSequence({0: profile_of_finite_type(1, 8)})
+    Z = ProfileSequence({0: profile_of_finite_type(0, 8)})
+    assert precede_search(O, Z, c_max=2**64, k_max=2**64) is None
+    # past the largest float, c is clamped: the product c * H stays finite
+    H_seq = ProfileSequence({0: Profile((1e-300, 1e-300), 2)})
+    assert precede_search(O, H_seq, c_max=2**1100, k_max=3) is None
+    F_seq = seq_of([F(1, 2)] * 3, [12, 12, 12])
+    G_seq = seq_of([F(1, 4)] * 3, [12, 12, 12])
+    assert (precede_search(F_seq, G_seq, c_max=2**1100, k_max=2)
+            == precede_search_reference(F_seq, G_seq, c_max=8, k_max=2)
+            == OrderWitness(1, 2))
+
+
 def test_witness_composition_transitivity():
     rng = random.Random(13)
     for _ in range(20):
@@ -786,6 +864,37 @@ def test_incomparability_demo_small_grid():
     for d, c, k, first in rows:
         if d == "g_preceq_h":
             assert first == 2 * k
+
+
+def incomparability_demo_reference(n_max, c_max, k_max):
+    """Every (c, k) scans the family from n = 2 on."""
+    from lengthlab.roots import (counterexample_family, lambda_tilde,
+                                 scaled_rank_length_inf)
+
+    ns = range(2, n_max + 1)
+    g_rank, h_rank, g_tilde, h_tilde = {}, {}, {}, {}
+    for n in ns:
+        g, h = counterexample_family(n)
+        g_rank[n] = profile_of_finite_type(scaled_rank_length_inf(g), 2 * n + 1)
+        h_rank[n] = profile_of_finite_type(scaled_rank_length_inf(h), 2 * n + 1)
+        g_tilde[n] = profile_of_finite_type(lambda_tilde(g), 2 * n)
+        h_tilde[n] = profile_of_finite_type(lambda_tilde(h), 2 * n)
+    rows = []
+    for direction, Fd, Hd in (("g_preceq_h", g_rank, h_rank),
+                              ("h_preceq_g", h_tilde, g_tilde)):
+        for k in range(1, k_max + 1):
+            for c in range(1, c_max + 1):
+                first = next((n for n in ns if not precede_check(
+                    ProfileSequence({n: Fd[n]}), ProfileSequence({n: Hd[n]}),
+                    OrderWitness(c, k))[0]), None)
+                rows.append((direction, c, k, first))
+    return rows
+
+
+@pytest.mark.parametrize("n_max, c_max, k_max", [(8, 3, 5), (30, 100, 20)])
+def test_incomparability_demo_matches_reference(n_max, c_max, k_max):
+    assert (incomparability_demo(n_max, c_max, k_max)
+            == incomparability_demo_reference(n_max, c_max, k_max))
 
 
 def test_certificate_profile_instance():
