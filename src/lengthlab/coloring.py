@@ -43,30 +43,31 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
         raise ValueError("need s >= 3")
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    m = sum(len(b) for b in blocks)
-    seen = sorted(v for b in blocks for v in b)
-    if seen != list(range(m)) or any(len(b) != s for b in blocks) or m < n:
+    try:  # one pass: each vertex's block-mates, set once
+        m = sum(map(len, blocks))
+        mates = [None] * m
+        for b in blocks:
+            if len(b) != s:
+                raise ValueError
+            for i, v in enumerate(b):
+                if v < 0 or mates[v] is not None:
+                    raise ValueError
+                mates[v] = (*b[:i], *b[i + 1:])
+    except (TypeError, IndexError, ValueError):  # v >= m or not an int
+        mates = None
+    if mates is None or m < n:
         raise ValueError("blocks must partition 0..m-1 into s-sets, m >= n")
-
-    mates = [()] * m
-    for b in blocks:
-        for i, v in enumerate(b):
-            mates[v] = (*b[:i], *b[i + 1:])
 
     # deterministic seed: restarts reshuffle value order only
     rng = random.Random(n * 1_000_003 + len(blocks))
 
-    def neighbors(v):
-        if v >= n or n == 1:
-            return ()
-        if n == 2:
-            return (1 - v,)
-        return ((v - 1) % n, (v + 1) % n)
-
     if n > 60:  # large loose instances: the repair converges far faster
         colors = _min_conflicts(n, m, s, mates, rng, budget)
     else:
-        adj = [neighbors(v) + mates[v] for v in range(m)]
+        # cycle neighbors, then block-mates; at n <= 2 a neighbor repeats
+        # or is v, which _attempt skips as already pruned or colored
+        adj = [((v - 1) % n, (v + 1) % n, *mates[v]) for v in range(n)]
+        adj += mates[n:]
         nodes = 0
         while not isinstance(colors := _attempt(
                 m, s, adj, sorted(blocks[0]), rng,
@@ -160,28 +161,28 @@ def _attempt(m, s, adj, pinned, rng, cap):
     """One restart: MRV backtracking over adj[v], the cycle neighbors and
     then the block-mates of v.  Returns dict on success, None when the
     tree is exhausted, the node count when the slice of cap runs out."""
-    color = [-1] * m
+    color = [-1] * m  # read only at the end: allowed marks colored as 0
     allowed = [(1 << s) - 1] * m
-    trail = []  # (vertex, old allowed, was_assignment) for undo
+    trail = []  # (vertex, old allowed) for undo
+    push, pop, shuffle = trail.append, trail.pop, rng.shuffle
 
     def assign(v, c):
-        trail.append((v, allowed[v], True))
+        push((v, allowed[v]))
         color[v] = c
-        allowed[v] = cbit = 1 << c
-        for w in adj[v]:  # forward checking
+        allowed[v] = 0
+        cbit = 1 << c
+        for w in adj[v]:  # forward checking on the uncolored neighbors
             a = allowed[w]
-            if a & cbit and color[w] == -1:
-                trail.append((w, a, False))
+            if a & cbit:
+                push((w, a))
                 allowed[w] = a ^ cbit
                 if a == cbit:
                     return False
         return True
 
     def undo(mark):
-        while len(trail) > mark:
-            w, old, was_assignment = trail.pop()
-            if was_assignment:
-                color[w] = -1
+        for _ in range(len(trail) - mark):
+            w, old = pop()
             allowed[w] = old
 
     # symmetry breaking: colors are interchangeable, pin the first block
@@ -194,16 +195,20 @@ def _attempt(m, s, adj, pinned, rng, cap):
     while True:
         v, fewest = -1, s + 1  # the first uncolored vertex with fewest colors
         for u in range(m):
-            if color[u] == -1:
-                k = allowed[u].bit_count()
+            if a := allowed[u]:
+                k = a.bit_count()
                 if k < fewest:
                     v, fewest = u, k
-                    if k <= 1:
+                    if k == 1:
                         break
         if v == -1:
             return dict(enumerate(color))
-        cand = [c for c in range(s) if (allowed[v] >> c) & 1]
-        rng.shuffle(cand)
+        a = allowed[v]
+        if fewest == 1:
+            cand = [a.bit_length() - 1]
+        else:  # shuffle draws nothing for a single candidate: skip it there
+            cand = [c for c in range(s) if a >> c & 1]
+            shuffle(cand)
         stack.append([v, cand, 0, 0])
         while True:
             v, cand, idx, _ = frame = stack[-1]
@@ -225,14 +230,14 @@ def _attempt(m, s, adj, pinned, rng, cap):
 
 def check_strong_coloring(n, blocks, s, color):
     """Independent verifier; raises AssertionError on a bad coloring."""
+    rainbow = set(range(s))
     for b in blocks:
-        assert sorted(color[v] for v in b) == list(range(s)), b
-    if n >= 2:
-        for v in range(n):
-            w = (v + 1) % n
-            if n == 2 and v == 1:
-                break
-            assert color[v] != color[w], (v, w)
+        assert len(b) == s and {color[v] for v in b} == rainbow, b
+    # the cycle edges (v, v+1) and (n-1, 0); C_2 has the one edge (0, 1)
+    ring = [color[v] for v in range(n)]
+    nxt = ring[1:] + ring[:1] if n > 2 else ring[1:]
+    for v, (a, b) in enumerate(zip(ring, nxt)):
+        assert a != b, (v, (v + 1) % n)
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
@@ -254,20 +259,23 @@ def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
     vectors = [[None] * (n // s) for _ in range(s)]
     for k, x in enumerate(sigma.images):
         vectors[color[x]][k // s] = x + 1
+    inv = sigma.inverse()
     for i, vec in enumerate(vectors):
-        check_partition_vectors(sigma, s, i, vec)
+        check_partition_vectors(sigma, s, i, vec, inv)
     return vectors
 
 
-def check_partition_vectors(sigma, s, i, vec):
-    """Verify one output vector against all three guarantees."""
+def check_partition_vectors(sigma, s, i, vec, inv=None):
+    """Verify one output vector against all three guarantees; inv, if
+    given, is sigma.inverse()."""
     n = len(sigma.images)
-    inv = sigma.inverse()
-    assert all(a is not None for a in vec), i
+    pos = (inv or sigma.inverse()).images
+    assert None not in vec, i
+    # a pair differing by d in either order is an entry a with a + d
     entries = set(vec)
-    for a in vec:
-        for d in (1, n - 1):
-            assert a + d not in entries and a - d not in entries, (a, d)
+    for d in (1, n - 1):
+        clash = entries.intersection([a + d for a in vec])
+        assert not clash, (d, clash)
     for j, a in enumerate(vec, start=1):
-        k = inv.images[a - 1] + 1
+        k = pos[a - 1] + 1
         assert abs(s * j - k) <= s - 1, (a, j, k)

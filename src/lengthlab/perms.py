@@ -206,10 +206,12 @@ def class_size(t: CycleType, ambient: str = SYM) -> int:
         raise ValueError(f"unknown ambient {ambient!r}")
     if not t.is_even():
         raise OddTypeInAlt(f"odd cycle type {t!r} in Alt")
-    splits = all(i % 2 == 1 for i in t.counts) and all(
-        c == 1 for c in t.counts.values()
-    )
-    return size // 2 if splits else size
+    return size // 2 if _splits_in_alt(t.counts) else size
+
+
+def _splits_in_alt(counts: Dict[int, int]) -> bool:
+    """Does A_n split the S_n-class: are the lengths odd and distinct?"""
+    return all(i % 2 and c == 1 for i, c in counts.items())
 
 
 def group_order(n: int, ambient: str = SYM) -> int:
@@ -233,33 +235,45 @@ def partitions(n: int) -> Iterator[List[int]]:
     """All partitions of n as ascending part lists (accelAsc).
 
     Streams lexicographically without materializing the list; each
-    yielded list is a fresh slice, so callers may keep it.
+    yielded list is a fresh one, so callers may keep it.
     """
     if n <= 0:
         if n:
             raise NegativeSize(f"no partitions of a negative size {n}")
         yield []
         return
-    a = [0] * (n + 1)
-    k = 1
-    y = n - 1
-    while k != 0:
+    for a, _, _, k, x, y in _ascending(n):
+        yield a[:k] + [x, y] if y else a[:k] + [x]
+
+
+def _ascending(n: int) -> Iterator[tuple]:
+    """accelAsc (Kelleher and O'Sullivan) on n >= 1, prefix carried along.
+
+    Yields (a, cnt, den, k, x, y) in lexicographic order: the parts are
+    a[:k] + [x, y] with x <= y, or a[:k] + [x] when y is 0; both tail
+    parts are at least a[k-1].  For each prefix length j, cnt[j] holds the
+    multiplicities of a[:j], inserted in ascending order, and den[j] is
+    prod i^c * c! over them: the c-th part equal to i adds i * c.
+    """
+    a = [0] * n
+    cnt = [{}] * (n + 1)
+    den = [1] * (n + 1)
+    k, y = 1, n - 1
+    while k:
         x = a[k - 1] + 1
         k -= 1
-        while 2 * x <= y:
-            a[k] = x
+        while 2 * x <= y:  # push x
+            counts = cnt[k].copy()
+            counts[x] = c = counts.get(x, 0) + 1
+            a[k], cnt[k + 1], den[k + 1] = x, counts, den[k] * x * c
             y -= x
             k += 1
-        ell = k + 1
         while x <= y:
-            a[k] = x
-            a[ell] = y
-            yield a[: k + 2]
+            yield a, cnt, den, k, x, y
             x += 1
             y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[: k + 1]
+        yield a, cnt, den, k, x + y, 0
+        y += x - 1
 
 
 def cycle_types(n: int, ambient: str = SYM) -> Iterator[CycleType]:
@@ -298,22 +312,20 @@ def comparison_rows(
         log_order = math.log(group_order(n, ambient))
         fact = math.factorial(n)
         frac = [Fraction(k, n) for k in range(n + 1)]
-        for parts in partitions(n):
-            l = len(parts)
+        for _, cnt, den, k, x, y in _ascending(n):
+            l = k + 2 if y else k + 1
             if ambient == ALT and (n - l) % 2:  # parity of the type is n - l
                 continue
-            # class_size with n! hoisted: the c-th part equal to p adds the
-            # factor p * c, so denom ends as prod i^c_i * c_i!
-            counts: Dict[int, int] = {}
-            denom = 1
-            for p in parts:
-                c = counts.get(p, 0) + 1
-                counts[p] = c
-                denom *= p * c
+            # class_size with n! hoisted and the prefix's denominator
+            # carried: the tail adds its parts to a copy of the prefix's
+            counts = cnt[k].copy()
+            counts[x] = c = counts.get(x, 0) + 1
+            denom = den[k] * x * c
+            if y:
+                counts[y] = c = counts.get(y, 0) + 1
+                denom *= y * c
             size = fact // denom
-            # A_n splits the class when the parts are odd and distinct
-            if ambient == ALT and len(counts) == l and all(
-                    i % 2 for i in counts):
+            if ambient == ALT and _splits_in_alt(counts):
                 size //= 2
             lc = math.log(size) / log_order if size > 1 else 0.0
             c1 = counts.get(1, 0)

@@ -65,9 +65,10 @@ class Profile:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
         assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals), vals
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), vals
+        # [-1e-12, 0) reads as 0.0, so c * F(i) never decreases in c
+        object.__setattr__(self, "values", tuple(max(v, 0.0) for v in vals))
 
     @classmethod
     def _trusted(cls, values, support_bound, distances=None, exact=True):
@@ -286,9 +287,9 @@ def precede_search(F: ProfileSequence, H: ProfileSequence,
                    c_max, k_max, n0=0):
     """Least (k, then c) integer witness on the grid, or None.
 
-    A violation at H(i+1) > 0 fails for every smaller c too, one at
-    H(i+1) < 0 (Profile allows -1e-12) for every larger c, and one at
-    H(i+1) = 0 for every c; so the passing c of each k form an interval
+    Profile values are at least 0.0, so c * H(i+1) never decreases in c:
+    a violation at H(i+1) > 0 fails for every smaller c too, and one at
+    H(i+1) = 0 for every c.  So the passing c of each k form an up-set
     and bisection finds its least.  From k = the longest F's length on,
     every F(k*i+1) with i >= 1 reads 0.0, so those k all make the same
     check.  None is grid-relative only; it never proves incomparability.
@@ -306,10 +307,9 @@ def precede_search(F: ProfileSequence, H: ProfileSequence,
             if ok:
                 best, hi = mid, mid - 1
                 continue
-            h = H.profiles[bad[0]].value(bad[1] + 1)
-            if h == 0:
+            if H.profiles[bad[0]].value(bad[1] + 1) == 0:
                 break
-            lo, hi = (mid + 1, hi) if h > 0 else (lo, mid - 1)
+            lo = mid + 1
         if best is not None:
             return OrderWitness(best, k, n0)
     return None

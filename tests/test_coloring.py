@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -171,19 +172,27 @@ def _padded_draw(rng, s, n_min, n_max):
     return n, [verts[i:i + s] for i in range(0, m, s)]
 
 
+def _same_as_reference(n, blocks, s):
+    results = []
+    for search in (strong_color_cycle, strong_color_cycle_reference):
+        try:
+            results.append(search(n, blocks, s, budget=200_000))
+        except SearchExhausted as exc:
+            results.append(str(exc))
+    assert results[0] == results[1], (n, blocks)
+
+
 @pytest.mark.parametrize("s", [3, 4, 9])
 def test_backtracker_matches_reference(s):
     # same coloring, or the same exception, as the closure-based oracle
     rng = random.Random(s)
     for _ in range(150):
-        n, blocks = _padded_draw(rng, s, 1, 60)
-        results = []
-        for search in (strong_color_cycle, strong_color_cycle_reference):
-            try:
-                results.append(search(n, blocks, s, budget=200_000))
-            except SearchExhausted as exc:
-                results.append(str(exc))
-        assert results[0] == results[1], (n, blocks)
+        _same_as_reference(*_padded_draw(rng, s, 1, 60), s)
+    if s == 3:  # every triple partition of m <= 9 vertices, every n <= m
+        for m in (3, 6, 9):
+            for blocks in triple_partitions(range(m)):
+                for n in range(1, m + 1):
+                    _same_as_reference(n, blocks, s)
 
 
 def test_padding_vertices():
@@ -203,12 +212,72 @@ def test_unsatisfiable_padding_instance():
 
 
 def test_bad_blocks_rejected():
-    with pytest.raises(ValueError):
-        strong_color_cycle(6, [[0, 1, 2], [3, 4, 4]])
-    with pytest.raises(ValueError):
-        strong_color_cycle(6, [[0, 1, 2]])
-    with pytest.raises(ValueError):
-        strong_color_cycle(6, [[0, 1, 2], [3, 4, 5]], s=2)
+    for n, blocks in [
+            (6, [[0, 1, 2], [3, 4, 4]]),
+            (6, [[0, 1, 2]]),  # m < n
+            (7, [[0, 1, 2], [3, 4, 5]]),  # m < n
+            (1, []),
+            (6, [[0, 1, 2], [3, 4, 5.0]]),  # not an int
+            (6, [[0, 1, 2], [3, 4, "5"]]),
+            (6, [[0, 1, 2], [3, 4, -1]]),
+            (6, [[0, 1, 2], [3, 4, 6]]),  # >= m
+            (6, [[0, 1, 2], [3, 4, 2]]),  # repeated across blocks
+            (6, [[0, 1, 2], [3, 4]]),
+            (6, [[0, 1, 2], [3, 4, 5, 6]])]:
+        with pytest.raises(ValueError, match="blocks must partition"):
+            strong_color_cycle(n, blocks)
+    for s in (2, 4, 2**64):
+        with pytest.raises(ValueError):
+            strong_color_cycle(6, [[0, 1, 2], [3, 4, 5]], s=s)
+
+
+def _padded_coloring(cycle_colors, s=3):
+    """Each cycle vertex in a block with s - 1 padding vertices that take
+    the other colors, so every block is rainbow."""
+    n = len(cycle_colors)
+    blocks, color = [], {}
+    for v, c in enumerate(cycle_colors):
+        pad = list(range(n + (s - 1) * v, n + (s - 1) * (v + 1)))
+        blocks.append([v, *pad])
+        color[v] = c
+        color.update(zip(pad, (x for x in range(s) if x != c)))
+    return n, blocks, color
+
+
+@pytest.mark.parametrize("cycle_colors", [
+    (0,), (0, 1), (1, 0), (0, 1, 2), (0, 1, 0, 1), (0, 1, 2, 1, 2)])
+def test_verifier_accepts(cycle_colors):
+    n, blocks, color = _padded_coloring(cycle_colors)
+    check_strong_coloring(n, blocks, 3, color)
+
+
+@pytest.mark.parametrize("cycle_colors, edge", [
+    ((0, 1, 1, 2, 1), (1, 2)),  # in the middle
+    ((0, 0, 1, 2, 1), (0, 1)),
+    ((0, 1, 2, 1, 0), (4, 0)),  # at the wrap
+    ((1, 2, 2), (1, 2)),
+    ((1, 2, 1), (2, 0)),
+    ((1, 1), (0, 1)),  # C_2 has one edge
+])
+def test_verifier_rejects_monochromatic_edge(cycle_colors, edge):
+    n, blocks, color = _padded_coloring(cycle_colors)
+    with pytest.raises(AssertionError, match=re.escape(str(edge))):
+        check_strong_coloring(n, blocks, 3, color)
+
+
+def test_verifier_rejects_bad_blocks():
+    n, blocks, color = _padded_coloring((0, 1, 2))
+    color[blocks[1][1]] = color[blocks[1][2]]  # not rainbow
+    with pytest.raises(AssertionError):
+        check_strong_coloring(n, blocks, 3, color)
+    n, blocks, color = _padded_coloring((0, 1, 2))
+    blocks[0].append(9)  # four vertices, three colors
+    color[9] = 0
+    with pytest.raises(AssertionError):
+        check_strong_coloring(n, blocks, 3, color)
+    del blocks[0][1:]  # one vertex
+    with pytest.raises(AssertionError):
+        check_strong_coloring(n, blocks, 3, color)
 
 
 def test_s4_coloring():
@@ -288,6 +357,21 @@ def test_partition_n3_vacuous():
     vectors = partition_permutation(Permutation((0, 1, 2)))
     assert sorted(len(v) for v in vectors) == [1, 1, 1]
     assert sorted(v[0] for v in vectors) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("with_inverse", [False, True])
+def test_partition_verifier_stays_strict(with_inverse):
+    # identity on 9 points: slot j holds a value within 2 of 3j
+    sigma = Permutation(tuple(range(9)))
+    inv = sigma.inverse() if with_inverse else None
+    for vec in ([1, 4, 7], [2, 6, 9], [3, 5, 8]):
+        check_partition_vectors(sigma, 3, 0, vec, inv)
+    for vec in ([None, 4, 7],
+                [3, 4, 7],  # differ by 1
+                [1, 5, 9],  # differ by n - 1
+                [1, 7, 4]):  # 4 at slot 3: |9 - 4| > 2
+        with pytest.raises(AssertionError):
+            check_partition_vectors(sigma, 3, 0, vec, inv)
 
 
 def test_partition_rejects_bad_n():

@@ -6,6 +6,7 @@ formula under test.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations as iter_perms
@@ -76,10 +77,24 @@ def test_partitions_count():
         assert sum(1 for _ in partitions(n)) == e
 
 
+def ascending_partitions(n, least=1):
+    """Partitions of n into parts >= least, ascending, in lexicographic
+    order: the first part, then the rest, by recursion."""
+    if n == 0:
+        yield []
+    for p in range(least, n + 1):
+        for rest in ascending_partitions(n - p, p):
+            yield [p, *rest]
+
+
 def test_partitions_are_partitions():
     for parts in partitions(9):
         assert sum(parts) == 9
         assert list(parts) == sorted(parts)
+    # old_comparison_rows reads partitions, which comparison_rows' walk
+    # now serves too, so the order gets its own oracle here
+    for n in range(1, 19):
+        assert list(partitions(n)) == list(ascending_partitions(n))
 
 
 def test_partitions_yield_fresh_lists():
@@ -262,12 +277,14 @@ def old_comparison_rows(n_min, n_max, ambient):
 
 @pytest.mark.parametrize("ambient", [SYM, ALT])
 def test_comparison_rows_match_reference(ambient):
-    rows = list(comparison_rows(1, 22, ambient))
-    ref = list(old_comparison_rows(1, 22, ambient))
+    rows = list(comparison_rows(1, 26, ambient))
+    ref = list(old_comparison_rows(1, 26, ambient))
     assert len(rows) == len(ref)
     for row, old in zip(rows, ref):
         assert row[:4] + row[5:] == old[:4] + old[5:]
         assert list(row[1].counts.items()) == list(old[1].counts.items())
+        # built by insertion: the same hash table, so the same memory
+        assert sys.getsizeof(row[1].counts) == sys.getsizeof(old[1].counts)
         assert repr(row[4]) == repr(old[4])  # same float bits
         assert type(row[5]) is type(row[6]) is bool
 

@@ -602,18 +602,39 @@ def random_pair(rng):
     return ProfileSequence(Fd), ProfileSequence(Hd)
 
 
-def test_precede_search_matches_grid_reference():
+def seeded_grid_pairs():
+    """3000 seeded profile pairs, each with a (c_max, k_max, n0) grid."""
     rng = random.Random(97)
-    found = none = 0
     for _ in range(3000):
         F_seq, H_seq = random_pair(rng)
-        c_max, k_max, n0 = (rng.randint(1, 12), rng.randint(1, 12),
-                            rng.randint(0, 3))
+        yield (F_seq, H_seq, rng.randint(1, 12), rng.randint(1, 12),
+               rng.randint(0, 3))
+
+
+def test_precede_search_matches_grid_reference():
+    found = none = 0
+    for F_seq, H_seq, c_max, k_max, n0 in seeded_grid_pairs():
         w = precede_search(F_seq, H_seq, c_max, k_max, n0)
         assert w == precede_search_reference(F_seq, H_seq, c_max, k_max, n0)
         found += w is not None and w.c > 1
         none += w is None
     assert found > 100 and none > 100
+
+
+def test_witnesses_stay_witnesses_as_c_grows():
+    # Profile reads [-1e-12, 0) as 0.0, so c * H(i+1) never decreases in c
+    for F_seq, H_seq, c_max, k_max, n0 in seeded_grid_pairs():
+        for k in range(1, k_max + 1):
+            oks = [precede_check(F_seq, H_seq, OrderWitness(c, k, n0))[0]
+                   for c in range(1, c_max + 2)]
+            assert oks == sorted(oks), (k, n0, oks)
+
+
+def test_profile_reads_tiny_negatives_as_zero():
+    assert Profile((0.5, -1e-13, -1e-12), 3).values == (0.5, 0.0, 0.0)
+    assert repr(Profile((-0.0,), 1).values[0]) == "-0.0"  # as given
+    with pytest.raises(AssertionError):
+        Profile((0.5, -2e-12), 2)
 
 
 def test_precede_search_huge_grid():
