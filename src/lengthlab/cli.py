@@ -10,6 +10,7 @@ field; the exit code is 0 exactly when all checked invariants held.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -376,7 +377,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once: argparse copies --set's default list to append to it."""
     parser = argparse.ArgumentParser(
         prog="lengthlab",
         description="Length functions, decompositions, and profile "
@@ -390,7 +393,11 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                         help="64-bit seed for all randomness")
         sp.add_argument("--out", help="write the report to this file")
-    args, extras = parser.parse_known_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args, extras = _parser().parse_known_args(argv)
     args.extras = extras
     try:
         if args.seed < 0 or args.seed >= 1 << 64:

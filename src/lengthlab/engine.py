@@ -3,17 +3,20 @@
 Groups are enumerated by breadth-first closure from generators into one
 numpy array of images, a row per element in BFS order: permutations by
 their images, finite-field matrices by their faithful action on the q^n
-column vectors, so both kinds share one code path. A dict keyed by the
-row bytes maps a composed row back to its element index. Subsets of the
-group live in Python big-int bitsets over the elements.
+column vectors, so both kinds share one code path. The closure keeps
+its BFS tree: right[x, j], the index of x*g_j, and each x > 0 as its
+parent times a generator, layer by layer. Since g*(p*h) = (g*p)*h, the
+rows g*x of a list of g fill in with one gather per layer. (A dict
+keyed by the row bytes stays as the independent path: row,
+naive_set_product and ore_check on a subset.) Subsets of the group live
+in Python big-int bitsets over the elements.
 
 No multiplication table is kept. Conjugacy classes are orbits under
 conjugation by the generators. The row r*G of each class representative
-r is computed once and folded into a k x k class-product table:
-class_product[i][j] is the set of classes meeting r_i * C_j. Since
-(u r u^-1) y = u (r u^-1 y u) u^-1, the product C_i * C_j is the
-conjugation closure of r_i * C_j, so a product of two unions of classes
-is a union of table entries.
+r is folded into a k x k class-product table: class_product[i][j] is
+the set of classes meeting r_i * C_j. Since (u r u^-1) y = u (r u^-1 y u)
+u^-1, the product C_i * C_j is the conjugation closure of r_i * C_j, so
+a product of two unions of classes is a union of table entries.
 
 Inside this module a normal set is a class mask, a k-bit big int of
 class ids, from start to end: products, closures, filtrations and the
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +45,7 @@ from .fqlin import FqField, FqMatrix, _digits, _is_prime, _products
 from .perms import Permutation
 
 DEFAULT_CAP = 100_000
+_CHUNK_ENTRIES = 1 << 22
 
 
 class CapExceeded(LengthlabError, RuntimeError):
@@ -63,19 +68,12 @@ class BadGroupName(LengthlabError, ValueError):
     pass
 
 
-def _keys(rows: np.ndarray) -> List[bytes]:
-    """The bytes of each image row, the keys of GroupTable's index."""
-    rows = np.ascontiguousarray(rows)
-    void = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-    return rows.view(void).ravel().tolist()
-
-
 class GroupTable:
     """A finite group as image rows: inv, conjugacy classes and the
-    class-product table, with no N x N structure."""
+    class-product table, read off the BFS tree with no N x N structure."""
 
     def __init__(self, element: Callable, images: np.ndarray,
-                 index: Dict[bytes, int], generators: np.ndarray) -> None:
+                 index: Dict[bytes, int], tree: Tuple) -> None:
         self._element = element
         self.images = images
         self._index = index
@@ -83,16 +81,48 @@ class GroupTable:
         # the closure starts at the identity, so class 0 is {1}
         self.identity_index = 0
         self.full_bits = (1 << n) - 1
-        inverse = np.empty_like(images)
-        inverse[np.arange(n)[:, None], images] = np.arange(
-            images.shape[1], dtype=images.dtype)
-        self.inv = self.index_of(inverse).tolist()
-        self.classes, self.class_of = self._conjugacy_classes(generators)
-        self.class_sets = [self.bits_of(cls) for cls in self.classes]
-        self.full_mask = (1 << len(self.classes)) - 1
-        self.inverse_class = [self.class_of[self.inv[cls[0]]]
-                              for cls in self.classes]
-        self.class_product = self._class_products()
+        right, parent, gen, layers = tree
+        ngens = right.shape[1]
+        # the inverse of a generator's row is its argsort
+        ginv = self.index_of(images[right[0]].argsort(1).astype(images.dtype))
+        linv = _left(tree, ginv)
+        inv = np.zeros(n, dtype=np.intp)
+        for s, e in layers:  # (p*g)^-1 = g^-1 * p^-1
+            inv[s:e] = linv[gen[s:e], inv[parent[s:e]]]
+        self.inv = inv.tolist()
+        # least-label propagation over x -> g_j^-1 x g_j and its inverse,
+        # with pointer jumping; each label ends as its class's least member
+        conj = np.empty((2 * ngens, n), dtype=np.intp)
+        conj[:ngens] = right[linv, np.arange(ngens)[:, None]]
+        ids = np.arange(n)
+        conj[np.arange(ngens, 2 * ngens)[:, None], conj[:ngens]] = ids
+        label, least = None, ids
+        while not np.array_equal(least, label):
+            label = least
+            least = np.minimum(label, label.take(conj).min(0))
+            least = least.take(least)
+        reps = (label == ids).nonzero()[0]
+        class_of = reps.searchsorted(label)
+        self.class_of = class_of.tolist()
+        self.full_mask = (1 << len(reps)) - 1
+        self.classes, self.class_sets = [], []
+        self.class_product, self.inverse_class = [], []
+        # classes in chunks, so no chunk's masks exceed about _CHUNK_ENTRIES
+        k = len(reps)
+        step = max(1, _CHUNK_ENTRIES // (n + k * k))
+        for c in range(0, k, step):
+            member = class_of == np.arange(c, min(c + step, k))[:, None]
+            self.classes += [m.nonzero()[0].tolist() for m in member]
+            self.class_sets += _bitmasks(member)
+            # the rows r*x of the representatives r: the classes meeting
+            # r*C_a, and the class of r^-1, the x with r*x = 1
+            rows = _left(tree, reps[c:c + step])
+            self.inverse_class += class_of[(rows == 0).argmax(1)].tolist()
+            hit = np.zeros((len(rows), k, k), dtype=bool)
+            hit[np.arange(len(rows))[:, None], class_of, class_of[rows]] = True
+            masks = _bitmasks(hit)
+            self.class_product += [masks[i:i + k]
+                                   for i in range(0, len(masks), k)]
 
     def element(self, i: int):
         """The element object of row i, built afresh."""
@@ -104,52 +134,18 @@ class GroupTable:
         return [self.element(i) for i in range(self.order)]
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
-        """Element indices of image rows."""
-        return np.fromiter(map(self._index.__getitem__, _keys(rows)),
+        """Element indices of image rows, looked up by their bytes."""
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+        return np.fromiter(map(self._index.__getitem__, keys.ravel().tolist()),
                            dtype=np.intp, count=len(rows))
 
     def row(self, g: int, among: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Indices of g*x for x in `among` (default: the whole group)."""
+        """Indices of g*x for x in `among` (default: the whole group), by
+        dict lookups of the composed rows: independent of the BFS tree,
+        and a row of a few members costs only those members."""
         rows = self.images if among is None else self.images[among]
         return self.index_of(self.images[g][rows])
-
-    def _conjugacy_classes(
-        self, generators: np.ndarray
-    ) -> Tuple[List[List[int]], List[int]]:
-        # x -> g x g^-1 for each generator g, over all elements at once
-        conj = [self.index_of(g[self.images[:, np.argsort(g)]]).tolist()
-                for g in generators]
-        n = self.order
-        class_of = [-1] * n
-        classes: List[List[int]] = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(classes)
-            orbit = [start]
-            class_of[start] = cid
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for c in conj:
-                    y = c[x]
-                    if class_of[y] < 0:
-                        class_of[y] = cid
-                        orbit.append(y)
-                        frontier.append(y)
-            classes.append(sorted(orbit))
-        return classes, class_of
-
-    def _class_products(self) -> List[List[int]]:
-        k = len(self.classes)
-        class_of = np.array(self.class_of)
-        table = []
-        for cls in self.classes:
-            meets = np.zeros((k, k), dtype=bool)
-            meets[class_of, class_of[self.row(cls[0])]] = True
-            table.append([self.bits_of(np.flatnonzero(m).tolist())
-                          for m in meets])
-        return table
 
     def conj_length(self, g: int) -> float:
         """log|C(g)| / log|G|."""
@@ -195,25 +191,55 @@ class GroupTable:
             bits &= bits - 1
 
 
-def _closure(gens: np.ndarray, cap: int) -> Tuple[np.ndarray, Dict[bytes, int]]:
+def _closure(gens: np.ndarray, cap: int) -> Tuple[np.ndarray, Dict, Tuple]:
     """Image rows of the group generated by `gens`, in BFS order (products
-    e*g by frontier element, then generator), and their index."""
-    frontier = np.arange(gens.shape[1], dtype=gens.dtype)[None]
-    index = {_keys(frontier)[0]: 0}
-    layers = [frontier]
+    e*g by frontier element, then generator), their index and BFS tree:
+    right[x, j] is the index of x*g_j, each x > 0 is parent[x]*g_{gen[x]},
+    and the layers after {1} are the index ranges (s, e)."""
+    k, d = gens.shape
+    void = np.dtype((np.void, d * gens.itemsize))
+    flat = gens.ravel().astype(np.intp)
+    frontier = np.arange(d, dtype=gens.dtype)[None]
+    index = {frontier.tobytes(): 0}
+    layers, got, bounds = [frontier], [], [1]
     while len(frontier):
-        # (e*g)[v] = e[g[v]]
-        prods = frontier[:, gens].reshape(-1, gens.shape[1])
-        fresh = []
-        for pos, key in enumerate(_keys(prods)):
-            if key not in index:
-                if len(index) >= cap:
-                    raise CapExceeded(f"group exceeds cap {cap}")
-                index[key] = len(index)
-                fresh.append(pos)
-        frontier = prods[fresh]
+        # (e*g)[v] = e[g[v]]: row e, then its k products side by side
+        keys = frontier.take(flat, axis=1).view(void).ravel().tolist()
+        # a new row gets the next index at its first occurrence
+        got += [index.setdefault(key, len(index)) for key in keys]
+        if len(index) > cap:
+            raise CapExceeded(f"group exceeds cap {cap}")
+        # the new rows are the keys inserted last, in order
+        fresh = list(islice(reversed(index), len(index) - bounds[-1]))
+        frontier = np.frombuffer(b"".join(reversed(fresh)),
+                                 dtype=gens.dtype).reshape(-1, d)
         layers.append(frontier)
-    return np.concatenate(layers), index
+        bounds.append(len(index))
+    right = np.array(got, dtype=np.intp).reshape(-1, k)
+    # right's running maximum first reaches x where x was found: parent*k+gen
+    found = np.maximum.accumulate(right.ravel()).searchsorted(
+        np.arange(len(index)))
+    tree = (right, *np.divmod(found, k), list(zip(bounds[:-2], bounds[1:-1])))
+    return np.concatenate(layers), index, tree
+
+
+def _left(tree: Tuple, gs: Sequence[int]) -> np.ndarray:
+    """Indices of g*x for each g in gs and every x, one gather per BFS
+    layer: g*(p*h) = (g*p)*h."""
+    right, parent, gen, layers = tree
+    out = np.empty((len(gs), len(right)), dtype=np.intp)
+    out[:, 0] = gs
+    for s, e in layers:
+        out[:, s:e] = right[out[:, parent[s:e]], gen[s:e]]
+    return out
+
+
+def _bitmasks(flags: np.ndarray) -> List[int]:
+    """The big-int bitmask of each row of a bool array."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[-1]
+    return [int.from_bytes(raw[i:i + w], "little")
+            for i in range(0, len(raw), w)]
 
 
 def _vector_action(m: FqMatrix) -> List[int]:
@@ -234,24 +260,30 @@ def _matrix_of(field: FqField, n: int, images: Sequence[int]) -> FqMatrix:
 
 
 def generate_group(generators: Sequence, cap: int = DEFAULT_CAP) -> GroupTable:
-    """BFS closure of a generator list into a GroupTable.
-
-    Generators must be Permutation or FqMatrix values in one ambient.
-    """
+    """BFS closure of a generator list into a GroupTable, CapExceeded
+    above `cap` elements. The generators are all Permutation values on
+    the same n >= 1 points or all invertible FqMatrix values of one size
+    over one field: TypeError for a mix or another type, else ValueError."""
     if not generators:
         raise ValueError("need at least one generator")
     g0 = generators[0]
-    if isinstance(g0, Permutation):
+    if all(isinstance(g, Permutation) for g in generators):
+        if not g0.n or any(g.n != g0.n for g in generators):
+            raise ValueError("permutations must share a degree n >= 1")
         rows = [g.images for g in generators]
         element = Permutation._trusted
-    elif isinstance(g0, FqMatrix):
+    elif all(isinstance(g, FqMatrix) for g in generators):
+        if any((g.field, g.n) != (g0.field, g0.n) for g in generators):
+            raise ValueError("matrices must share one size and one field")
         rows = [_vector_action(g) for g in generators]
+        if any(len(set(r)) < len(r) for r in rows):
+            raise ValueError("matrices must be invertible")
         element = partial(_matrix_of, g0.field, g0.n)
     else:
-        raise TypeError("generators must be Permutation or FqMatrix")
+        raise TypeError("generators must be all Permutation or all FqMatrix")
     gens = np.array(rows, dtype=np.min_scalar_type(len(rows[0]) - 1))
-    images, index = _closure(gens, cap)
-    return GroupTable(element, images, index, gens)
+    images, index, tree = _closure(gens, cap)
+    return GroupTable(element, images, index, tree)
 
 
 def _product(t: GroupTable, a: int, b: int) -> int:

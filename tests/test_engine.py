@@ -4,6 +4,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from lengthlab import LengthlabError, engine, fqlin
@@ -561,16 +562,21 @@ def test_lattice_larger_groups():
         assert res["is_chain"] and res["is_distributive"]
 
 
-def test_lattice_a5_times_a5_distributive_not_chain():
-    # the finite shadow of the theorem: two simple factors give a
-    # distributive lattice 1 < A5 x 1, 1 x A5 < A5 x A5, not a chain
+def _a5_times_a5():
+    """A5 x A5 on the disjoint supports {0..4} and {5..9}."""
     gens = []
     for shift in (0, 5):
         for g in alternating_group_gens(5):
             images = list(range(10))
             images[shift:shift + 5] = [shift + x for x in g.images]
             gens.append(Permutation(images))
-    res = normal_lattice_analyze(generate_group(gens))
+    return gens
+
+
+def test_lattice_a5_times_a5_distributive_not_chain():
+    # the finite shadow of the theorem: two simple factors give a
+    # distributive lattice 1 < A5 x 1, 1 x A5 < A5 x A5, not a chain
+    res = normal_lattice_analyze(generate_group(_a5_times_a5()))
     assert res["orders"] == [1, 60, 60, 3600]
     assert res["is_distributive"] and res["is_modular"]
     assert not res["is_chain"]
@@ -674,3 +680,225 @@ def test_lattice_matches_brute_force(name):
         (i, j) for i in range(k) for j in range(k)
         if i != j and leq(i, j) and not any(
             m not in (i, j) and leq(i, m) and leq(m, j) for m in range(k))]
+
+
+# ------------------------- tree-built tables against the dict references
+#
+# The table reads inverses, conjugacy classes and class products off the
+# BFS tree of right multiplications. These references compute the same
+# fields the direct way, composing image rows and looking each composed
+# row up in the dict of row bytes.
+
+
+def _gen_rows(gens):
+    if isinstance(gens[0], Permutation):
+        rows = [g.images for g in gens]
+    else:
+        rows = [engine._vector_action(g) for g in gens]
+    return np.array(rows, dtype=np.min_scalar_type(len(rows[0]) - 1))
+
+
+def _ref_closure(rows):
+    """Image rows in BFS order, one dict lookup per product."""
+    frontier = np.arange(rows.shape[1], dtype=rows.dtype)[None]
+    index = {frontier.tobytes(): 0}
+    out = [frontier]
+    while len(frontier):
+        prods = frontier[:, rows].reshape(-1, rows.shape[1])
+        fresh = []
+        for pos, p in enumerate(prods):
+            if p.tobytes() not in index:
+                index[p.tobytes()] = len(index)
+                fresh.append(pos)
+        frontier = prods[fresh]
+        out.append(frontier)
+    return np.concatenate(out)
+
+
+def _ref_inverse(t):
+    n = t.order
+    inverse = np.empty_like(t.images)
+    inverse[np.arange(n)[:, None], t.images] = np.arange(
+        t.images.shape[1], dtype=t.images.dtype)
+    return t.index_of(inverse).tolist()
+
+
+def _ref_classes(t, rows):
+    """Orbits under x -> g x g^-1 for each generator row g, by a BFS."""
+    conj = [t.index_of(g[t.images[:, np.argsort(g)]]).tolist() for g in rows]
+    class_of = [-1] * t.order
+    classes = []
+    for start in range(t.order):
+        if class_of[start] >= 0:
+            continue
+        cid = len(classes)
+        orbit, frontier = [start], [start]
+        class_of[start] = cid
+        while frontier:
+            x = frontier.pop()
+            for c in conj:
+                y = c[x]
+                if class_of[y] < 0:
+                    class_of[y] = cid
+                    orbit.append(y)
+                    frontier.append(y)
+        classes.append(sorted(orbit))
+    return classes, class_of
+
+
+def _ref_class_products(t, classes, class_of):
+    k = len(classes)
+    class_of = np.array(class_of)
+    table = []
+    for cls in classes:
+        meets = np.zeros((k, k), dtype=bool)
+        meets[class_of, class_of[t.row(cls[0])]] = True
+        table.append([t.bits_of(np.flatnonzero(m).tolist()) for m in meets])
+    return table
+
+
+def _assert_matches_references(t, gens, left_sample=None):
+    rows = _gen_rows(gens)
+    assert np.array_equal(t.images, _ref_closure(rows))
+    assert t.inv == _ref_inverse(t)
+    classes, class_of = _ref_classes(t, rows)
+    assert t.classes == classes and t.class_of == class_of
+    assert t.class_sets == [t.bits_of(cls) for cls in classes]
+    assert t.full_mask == (1 << len(classes)) - 1
+    assert t.inverse_class == [class_of[t.inv[cls[0]]] for cls in classes]
+    assert t.class_product == _ref_class_products(t, classes, class_of)
+    sample = range(t.order) if left_sample is None else random.Random(
+        t.order).sample(range(t.order), left_sample)
+    left = engine._left(engine._closure(rows, t.order)[2], list(sample))
+    for g, row in zip(sample, left):
+        assert row.tolist() == t.row(g).tolist()
+
+
+def _relabelled(gens, rng):
+    """The same group on shuffled points or in a random conjugate basis."""
+    if isinstance(gens[0], Permutation):
+        pi = list(range(gens[0].n))
+        rng.shuffle(pi)
+        out = []
+        for g in gens:
+            images = [0] * g.n
+            for i, j in enumerate(g.images):
+                images[pi[i]] = pi[j]
+            out.append(Permutation(images))
+        return out
+    field, n = gens[0].field, gens[0].n
+    while True:
+        p = FqMatrix(field, [[rng.randrange(field.q) for _ in range(n)]
+                             for _ in range(n)])
+        if p.is_invertible():
+            return [p * g * p.inverse() for g in gens]
+
+
+BENCH_GENS = {
+    "A5": lambda: alternating_group_gens(5),
+    "A6": lambda: alternating_group_gens(6),
+    "PSL2_7": lambda: psl2_gens(7),
+    "PSL2_8": lambda: psl2_gens(8),
+    "PSL2_13": lambda: psl2_gens(13),
+    "S4": lambda: [Permutation.from_cycles(4, [[0, 1]]),
+                   Permutation.from_cycles(4, [[0, 1, 2, 3]])],
+    "D4": lambda: [Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+                   Permutation.from_cycles(4, [[0, 2]])],
+    "Q8": lambda: [FqMatrix(F3, [[0, 2], [1, 0]]),
+                   FqMatrix(F3, [[1, 1], [1, 2]])],
+    "SL2_3": lambda: [FqMatrix(F3, [[1, 1], [0, 1]]),
+                      FqMatrix(F3, [[0, 2], [1, 0]])],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(BENCH_GENS))
+def test_tree_tables_match_dict_references_relabelled(name, seed):
+    gens = _relabelled(BENCH_GENS[name](), random.Random(seed))
+    _assert_matches_references(generate_group(gens), gens)
+
+
+TRANSPOSITION = Permutation.from_cycles(3, [[0, 1]])
+THREE_CYCLE = Permutation.from_cycles(3, [[0, 1, 2]])
+
+EDGE_GENS = {
+    "A7": lambda: alternating_group_gens(7),
+    "S6": lambda: [Permutation.from_cycles(6, [[0, 1]]),
+                   Permutation.from_cycles(6, [list(range(6))])],
+    "PSL2_16": lambda: psl2_gens(16),
+    "PSL2_25": lambda: psl2_gens(25),
+    "trivial": lambda: [Permutation.identity(3)],
+    "one-point": lambda: [Permutation([0])],
+    "trivial-matrix": lambda: [FqMatrix.identity(F3, 2)],
+    "cyclic": lambda: [Permutation.from_cycles(7, [list(range(7))])],
+    "repeated": lambda: [TRANSPOSITION, THREE_CYCLE, TRANSPOSITION,
+                         THREE_CYCLE],
+    "identity-generator": lambda: [Permutation.identity(3), THREE_CYCLE,
+                                   Permutation.identity(3), TRANSPOSITION],
+    "A5xA5": _a5_times_a5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GENS))
+def test_tree_tables_match_dict_references(name):
+    gens = EDGE_GENS[name]()
+    t = generate_group(gens)
+    _assert_matches_references(t, gens, 60 if t.order > 1000 else None)
+
+
+@pytest.mark.parametrize("name", ["Q8", "SL2_3"])
+def test_tree_tables_match_on_conjugated_matrices(name):
+    rng = random.Random(5)
+    for _ in range(3):
+        gens = _relabelled(BENCH_GENS[name](), rng)
+        _assert_matches_references(generate_group(gens), gens)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GENS) + ["trivial", "cyclic",
+                                                       "A5xA5"])
+def test_generate_group_cap_boundary(name):
+    gens = {**BENCH_GENS, **EDGE_GENS}[name]()
+    order = generate_group(gens).order
+    assert generate_group(gens, cap=order).order == order
+    with pytest.raises(CapExceeded, match=f"^group exceeds cap {order - 1}$"):
+        generate_group(gens, cap=order - 1)
+
+
+F2, F4 = FqField(2), FqField(2, 2)
+
+
+@pytest.mark.parametrize("gens, error, message", [
+    ([TRANSPOSITION, FqMatrix(F3, [[1, 1], [0, 1]])], TypeError,
+     "all Permutation or all FqMatrix"),
+    ([TRANSPOSITION, 3], TypeError, "all Permutation or all FqMatrix"),
+    ([TRANSPOSITION, Permutation.from_cycles(4, [[0, 1, 2, 3]])], ValueError,
+     "share a degree"),
+    ([Permutation([])], ValueError, "share a degree n >= 1"),
+    ([FqMatrix(F3, [[1, 1], [0, 1]]), FqMatrix(F3, [[1]])], ValueError,
+     "one size and one field"),
+    ([FqMatrix(F3, [[1, 1], [0, 1]]), FqMatrix(FqField(5), [[1, 1], [0, 1]])],
+     ValueError, "one size and one field"),
+    # both act on 16 vectors, over different fields
+    ([FqMatrix(F2, [[int(i == j or j == i + 1) for j in range(4)]
+                    for i in range(4)]),
+      FqMatrix(F4, [[1, 2], [0, 1]])], ValueError, "one size and one field"),
+    ([FqMatrix(F3, [[1, 1], [0, 0]])], ValueError, "must be invertible"),
+    ([FqMatrix(F3, [[1, 1], [0, 1]]), FqMatrix(F3, [[2, 1], [1, 2]])],
+     ValueError, "must be invertible"),
+    ([], ValueError, "need at least one generator"),
+], ids=["mixed", "not-a-group-element", "ragged-degrees", "degree-0",
+        "matrix-sizes", "matrix-fields", "F2-4x4-with-F4-2x2", "singular",
+        "singular-second", "empty"])
+def test_generators_validated_before_use(gens, error, message):
+    with pytest.raises(error, match=message) as info:
+        generate_group(gens)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["A5", "SL2_3", "D4"])
+def test_chunked_class_masks_give_the_same_table(name, monkeypatch):
+    whole = generate_group(BENCH_GENS[name]())
+    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", 1)  # one class a chunk
+    chunked = generate_group(BENCH_GENS[name]())
+    for field in ("classes", "class_sets", "inverse_class", "class_product"):
+        assert getattr(chunked, field) == getattr(whole, field)
