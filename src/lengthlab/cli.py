@@ -43,6 +43,13 @@ class ConfigInvalid(LengthlabError, ValueError):
 
 # ----------------------------------------------------------- plumbing
 
+def _split_pair(item, what):
+    """KEY=VALUE split at its first '=', or ConfigInvalid naming the item."""
+    if "=" not in item:
+        raise ConfigInvalid(f"bad {what}: {item!r}")
+    return item.split("=", 1)
+
+
 def _load_config(path):
     out = {}
     if path is None:
@@ -53,9 +60,7 @@ def _load_config(path):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise ConfigInvalid(f"bad config line: {line!r}")
-                key, val = line.split("=", 1)
+                key, val = _split_pair(line, "config line")
                 out[key.strip()] = val.strip()
     except OSError as exc:
         raise ConfigInvalid(str(exc))
@@ -84,7 +89,7 @@ def _flag_overrides(extras, defaults):
             out["n_min"], out["n_max"] = val.split("..", 1)
         elif key == "grid" and "c_max" in defaults:
             for part in val.split(","):
-                k, v = part.split("=", 1)
+                k, v = _split_pair(part, "--grid part")
                 out[k.strip() + "_max"] = v.strip()
         else:
             out[key] = val
@@ -98,7 +103,7 @@ def _params(defaults, args):
     params = dict(defaults)
     for source in (_load_config(args.config),
                    _flag_overrides(args.extras, defaults),
-                   dict(kv.split("=", 1) for kv in args.set)):
+                   dict(_split_pair(kv, "--set item") for kv in args.set)):
         for key, val in source.items():
             if key not in params:
                 raise ConfigInvalid(f"unknown parameter {key!r}; "

