@@ -30,8 +30,8 @@ CAPS = {
     # library's own cap (one pair at n = 1000 takes about 30 s)
     "kyfan": {"pairs": 10**4, "z_trials": 1000,
               "n_max": profiles.MAX_MONOMIAL_N},
-    # 1.3-1.5 s (at 256 the orbit DP's state cap stops it after 4 s);
-    # 0.6 s; 0.55 s; 2.2-2.4 s with all three at their caps
+    # 0.85-1.6 s (at 256 the orbit DP's state cap stops it after 1.5-2 s);
+    # 0.5-0.85 s; 0.5-0.8 s; 1.6-2.8 s with all three at their caps
     "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
     "strong-color": {"n": 10**6},  # 1 s and 75 MB at n = 10^5
 }
@@ -90,11 +90,22 @@ def _flag_overrides(extras, defaults):
         elif key == "grid" and "c_max" in defaults:
             for part in val.split(","):
                 k, v = _split_pair(part, "--grid part")
+                if not k.strip():
+                    raise ConfigInvalid(f"bad --grid part: {part!r}")
                 out[k.strip() + "_max"] = v.strip()
         else:
             out[key] = val
         i += 1
     return out
+
+
+def _int(params, key):
+    """params[key] as an int, or ConfigInvalid naming the key and value."""
+    try:
+        return int(params[key])
+    except ValueError:
+        raise ConfigInvalid(
+            f"{key} must be an integer, got {params[key]!r}") from None
 
 
 def _params(defaults, args):
@@ -110,7 +121,7 @@ def _params(defaults, args):
                                     f"known: {sorted(params)}")
             params[key] = val
     for key, cap in CAPS.get(args.command, {}).items():
-        if (size := int(params[key])) > cap:
+        if (size := _int(params, key)) > cap:
             raise OutOfRange(f"need {key} <= {cap}, got {size}")
     return params
 
@@ -146,7 +157,7 @@ def cmd_sym_lengths(args):
     rows = []
     flagged = 0
     for n, t, lh, lr, lc, fe, fa in perms.comparison_rows(
-            int(p["n_min"]), int(p["n_max"]), p["ambient"]):
+            _int(p, "n_min"), _int(p, "n_max"), p["ambient"]):
         flagged += fe or fa
         rows.append((n, "+".join(map(str, t.parts())), lh, lr,
                      f"{lc:.12g}", int(fe), int(fa)))
@@ -239,7 +250,7 @@ def cmd_lattice(args):
 def cmd_root_check(args):
     p = _params({"type": "G2", "rank": "2"}, args)
     rep = roots.check_root_combinations(
-        roots.build_root_system(p["type"], int(p["rank"])))
+        roots.build_root_system(p["type"], _int(p, "rank")))
     ok = rep["long_ok"] and rep["short_ok"] and not rep["violations"]
     _emit_json(args, args.seed, {
         "type": rep["type"], "rank": rep["rank"],
@@ -253,7 +264,7 @@ def cmd_root_check(args):
 def cmd_su2_decompose(args):
     p = _params({"theta_g": "1/3", "theta_h": "1/4", "m": "8"}, args)
     cert = roots.su2_decompose(Fraction(p["theta_g"]),
-                               Fraction(p["theta_h"]), int(p["m"]))
+                               Fraction(p["theta_h"]), _int(p, "m"))
     _emit_json(args, args.seed, {"certificate": cert.to_json()})
     return cert.product_error < 1e-9 and cert.check_bound()
 
@@ -264,7 +275,7 @@ def cmd_torus_decompose(args):
     r = len(g_angles) - 1
     cert = roots.torus_decompose_typeA(
         roots.TorusElement("A", r, g_angles),
-        roots.TorusElement("A", r, h_angles), int(p["m"]))
+        roots.TorusElement("A", r, h_angles), _int(p, "m"))
     _emit_json(args, args.seed, {"certificate": cert.to_json()})
     return cert.product_error < 1e-8 and cert.check_bound()
 
@@ -274,15 +285,16 @@ def cmd_large_rank(args):
     import random
 
     rng = random.Random(args.seed)
-    r, denom = int(p["rank"]), int(p["denom"])
+    r, denom = _int(p, "rank"), _int(p, "denom")
     if denom < 1:
         raise ConfigInvalid(f"need denom >= 1, got {denom}")
     angs = [Fraction(rng.randint(-denom, denom), denom) for _ in range(r)]
     angs.append(-sum(angs))
     g = roots.TorusElement("A", r, tuple(angs))
-    cert = roots.large_rank_decompose(g, g, int(p["k"]), int(p["m"]))
+    k, m = _int(p, "k"), _int(p, "m")
+    cert = roots.large_rank_decompose(g, g, k, m)
     _emit_json(args, args.seed, {
-        "rank": r, "k": int(p["k"]), "m": int(p["m"]),
+        "rank": r, "k": k, "m": m,
         "count": cert.count, "bound": cert.bound,
         "product_error": f"{cert.product_error:.3e}"})
     return cert.product_error < 1e-8 and cert.check_bound()
@@ -302,7 +314,7 @@ def cmd_profile_order(args):
                  "h": "1/3,1/3,0", "c_max": "8", "k_max": "8"}, args)
     F = _profile_sequence(p["f_type"], p["f"])
     H = _profile_sequence(p["h_type"], p["h"])
-    w = profiles.precede_search(F, H, int(p["c_max"]), int(p["k_max"]))
+    w = profiles.precede_search(F, H, _int(p, "c_max"), _int(p, "k_max"))
     _emit_json(args, args.seed, {
         "witness": None if w is None else {"c": w.c, "k": w.k, "n0": w.n0}})
     return True
@@ -310,12 +322,12 @@ def cmd_profile_order(args):
 
 def cmd_kyfan(args):
     p = _params({"pairs": "200", "n_max": "10", "z_trials": "2"}, args)
-    pairs, z_trials = int(p["pairs"]), int(p["z_trials"])
+    pairs, z_trials = _int(p, "pairs"), _int(p, "z_trials")
     if pairs < 1:
         raise ConfigInvalid(f"need pairs >= 1, got {pairs}")
     violations, exact = 0, True
     for trial, g, h in profiles.random_monomial_pairs(
-            args.seed, pairs, int(p["n_max"])):
+            args.seed, pairs, _int(p, "n_max")):
         rep = profiles.kyfan_profile_check(g, h, z_trials=z_trials,
                                            seed=trial)
         violations += len(rep["violations"])
@@ -329,7 +341,7 @@ def cmd_kyfan(args):
 def cmd_counterexample(args):
     p = _params({"n_max": "64", "c_max": "64", "k_max": "8"}, args)
     rows = profiles.incomparability_demo(
-        int(p["n_max"]), c_max=int(p["c_max"]), k_max=int(p["k_max"]))
+        _int(p, "n_max"), c_max=_int(p, "c_max"), k_max=_int(p, "k_max"))
     _emit_csv(args, args.seed, "direction,c,k,first_failing_n",
               [(d, c, k, "" if f is None else f) for d, c, k, f in rows])
     return all(f is not None for _, _, _, f in rows)
@@ -340,7 +352,7 @@ def cmd_strong_color(args):
     import random
 
     rng = random.Random(args.seed)
-    n, s = int(p["n"]), int(p["s"])
+    n, s = _int(p, "n"), _int(p, "s")
     verts = list(range(n))
     rng.shuffle(verts)
     blocks = [verts[i:i + s] for i in range(0, n, s)]

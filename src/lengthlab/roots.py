@@ -424,9 +424,16 @@ class TorusElement:
                 "angles": [str(a) for a in self.angles]}
 
 
+def _rank(t: TorusElement) -> int:
+    """t.rank, by which every normalized length divides; BadRank if 0."""
+    if t.rank == 0:
+        raise BadRank(f"{t.type} rank 0 has no normalized length")
+    return t.rank
+
+
 def lambda_of(t: TorusElement) -> Fraction:
     """Mean character angle (units of pi): exact rational in [0, 1]."""
-    return sum((lfrac(b) for b in t.betas()), Fraction(0)) / t.rank
+    return sum((lfrac(b) for b in t.betas()), Fraction(0)) / _rank(t)
 
 
 # ------------------------------------- rearrangement orbit, lambda-tilde
@@ -505,7 +512,14 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     D: evenly-signed permutations.  Exact dynamic programming over the
     multiset of distinct angles; raises RankTooLargeForExact when the
     state space exceeds state_cap (use lambda_tilde_lower_bound then).
+
+    The max-plus fold keeps V[label, row, parity], stored as columns
+    row * P + parity: the largest distance sum of a prefix reaching that
+    row's state, ending on label, with that parity of type-D sign flips
+    (P = 2 for D, else 1).  Each layer maximizes its gather over the
+    outermost axis, where numpy folds whole contiguous blocks at a time.
     """
+    rank = _rank(t)
     orb = _Orbit.of(t)
     P = 2 if orb.typ == "D" else 1
     bound = len(orb.values) * P
@@ -515,55 +529,49 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
             raise RankTooLargeForExact(
                 f"{bound}+ states exceeds cap {state_cap}")
 
-    # the remaining counts rem as one mixed-radix index r < R
+    # the remaining counts rem[:, r] as one mixed-radix index r < R, digit
+    # j of stride[j] (np.indices puts its last axis fastest, so reverse)
     counts = np.array(orb.counts)
     stride = np.cumprod(np.concatenate(([1], counts[:-1] + 1)))
     R = int((counts + 1).prod())
-    rem = np.arange(R)[:, None] // stride % (counts + 1)
-    # rows of the fold in layers of rem's digit sum (row 0 is rem = 0);
-    # layer s, the states with s values left to place, is rows cuts[s]:
-    # cuts[s + 1], and row R is a sentinel that no prefix reaches
-    left = rem.sum(axis=1)
+    rem = np.indices(tuple(counts[::-1] + 1)).reshape(len(counts), R)[::-1]
+    # rows of the fold in layers of rem's digit sum (row 0 is rem = 0, row
+    # R - 1 rem = counts); layer s, the states with s values left to place,
+    # is rows cuts[s]:cuts[s + 1], and row R is a sentinel no prefix reaches
+    left = rem.sum(axis=0)
     order = np.argsort(left, kind="stable")
     cuts = np.searchsorted(left[order], np.arange(orb.n + 1)).tolist()
-    row = np.empty(R + 1, dtype=np.intp)
-    row[order] = np.arange(R)
-    row[R] = R
+    at = np.full(R + 1, R * P)  # at[r]: the column of r's row at parity 0
+    at[order] = np.arange(0, R * P, P)
     L = len(orb.values)
-    labs = np.arange(L)
-    value_of = labs // (L // len(counts))
-    # src[i, lab]: the row before placing lab left the rem of row i
-    src = row[np.where(rem[order][:, value_of] < counts[value_of],
-                       order[:, None] + stride[value_of], R)]
+    value_of = np.arange(L) // (L // len(counts))
+    # src[lab, i]: at[] of the state before placing lab left the rem of
+    # row i, and col[lab, i, p] adds the parity before lab
+    src = at[np.where(rem < counts[:, None],
+                      np.arange(R) + stride[:, None], R)][:, order][value_of]
+    flips = np.array(orb.flips)[:, None]
+    col = np.stack([src + (flips ^ p) for p in range(P)], axis=-1)
 
-    # max-plus fold: V[i, label, parity] is the largest distance sum of a
-    # prefix reaching the state.  A full arrangement scores at most
-    # (n + 1) * D, so int64 is exact below the threshold; past it the
-    # same code runs on Python ints.  Unreached states start at neg and
-    # stay negative after every weight.
+    # every sum is at most (n + 1) * D: int64 below the threshold, Python
+    # ints past it; unreached states start negative and stay negative
     dtype = np.int64 if 2 * orb.D * orb.n < 2 ** 60 else object
-    neg = -4 * orb.D * orb.n
-    V = np.full((R + 1, L, P), neg, dtype=dtype)
-    flips = np.array(orb.flips)
-    first, lab = np.nonzero(src[cuts[-2]:cuts[-1]] < R)
-    V[cuts[-2] + first, lab, flips[lab]] = 0
-    step = np.array(orb.step, dtype=dtype)
+    V = np.full((L, R + 1, P), -4 * orb.D * orb.n, dtype=dtype)
+    V[:, R - 1, 0] = 0  # nothing placed yet: every value left, no flip
+    columns = V.reshape(L, (R + 1) * P)
+    step = np.array(orb.step, dtype=dtype)[:, :, None, None]
     last = step if orb.close is None else \
-        step + np.array(orb.close, dtype=dtype)
-    step_t, last_t = step.T[:, :, None], last.T[:, :, None]
-    lab_ix = labs[:, None]
-    par_ix = (np.arange(P) ^ flips[:, None])[:, None, :]
-    for s in range(orb.n - 2, -1, -1):
+        step + np.array(orb.close, dtype=dtype)[:, :, None, None]
+    for s in range(orb.n - 1, -1, -1):
         a, b = cuts[s], cuts[s + 1]
-        # cand[i, lab2, lab, p] = V[src[a + i, lab2], lab, p ^ flip(lab2)]
-        cand = V[src[a:b, :, None, None], lab_ix, par_ix]
-        cand += last_t if s == 0 else step_t
-        V[a:b] = cand.max(axis=2)
+        cand = columns.take(col[:, a:b], axis=1)  # [lab, lab2, i, p]
+        # + step[lab][lab2]; placing the first value adds nothing
+        cand += 0 if s == orb.n - 1 else last if s == 0 else step
+        np.maximum.reduce(cand, axis=0, out=V[:, a:b])
 
-    best = int((V[0, :, 0] + np.array(orb.end, dtype=dtype)).max())
+    best = int((V[:, 0, 0] + np.array(orb.end, dtype=dtype)).max())
     if best < 0:
         raise RankTooLargeForExact("no admissible arrangement")
-    return Fraction(best, orb.D * t.rank)
+    return Fraction(best, orb.D * rank)
 
 
 def _zigzag(values):
@@ -608,7 +616,7 @@ def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
         val = _arrangement_value(typ, tuple(seq))
         if val > best:
             best = val
-    return best / t.rank
+    return best / _rank(t)
 
 
 # --------------------------------------------------- l1 lengths
@@ -628,7 +636,7 @@ def ell1_prime(t: TorusElement) -> float:
         val = sum(2 * abs(math.sin(math.pi * ((kink + a) / D) / 2))
                   for a in nums)
         best = min(best, val)
-    return best / (2 * t.rank)
+    return best / (2 * _rank(t))
 
 
 def scaled_rank_length_inf(t: TorusElement) -> Fraction:

@@ -103,7 +103,8 @@ def test_unknown_parameter_is_an_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["width", "--set", "group"], "bad --set item: 'group'"),
     (["profile-order", "--grid", "c=5,k"], "bad --grid part: 'k'"),
-], ids=["set", "grid"])
+    (["profile-order", "--grid", "=5"], "bad --grid part: '=5'"),
+], ids=["set", "grid", "grid-empty-name"])
 def test_item_without_equals_is_named(argv, message, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -139,12 +140,16 @@ def test_library_error_exits_2(argv, capsys):
 # the build cap and every size in cli.CAPS just above its cap and at
 # 2**64, with the exit code the contract gives: 0 every invariant held,
 # 1 one failed, 2 bad input.  linear-lengths takes no parameters;
-# acceptance's empty filter is test_acceptance_filter_and_noop.
+# acceptance's empty filter is test_acceptance_filter_and_noop.  An item
+# is a --set value, or a flag when it starts with "--"; a third entry is
+# text the error line must contain, such as the name of a non-integer.
 BIG = f"={2**64}"
 EDGE_CASES = {
     "sym-lengths": [(["n_min=0", "n_max=0"], 2), (["n_min=1", "n_max=1"], 0),
                     (["n_min=-1", "n_max=3"], 2), (["n_min=5", "n_max=4"], 2),
-                    (["n_max=51"], 2), (["n_max" + BIG], 2)],
+                    (["n_max=51"], 2), (["n_max" + BIG], 2),
+                    (["n_max=abc"], 2, "n_max must be an integer, got 'abc'"),
+                    (["n_min=1/2"], 2, "n_min"), (["--n=5.."], 2, "n_max")],
     "width": [(["group=S0"], 2), (["group=S1"], 2), (["group=S-1"], 2),
               (["group="], 2), (["group=A12"], 2)],
     "ore-check": [(["group=A0"], 2), (["group=A1"], 2), (["group=A-1"], 2),
@@ -153,7 +158,8 @@ EDGE_CASES = {
                 (["group=PSL2_-1"], 2), (["group=S"], 2),
                 (["group=PSL2_59"], 2)],  # order 102660
     "root-check": [(["type=A", "rank=0"], 2), (["type=A", "rank=1"], 0),
-                   (["type=B", "rank=-1"], 2), (["type=D", "rank=1"], 2)],
+                   (["type=B", "rank=-1"], 2), (["type=D", "rank=1"], 2),
+                   (["rank=2.0"], 2, "rank")],
     "su2-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
                       (["theta_h=0"], 2)],
     "torus-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
@@ -165,7 +171,9 @@ EDGE_CASES = {
                       (["f=", "h="], 2),
                       # no witness, on a grid that has no cap
                       (["f=1/2,0,0", "h=0,0,0", "c_max" + BIG, "k_max" + BIG],
-                       0)],
+                       0),
+                      (["--grid=c=x,k=2"], 2, "c_max"),
+                      (["k_max=1e3"], 2, "k_max")],
     "kyfan": [(["pairs=0"], 2), (["pairs=1"], 0), (["pairs=-1"], 2),
               (["pairs=5", "n_max=1"], 2), (["pairs=10001"], 2),
               (["pairs" + BIG], 2), (["z_trials=1001"], 2),
@@ -178,24 +186,29 @@ EDGE_CASES = {
                        (["k_max" + BIG], 2),
                        # c_max and k_max at their caps run; k > 32 first
                        # fails past the default n_max = 64
-                       (["c_max=1024", "k_max=64"], 1)],
+                       (["c_max=1024", "k_max=64"], 1),
+                       (["k_max=x"], 2, "k_max")],
     "strong-color": [(["n=0"], 2), (["n=1"], 2), (["n=-1"], 2), (["s=0"], 2),
                      (["n=63", "s=1"], 2), (["n=63", "s=2"], 2),
-                     (["n=1000001"], 2), (["n" + BIG], 2)],
+                     (["n=1000001"], 2), (["n" + BIG], 2),
+                     (["s=three"], 2, "s must be an integer")],
 }
 
 
-@pytest.mark.parametrize("argv, code", [
-    pytest.param([cmd] + [a for s in sets for a in ("--set", s)], code,
+@pytest.mark.parametrize("argv, code, needle", [
+    pytest.param([cmd] + [a for s in sets
+                          for a in ((s,) if s[:2] == "--" else ("--set", s))],
+                 code, needle[0] if needle else None,
                  id=f"{cmd}-{'-'.join(sets)}")
-    for cmd, cases in EDGE_CASES.items() for sets, code in cases])
-def test_edge_values_keep_exit_contract(argv, code, tmp_path, capsys):
+    for cmd, cases in EDGE_CASES.items() for sets, code, *needle in cases])
+def test_edge_values_keep_exit_contract(argv, code, needle, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert needle is None or needle in lines[0]
 
 
 HUGE = (str(2**64), str(-2**64))

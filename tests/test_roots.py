@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lengthlab import roots as R
 from lengthlab.roots import (
+    _STATE_CAP,
     BadRank,
     BoundViolated,
     CentralH,
@@ -19,6 +21,7 @@ from lengthlab.roots import (
     RankTooLargeForExact,
     RankTooSmall,
     TorusElement,
+    _Orbit,
     build_root_system,
     check_root_combinations,
     counterexample_family,
@@ -373,6 +376,138 @@ def test_lambda_tilde_matches_brute_force(typ, r, denoms):
             ang[-1] = -sum(ang[:-1])
         t = TorusElement(typ, r, tuple(ang))
         assert lambda_tilde(t) == brute_lambda_tilde(t)
+
+
+def lambda_tilde_reference(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
+    """lambda_tilde's fold on V[row, label, parity], maximizing over the
+    label axis in the middle: the kernel before the outer-axis layout.
+
+    Exact maximum of lambda over the orbit of rearrangements.
+
+    Type A/U: permutations of the angles.  B/C: signed permutations.
+    D: evenly-signed permutations.  Exact dynamic programming over the
+    multiset of distinct angles; raises RankTooLargeForExact when the
+    state space exceeds state_cap (use lambda_tilde_lower_bound then).
+    """
+    orb = _Orbit.of(t)
+    P = 2 if orb.typ == "D" else 1
+    bound = len(orb.values) * P
+    for c in orb.counts:
+        bound *= c + 1
+        if bound > state_cap:
+            raise RankTooLargeForExact(
+                f"{bound}+ states exceeds cap {state_cap}")
+
+    # the remaining counts rem as one mixed-radix index r < R
+    counts = np.array(orb.counts)
+    stride = np.cumprod(np.concatenate(([1], counts[:-1] + 1)))
+    R = int((counts + 1).prod())
+    rem = np.arange(R)[:, None] // stride % (counts + 1)
+    # rows of the fold in layers of rem's digit sum (row 0 is rem = 0);
+    # layer s, the states with s values left to place, is rows cuts[s]:
+    # cuts[s + 1], and row R is a sentinel that no prefix reaches
+    left = rem.sum(axis=1)
+    order = np.argsort(left, kind="stable")
+    cuts = np.searchsorted(left[order], np.arange(orb.n + 1)).tolist()
+    row = np.empty(R + 1, dtype=np.intp)
+    row[order] = np.arange(R)
+    row[R] = R
+    L = len(orb.values)
+    labs = np.arange(L)
+    value_of = labs // (L // len(counts))
+    # src[i, lab]: the row before placing lab left the rem of row i
+    src = row[np.where(rem[order][:, value_of] < counts[value_of],
+                       order[:, None] + stride[value_of], R)]
+
+    # max-plus fold: V[i, label, parity] is the largest distance sum of a
+    # prefix reaching the state.  A full arrangement scores at most
+    # (n + 1) * D, so int64 is exact below the threshold; past it the
+    # same code runs on Python ints.  Unreached states start at neg and
+    # stay negative after every weight.
+    dtype = np.int64 if 2 * orb.D * orb.n < 2 ** 60 else object
+    neg = -4 * orb.D * orb.n
+    V = np.full((R + 1, L, P), neg, dtype=dtype)
+    flips = np.array(orb.flips)
+    first, lab = np.nonzero(src[cuts[-2]:cuts[-1]] < R)
+    V[cuts[-2] + first, lab, flips[lab]] = 0
+    step = np.array(orb.step, dtype=dtype)
+    last = step if orb.close is None else \
+        step + np.array(orb.close, dtype=dtype)
+    step_t, last_t = step.T[:, :, None], last.T[:, :, None]
+    lab_ix = labs[:, None]
+    par_ix = (np.arange(P) ^ flips[:, None])[:, None, :]
+    for s in range(orb.n - 2, -1, -1):
+        a, b = cuts[s], cuts[s + 1]
+        # cand[i, lab2, lab, p] = V[src[a + i, lab2], lab, p ^ flip(lab2)]
+        cand = V[src[a:b, :, None, None], lab_ix, par_ix]
+        cand += last_t if s == 0 else step_t
+        V[a:b] = cand.max(axis=2)
+
+    best = int((V[0, :, 0] + np.array(orb.end, dtype=dtype)).max())
+    if best < 0:
+        raise RankTooLargeForExact("no admissible arrangement")
+    return Fraction(best, orb.D * t.rank)
+
+
+def _outcome(f, t, **kw):
+    """f's value on t, or the type and message of what it raised."""
+    try:
+        return f(t, **kw)
+    except RankTooLargeForExact as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _draw(typ, r, angle):
+    """The element of type typ and rank r with angles angle(0), ...; the
+    last one of type A is minus the sum of the others."""
+    n = r + 1 if typ in ("A", "U") else r
+    ang = [angle(i) for i in range(n)]
+    if typ == "A":
+        ang[-1] = -sum(ang[:-1])
+    return TorusElement(typ, r, tuple(ang))
+
+
+@pytest.mark.parametrize("typ", "ABCDU")
+def test_lambda_tilde_matches_reference(typ):
+    rng = random.Random(ord(typ))
+    ts = []
+    for r in range(2 if typ == "D" else 1, 11):
+        # one denominator each, then values from a pool of three so that
+        # most repeat; primes near 10**12 take the object-dtype path
+        ts += [_draw(typ, r, lambda i: F(rng.randint(-d, d), d))
+               for d in range(1, 13)]
+        pool = [F(rng.randint(-12, 12), 12) for _ in range(3)]
+        ts.append(_draw(typ, r, lambda i: rng.choice(pool)))
+        if r <= 6:
+            ts.append(_draw(typ, r, lambda i: F(
+                rng.randint(-9, 9), PRIMES[i % len(PRIMES)])))
+    if typ == "U":
+        ts += [t for n in range(2, 65) for t in counterexample_family(n)]
+    for t in ts:
+        assert _outcome(lambda_tilde, t) == _outcome(lambda_tilde_reference, t)
+        # the state cap at the element's bound passes; one less raises
+        orb = _Orbit.of(t)
+        bound = len(orb.values) * (2 if orb.typ == "D" else 1) * math.prod(
+            c + 1 for c in orb.counts)
+        for cap in (bound, bound - 1):
+            got = _outcome(lambda_tilde, t, state_cap=cap)
+            assert got == _outcome(lambda_tilde_reference, t, state_cap=cap)
+            assert (got == ("RankTooLargeForExact",
+                            f"{bound}+ states exceeds cap {cap}")) == (
+                cap < bound)
+
+
+@pytest.mark.parametrize("f", [lambda_tilde, lambda_of, ell1_prime,
+                               lambda_tilde_lower_bound],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("t", [TorusElement("A", 0, (F(0),)),
+                               TorusElement("U", 0, (F(1, 2),))],
+                         ids=["A0", "U0"])
+def test_rank_zero_is_bad_rank(f, t):
+    # every normalized length divides by the rank
+    with pytest.raises(BadRank) as exc:
+        f(t)
+    assert str(exc.value) == f"{t.type} rank 0 has no normalized length"
 
 
 def test_lambda_tilde_orbit_invariant():
