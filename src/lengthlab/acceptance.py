@@ -67,10 +67,9 @@ def suite_class_sizes(seed=DEFAULT_SEED):
         even = [(c, c.inverse()) for c in elements if c.is_even()]
         buckets = {}
         for p in elements:
-            parts = tuple(perms.cycle_type(p).parts())
-            buckets.setdefault(parts, []).append(p)
-        for parts, members in buckets.items():
-            t = perms.CycleType.from_parts(list(parts))
+            buckets.setdefault(perms.cycle_type(p), []).append(p)
+        for t, members in buckets.items():
+            parts = tuple(t)
             checked += 1
             if perms.class_size(t, perms.SYM) != len(members):
                 bad.append(("S", n, parts))

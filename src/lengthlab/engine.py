@@ -107,16 +107,21 @@ class GroupTable:
         self.full_mask = (1 << len(reps)) - 1
         self.classes, self.class_sets = [], []
         self.class_product, self.inverse_class = [], []
-        # classes in chunks, so no chunk's masks exceed about _CHUNK_ENTRIES
+        # classes in chunks, so no chunk's masks exceed about _CHUNK_ENTRIES;
+        # the representatives' rows come in blocks of whole chunks under
+        # the same bound, one _left pass per block
         k = len(reps)
         step = max(1, _CHUNK_ENTRIES // (n + k * k))
+        block = max(1, _CHUNK_ENTRIES // n // step) * step
         for c in range(0, k, step):
             member = class_of == np.arange(c, min(c + step, k))[:, None]
             self.classes += [m.nonzero()[0].tolist() for m in member]
             self.class_sets += _bitmasks(member)
             # the rows r*x of the representatives r: the classes meeting
             # r*C_a, and the class of r^-1, the x with r*x = 1
-            rows = _left(tree, reps[c:c + step])
+            if c % block == 0:
+                block_rows = _left(tree, reps[c:c + block])
+            rows = block_rows[c % block:c % block + step]
             self.inverse_class += class_of[(rows == 0).argmax(1)].tolist()
             hit = np.zeros((len(rows), k, k), dtype=bool)
             hit[np.arange(len(rows))[:, None], class_of, class_of[rows]] = True
@@ -238,8 +243,8 @@ def _bitmasks(flags: np.ndarray) -> List[int]:
     """The big-int bitmask of each row of a bool array."""
     packed = np.packbits(flags, axis=-1, bitorder="little")
     raw, w = packed.tobytes(), packed.shape[-1]
-    return [int.from_bytes(raw[i:i + w], "little")
-            for i in range(0, len(raw), w)]
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
 
 
 def _vector_action(m: FqMatrix) -> List[int]:

@@ -6,6 +6,12 @@ rule) and the conjugacy length all depend on a permutation only through
 its cycle type, so the comparison sweeps enumerate integer partitions
 rather than group elements.
 
+A cycle type is the ascending tuple of its cycle lengths (CycleType, a
+slotted tuple subclass), so a comparison row holds one small tuple and
+no dict. The partition walk carries, for each prefix, only its
+class-size denominator and the run length of its last part; a row's
+tail parts extend that run or start new ones.
+
 Hamming and rank lengths are exact rationals; the conjugacy length goes
 through floating point logarithms (class sizes stay exact big integers).
 """
@@ -102,67 +108,41 @@ class Permutation:
         return cycle_type(self).is_even()
 
 
-class CycleType:
-    """Multiset of cycle lengths of a permutation of n points.
+class CycleType(tuple):
+    """The cycle lengths of a permutation of n = sum(self) points, as an
+    ascending tuple.
 
-    counts maps cycle length i to its multiplicity c_i; sum(i * c_i) = n.
+    CycleType(parts) checks and sorts the parts; rows built from a
+    partition walk skip that through tuple.__new__(CycleType, parts).
     """
 
-    __slots__ = ("n", "counts")
+    __slots__ = ()
 
-    def __init__(self, n: int, counts: Dict[int, int]):
-        counts = {i: c for i, c in counts.items() if c}
-        if any(i < 1 or c < 0 for i, c in counts.items()):
-            raise ValueError("invalid cycle type")
-        if sum(i * c for i, c in counts.items()) != n:
-            raise ValueError("cycle lengths must sum to n")
-        self.n = n
-        self.counts = counts
+    def __new__(cls, parts: Iterable[int] = ()) -> "CycleType":
+        parts = list(parts)
+        if any(type(i) is not int or i < 1 for i in parts):
+            raise ValueError(f"cycle lengths must be positive ints, got {parts}")
+        parts.sort()
+        return super().__new__(cls, parts)
 
-    @classmethod
-    def _trusted(cls, n: int, counts: Dict[int, int]) -> "CycleType":
-        # counts already valid (no zero entries, sum(i * c) = n): skip checks
-        t = cls.__new__(cls)
-        t.n, t.counts = n, counts
-        return t
-
-    @classmethod
-    def from_parts(cls, parts: Sequence[int]) -> "CycleType":
-        counts: Dict[int, int] = {}
-        for p in parts:
-            counts[p] = counts.get(p, 0) + 1
-        return cls(sum(parts), counts)
+    @property
+    def n(self) -> int:
+        return sum(self)
 
     def parts(self) -> List[int]:
-        out: List[int] = []
-        for i in sorted(self.counts):
-            out.extend([i] * self.counts[i])
-        return out
+        return list(self)
 
     def is_even(self) -> bool:
         # parity = sum over cycles of (length - 1)
-        return sum((i - 1) * c for i, c in self.counts.items()) % 2 == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycleType)
-            and self.n == other.n
-            and self.counts == other.counts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.counts.items()))))
+        return (sum(self) - len(self)) % 2 == 0
 
     def __repr__(self) -> str:
-        return f"CycleType({self.n}, {self.counts})"
+        return f"CycleType({tuple(self)})"
 
 
 def cycle_type(p: Permutation) -> CycleType:
     """Cycle type of a permutation."""
-    counts: Dict[int, int] = {}
-    for cyc in p.cycles():
-        counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-    return CycleType(p.n, counts)
+    return tuple.__new__(CycleType, sorted(map(len, p.cycles())))
 
 
 def class_size(t: CycleType, ambient: str = SYM) -> int:
@@ -176,9 +156,11 @@ def class_size(t: CycleType, ambient: str = SYM) -> int:
     Raises:
         OddTypeInAlt: if ambient is Alt and t is an odd type.
     """
-    denom = 1
-    for i, c in t.counts.items():
-        denom *= i**c * math.factorial(c)
+    # the c-th part equal to i adds i * c to the denominator
+    denom, prev, c = 1, 0, 0
+    for i in t:
+        c = c + 1 if i == prev else 1
+        denom, prev = denom * i * c, i
     size = math.factorial(t.n) // denom
     if ambient == SYM:
         return size
@@ -186,12 +168,13 @@ def class_size(t: CycleType, ambient: str = SYM) -> int:
         raise ValueError(f"unknown ambient {ambient!r}")
     if not t.is_even():
         raise OddTypeInAlt(f"odd cycle type {t!r} in Alt")
-    return size // 2 if _splits_in_alt(t.counts) else size
+    return size // 2 if _splits_in_alt(t) else size
 
 
-def _splits_in_alt(counts: Dict[int, int]) -> bool:
-    """Does A_n split the S_n-class: are the lengths odd and distinct?"""
-    return all(i % 2 and c == 1 for i, c in counts.items())
+def _splits_in_alt(parts: Sequence[int]) -> bool:
+    """Does A_n split the S_n-class: are the ascending parts odd and
+    distinct?"""
+    return all(i % 2 for i in parts) and len(set(parts)) == len(parts)
 
 
 def group_order(n: int, ambient: str = SYM) -> int:
@@ -205,30 +188,31 @@ def group_order(n: int, ambient: str = SYM) -> int:
 def _ascending(n: int) -> Iterator[tuple]:
     """accelAsc (Kelleher and O'Sullivan) on n >= 1, prefix carried along.
 
-    Yields (a, cnt, den, k, x, y) in lexicographic order: the parts are
+    Yields (a, run, den, k, x, y) in lexicographic order: the parts are
     a[:k] + [x, y] with x <= y, or a[:k] + [x] when y is 0; both tail
-    parts are at least a[k-1].  For each prefix length j, cnt[j] holds the
-    multiplicities of a[:j], inserted in ascending order, and den[j] is
-    prod i^c * c! over them: the c-th part equal to i adds i * c.
+    parts are at least a[k-1].  For each prefix length j >= 1, run[j] is
+    how many of a[:j] equal its last part a[j-1], and den[j] is
+    prod i^c * c! over the multiplicities c of a[:j]: the c-th part equal
+    to i adds i * c.  A push starts a new run, since x > a[k-1] there.
     """
     a = [0] * n
-    cnt = [{}] * (n + 1)
+    run = [0] * (n + 1)
     den = [1] * (n + 1)
     k, y = 1, n - 1
     while k:
         x = a[k - 1] + 1
         k -= 1
+        c = 0
         while 2 * x <= y:  # push x
-            counts = cnt[k].copy()
-            counts[x] = c = counts.get(x, 0) + 1
-            a[k], cnt[k + 1], den[k + 1] = x, counts, den[k] * x * c
+            c += 1
+            a[k], run[k + 1], den[k + 1] = x, c, den[k] * x * c
             y -= x
             k += 1
         while x <= y:
-            yield a, cnt, den, k, x, y
+            yield a, run, den, k, x, y
             x += 1
             y -= 1
-        yield a, cnt, den, k, x + y, 0
+        yield a, run, den, k, x + y, 0
         y += x - 1
 
 
@@ -253,30 +237,30 @@ def comparison_rows(
         log_order = math.log(group_order(n, ambient))
         fact = math.factorial(n)
         frac = [Fraction(k, n) for k in range(n + 1)]
-        for _, cnt, den, k, x, y in _ascending(n):
+        for a, run, den, k, x, y in _ascending(n):
             l = k + 2 if y else k + 1
             if ambient == ALT and (n - l) % 2:  # parity of the type is n - l
                 continue
             # class_size with n! hoisted and the prefix's denominator
-            # carried: the tail adds its parts to a copy of the prefix's
-            counts = cnt[k].copy()
-            counts[x] = c = counts.get(x, 0) + 1
+            # carried: x extends the prefix's last run or starts one
+            c = run[k] + 1 if k and a[k - 1] == x else 1
             denom = den[k] * x * c
             if y:
-                counts[y] = c = counts.get(y, 0) + 1
-                denom *= y * c
+                denom *= y * (c + 1 if y == x else 1)
+                t = tuple.__new__(CycleType, a[:k] + [x, y])
+            else:
+                t = tuple.__new__(CycleType, a[:k] + [x])
             size = fact // denom
-            if ambient == ALT and _splits_in_alt(counts):
+            if ambient == ALT and _splits_in_alt(t):
                 size //= 2
             lc = math.log(size) / log_order if size > 1 else 0.0
-            c1 = counts.get(1, 0)
+            c1 = t.count(1)
             # l_r <= l_H <= 2 l_r  <=>  c1 <= l and n - c1 <= 2(n - l)
             flag_exact = not (c1 <= l and n - c1 <= 2 * (n - l))
             lh = (n - c1) / n  # rounds as float(Fraction(n - c1, n)) does
             flag_asym = n >= ASYMPTOTIC_THRESHOLD_N and (
                 lc > 2 * lh + 1e-12 or lh > 8 * lc + 1e-12)
-            yield (n, CycleType._trusted(n, counts), frac[n - c1],
-                   frac[n - l], lc, flag_exact, flag_asym)
+            yield n, t, frac[n - c1], frac[n - l], lc, flag_exact, flag_asym
 
 
 def _census(n_max: int) -> List[Dict[Tuple[int, int], int]]:

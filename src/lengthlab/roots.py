@@ -641,9 +641,8 @@ def ell1_prime(t: TorusElement) -> float:
 
 def scaled_rank_length_inf(t: TorusElement) -> Fraction:
     """inf over unit scalars z of rank(1 - z*g)/n for the spectrum of g."""
-    spec = [normalize_angle(a) for a in t.spectrum()]
-    top = max(spec.count(v) for v in set(spec))
-    return Fraction(len(spec) - top, len(spec))
+    spec = t.spectrum()  # already normalized
+    return Fraction(len(spec) - max(Counter(spec).values()), len(spec))
 
 
 # ----------------------------------------------- quaternion utilities
@@ -1171,9 +1170,9 @@ def counterexample_family(n):
     zeros; h has two angles 1 and 2n-1 zeros (units of pi)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    g_angles = [Fraction(2 * (n - 1), n)] + [Fraction(1, n * n)] * n \
-        + [Fraction(0)] * n
-    h_angles = [Fraction(1), Fraction(1)] + [Fraction(0)] * (2 * n - 1)
-    g = TorusElement("U", 2 * n, tuple(g_angles))
-    h = TorusElement("U", 2 * n, tuple(h_angles))
+    # each distinct angle normalized once: 2(n-1)/n is -2/n for n >= 3
+    top, small, zero, one = map(normalize_angle, (
+        Fraction(2 * (n - 1), n), Fraction(1, n * n), 0, 1))
+    g = TorusElement._trusted("U", 2 * n, (top,) + (small,) * n + (zero,) * n)
+    h = TorusElement._trusted("U", 2 * n, (one, one) + (zero,) * (2 * n - 1))
     return g, h

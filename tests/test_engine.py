@@ -449,7 +449,7 @@ def test_length_connection_for_conj_length_and_hamming():
     t = named_group("A5")
     lc = [t.conj_length(g) for g in range(t.order)]
     # the Hamming length: the share of points that g moves
-    lh = [(p.n - cycle_type(p).counts.get(1, 0)) / p.n for p in t.elements]
+    lh = [(p.n - cycle_type(p).count(1)) / p.n for p in t.elements]
     rng = random.Random(1)
     for _ in range(30):
         g, h = rng.randrange(t.order), rng.randrange(t.order)
@@ -480,7 +480,7 @@ def test_normal_closure_double_transposition_s4():
     dt = next(
         i
         for i in range(t.order)
-        if cycle_type(t.elements[i]).counts == {2: 2}
+        if cycle_type(t.elements[i]) == (2, 2)
     )
     closure = normal_closure(t, dt)
     assert bin(closure).count("1") == 4
@@ -831,6 +831,33 @@ BENCH_GENS = {
 def test_tree_tables_match_dict_references_relabelled(name, seed):
     gens = _relabelled(BENCH_GENS[name](), random.Random(seed))
     _assert_matches_references(generate_group(gens), gens)
+
+
+@pytest.mark.parametrize("name", ["A5", "S4", "D4", "Q8"])
+def test_tree_tables_match_in_blocks_of_chunks(name, monkeypatch):
+    # a small _CHUNK_ENTRIES splits the class products into chunks and the
+    # representatives' rows into blocks of several chunks each
+    gens = BENCH_GENS[name]()
+    t = generate_group(gens)
+    n, k = t.order, len(t.classes)
+    left, bitmasks = engine._left, engine._bitmasks
+    passes = []
+    monkeypatch.setattr(engine, "_left", lambda tree, gs: (
+        passes.append("left"), left(tree, gs))[1])
+    monkeypatch.setattr(engine, "_bitmasks", lambda flags: (
+        passes.append("mask"), bitmasks(flags))[1])
+    split = False
+    for entries in sorted({1, n, 2 * n, 3 * n, 4 * n}
+                          | {m * (n + k * k) for m in (1, 2, 3)}):
+        monkeypatch.setattr(engine, "_CHUNK_ENTRIES", entries)
+        passes.clear()
+        table = generate_group(gens)
+        # one pass for the generators' inverses, then one per block; two
+        # masks per chunk (the classes and the class products)
+        blocks, chunks = passes.count("left") - 1, passes.count("mask") // 2
+        split |= 2 <= blocks < chunks
+        _assert_matches_references(table, gens)
+    assert split
 
 
 TRANSPOSITION = Permutation.from_cycles(3, [[0, 1]])

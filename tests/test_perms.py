@@ -56,18 +56,18 @@ def partitions(n):
 
 def hamming_length(t):
     """Fraction of non-fixed points: 1 - c_1/n."""
-    return Fraction(t.n - t.counts.get(1, 0), t.n)
+    return Fraction(t.n - t.count(1), t.n)
 
 
 def rank_length_perm(t):
     """1 - (number of cycles)/n, the permutation-matrix rank length."""
-    return Fraction(t.n - sum(t.counts.values()), t.n)
+    return Fraction(t.n - len(t), t.n)
 
 
 def cycle_types(n, ambient=SYM):
     """All cycle types of the ambient group on n points."""
     for parts in partitions(n):
-        t = CycleType.from_parts(parts)
+        t = CycleType(parts)
         if ambient == ALT and not t.is_even():
             continue
         yield t
@@ -81,21 +81,139 @@ def orbit_class_size(p, elements):
     return len(orbit)
 
 
+class CycleTypeReference:
+    """The dict-based cycle type: counts maps cycle length i to its
+    multiplicity c_i, sum(i * c_i) = n."""
+
+    __slots__ = ("n", "counts")
+
+    def __init__(self, n, counts):
+        counts = {i: c for i, c in counts.items() if c}
+        if any(i < 1 or c < 0 for i, c in counts.items()):
+            raise ValueError("invalid cycle type")
+        if sum(i * c for i, c in counts.items()) != n:
+            raise ValueError("cycle lengths must sum to n")
+        self.n = n
+        self.counts = counts
+
+    @classmethod
+    def from_parts(cls, parts):
+        counts = {}
+        for p in parts:
+            counts[p] = counts.get(p, 0) + 1
+        return cls(sum(parts), counts)
+
+    def parts(self):
+        out = []
+        for i in sorted(self.counts):
+            out.extend([i] * self.counts[i])
+        return out
+
+    def is_even(self):
+        return sum((i - 1) * c for i, c in self.counts.items()) % 2 == 0
+
+    def __eq__(self, other):
+        return (isinstance(other, CycleTypeReference) and self.n == other.n
+                and self.counts == other.counts)
+
+    def __hash__(self):
+        return hash((self.n, tuple(sorted(self.counts.items()))))
+
+
+def cycle_type_reference(p):
+    counts = {}
+    for cyc in p.cycles():
+        counts[len(cyc)] = counts.get(len(cyc), 0) + 1
+    return CycleTypeReference(p.n, counts)
+
+
+def class_size_reference(t, ambient=SYM):
+    """n! / prod i^c_i c_i!, halved in Alt when the lengths are odd and
+    distinct; OddTypeInAlt for an odd type in Alt."""
+    denom = 1
+    for i, c in t.counts.items():
+        denom *= i**c * math.factorial(c)
+    size = math.factorial(t.n) // denom
+    if ambient == SYM:
+        return size
+    if not t.is_even():
+        raise OddTypeInAlt(f"odd cycle type {t!r} in Alt")
+    splits = all(i % 2 and c == 1 for i, c in t.counts.items())
+    return size // 2 if splits else size
+
+
 # ------------------------------------------------------------ cycle types
 
 
 def test_cycle_type_identity():
-    assert cycle_type(Permutation.identity(4)).counts == {1: 4}
+    assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
 
 
 def test_cycle_type_mixed():
-    p = Permutation.from_cycles(5, [[0, 1], [2, 3, 4]])
-    assert cycle_type(p).counts == {2: 1, 3: 1}
+    # the 3-cycle comes first in cycles(); the type is ascending
+    p = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
+    assert cycle_type(p) == (2, 3)
 
 
 def test_cycle_type_ncycle():
     p = Permutation.from_cycles(7, [list(range(7))])
-    assert cycle_type(p).counts == {7: 1}
+    assert cycle_type(p) == (7,)
+
+
+def assert_matches_reference(pairs):
+    """pairs: (CycleType, CycleTypeReference) of the same multiset."""
+    for t, ref in pairs:
+        assert type(t) is CycleType
+        assert t.parts() == list(t) == ref.parts() and t.n == ref.n
+        assert t.is_even() == ref.is_even()
+        assert class_size(t, SYM) == class_size_reference(ref, SYM)
+        if ref.is_even():
+            assert class_size(t, ALT) == class_size_reference(ref, ALT)
+        else:
+            with pytest.raises(OddTypeInAlt):
+                class_size(t, ALT)
+            with pytest.raises(OddTypeInAlt):
+                class_size_reference(ref, ALT)
+    # equality and hashing group the pairs into the same classes
+    new, old = {}, {}
+    for pos, (t, ref) in enumerate(pairs):
+        new.setdefault(t, []).append(pos)
+        old.setdefault(ref, []).append(pos)
+    assert list(new.values()) == list(old.values())
+
+
+def test_cycle_type_matches_reference_on_partitions():
+    every = [parts for n in range(15) for parts in partitions(n)]
+    assert len(every) == sum(pentagonal_partition_counts(14))
+    # each partition ascending and descending: the constructor sorts
+    pairs = [(CycleType(order), CycleTypeReference.from_parts(parts))
+             for parts in every for order in (parts, parts[::-1])]
+    assert_matches_reference(pairs)
+
+
+def test_cycle_type_matches_reference_on_permutations():
+    pairs = [(cycle_type(p), cycle_type_reference(p))
+             for n in range(1, 7) for p in all_perms(n)]
+    assert_matches_reference(pairs)
+    assert all(p.is_even() == cycle_type_reference(p).is_even()
+               for n in range(1, 7) for p in all_perms(n))
+
+
+@pytest.mark.parametrize("parts", [
+    [1.5, 2.5], [2.0, 1], [True, 1], [False], [0], [3, -1], ["2"], [None],
+    [Fraction(2)], [1, "a"]])
+def test_cycle_type_rejects_non_int_parts(parts):
+    with pytest.raises(ValueError, match="positive ints"):
+        CycleType(parts)
+
+
+def test_cycle_type_is_a_bare_tuple():
+    t = CycleType([3, 1, 2, 1])
+    assert t == (1, 1, 2, 3) and t.n == 7 and isinstance(t, tuple)
+    assert repr(t) == "CycleType((1, 1, 2, 3))"
+    assert not hasattr(t, "__dict__")
+    assert sys.getsizeof(t) == sys.getsizeof((1, 1, 2, 3))
+    assert CycleType() == () and CycleType().n == 0
 
 
 def test_partitions_count():
@@ -144,28 +262,28 @@ def test_negative_sizes_raise():
 
 
 def test_hamming_trivial_cases():
-    assert hamming_length(CycleType.from_parts([1, 1, 1, 1])) == 0
-    assert hamming_length(CycleType.from_parts([2, 1, 1])) == Fraction(1, 2)
-    assert hamming_length(CycleType.from_parts([6])) == 1
+    assert hamming_length(CycleType([1, 1, 1, 1])) == 0
+    assert hamming_length(CycleType([2, 1, 1])) == Fraction(1, 2)
+    assert hamming_length(CycleType([6])) == 1
 
 
 def test_rank_length_trivial_cases():
-    assert rank_length_perm(CycleType.from_parts([1] * 5)) == 0
-    assert rank_length_perm(CycleType.from_parts([2, 1, 1])) == Fraction(1, 4)
-    assert rank_length_perm(CycleType.from_parts([6])) == Fraction(5, 6)
+    assert rank_length_perm(CycleType([1] * 5)) == 0
+    assert rank_length_perm(CycleType([2, 1, 1])) == Fraction(1, 4)
+    assert rank_length_perm(CycleType([6])) == Fraction(5, 6)
 
 
 def test_class_size_trivial_and_derived():
     # Frozen from orbit enumeration in S4: the 6 transpositions.
-    assert class_size(CycleType.from_parts([2, 1, 1])) == 6
-    assert class_size(CycleType.from_parts([1, 1, 1, 1])) == 1
+    assert class_size(CycleType([2, 1, 1])) == 6
+    assert class_size(CycleType([1, 1, 1, 1])) == 1
     # Frozen from orbit enumeration in A5: 5-cycles split, 24 -> 12.
-    assert class_size(CycleType.from_parts([5]), ALT) == 12
+    assert class_size(CycleType([5]), ALT) == 12
 
 
 def test_class_size_odd_type_in_alt_raises():
     with pytest.raises(OddTypeInAlt):
-        class_size(CycleType.from_parts([2, 1, 1]), ALT)
+        class_size(CycleType([2, 1, 1]), ALT)
 
 
 def test_class_sizes_sum_to_group_order():
@@ -208,10 +326,10 @@ def test_class_size_matches_orbit_enumeration_alt(n):
 
 
 def test_conj_length_values():
-    assert conj_length_perm(CycleType.from_parts([1, 1, 1, 1])) == 0.0
-    t = CycleType.from_parts([2, 1, 1])
+    assert conj_length_perm(CycleType([1, 1, 1, 1])) == 0.0
+    t = CycleType([2, 1, 1])
     assert conj_length_perm(t) == pytest.approx(math.log(6) / math.log(24))
-    t5 = CycleType.from_parts([5])
+    t5 = CycleType([5])
     assert conj_length_perm(t5, ALT) == pytest.approx(math.log(12) / math.log(60))
 
 
@@ -293,15 +411,19 @@ def conj_length_perm(t, ambient=SYM):
 
 
 def old_comparison_rows(n_min, n_max, ambient):
-    """comparison_rows as first written: one CycleType, Fraction lengths
-    and class_size per type."""
+    """comparison_rows as first written: one dict-based cycle type,
+    Fraction lengths and class_size per type."""
     for n in range(n_min, n_max + 1):
+        order = group_order(n, ambient)
         for parts in partitions(n):
-            t = CycleType.from_parts(parts)
+            t = CycleTypeReference.from_parts(parts)
             if ambient == ALT and not t.is_even():
                 continue
-            lh, lr = hamming_length(t), rank_length_perm(t)
-            lc = conj_length_perm(t, ambient)
+            lh = Fraction(n - t.counts.get(1, 0), n)
+            lr = Fraction(n - sum(t.counts.values()), n)
+            size = class_size_reference(t, ambient)
+            lc = 0.0 if order == 1 or size == 1 else (
+                math.log(size) / math.log(order))
             flag_exact = not (lr <= lh <= 2 * lr)
             flag_asym = False
             if n >= 17:
@@ -316,10 +438,12 @@ def test_comparison_rows_match_reference(ambient):
     ref = list(old_comparison_rows(1, 26, ambient))
     assert len(rows) == len(ref)
     for row, old in zip(rows, ref):
-        assert row[:4] + row[5:] == old[:4] + old[5:]
-        assert list(row[1].counts.items()) == list(old[1].counts.items())
-        # built by insertion: the same hash table, so the same memory
-        assert sys.getsizeof(row[1].counts) == sys.getsizeof(old[1].counts)
+        assert row[:1] + row[2:4] + row[5:] == old[:1] + old[2:4] + old[5:]
+        assert type(row[1]) is CycleType
+        assert row[1].parts() == old[1].parts() and row[1].n == old[1].n
+        # a bare tuple of the parts: no dict, no per-row overhead
+        assert not hasattr(row[1], "__dict__")
+        assert sys.getsizeof(row[1]) == sys.getsizeof(tuple(row[1]))
         assert repr(row[4]) == repr(old[4])  # same float bits
         assert type(row[5]) is type(row[6]) is bool
 
@@ -332,7 +456,7 @@ def test_comparison_rows_n4_count():
 
 def test_ncycle_row():
     for n in (5, 12, 31):
-        t = CycleType.from_parts([n])
+        t = CycleType([n])
         assert hamming_length(t) == 1
         assert rank_length_perm(t) == Fraction(n - 1, n)
         assert hamming_length(t) / rank_length_perm(t) <= 2

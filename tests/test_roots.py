@@ -821,6 +821,49 @@ def test_counterexample_rank_lengths(n):
     assert scaled_rank_length_inf(g) == F(n + 1, 2 * n + 1)
 
 
+def counterexample_family_reference(n):
+    """The family built through the validating constructor, every angle
+    normalized."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    g_angles = [F(2 * (n - 1), n)] + [F(1, n * n)] * n + [F(0)] * n
+    h_angles = [F(1), F(1)] + [F(0)] * (2 * n - 1)
+    return (TorusElement("U", 2 * n, tuple(g_angles)),
+            TorusElement("U", 2 * n, tuple(h_angles)))
+
+
+def scaled_rank_length_inf_reference(t):
+    """Every spectrum angle normalized again, each value counted apart."""
+    spec = [normalize_angle(a) for a in t.spectrum()]
+    top = max(spec.count(v) for v in set(spec))
+    return F(len(spec) - top, len(spec))
+
+
+def test_counterexample_family_matches_reference():
+    for n in range(2, 129):
+        pair, ref = counterexample_family(n), counterexample_family_reference(n)
+        assert pair == ref
+        for t, r in zip(pair, ref):
+            assert all(type(a) is F for a in t.angles)
+            assert (scaled_rank_length_inf(t)
+                    == scaled_rank_length_inf_reference(r))
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            counterexample_family(n)
+
+
+@pytest.mark.parametrize("typ", "ABCDU")
+def test_scaled_rank_length_inf_matches_reference(typ):
+    rng = random.Random(ord(typ) + 1)
+    for r in range(2 if typ == "D" else 1, 11):
+        for d in (1, 2, 3, 4, 6, 12):
+            # few values per draw, so the most common one often repeats
+            pool = [F(rng.randint(-2 * d, 2 * d), d) for _ in range(3)]
+            t = _draw(typ, r, lambda i: rng.choice(pool))
+            assert (scaled_rank_length_inf(t)
+                    == scaled_rank_length_inf_reference(t))
+
+
 def test_counterexample_lambda_tilde_exact():
     # three distinct angle values keep the orbit search exact at any n
     g3, h3 = counterexample_family(3)
