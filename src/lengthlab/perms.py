@@ -112,8 +112,8 @@ class CycleType(tuple):
     """The cycle lengths of a permutation of n = sum(self) points, as an
     ascending tuple.
 
-    CycleType(parts) checks and sorts the parts; rows built from a
-    partition walk skip that through tuple.__new__(CycleType, parts).
+    CycleType(parts) checks and sorts the parts; code holding parts that
+    are already sorted and valid skips that with tuple.__new__.
     """
 
     __slots__ = ()
@@ -172,8 +172,7 @@ def class_size(t: CycleType, ambient: str = SYM) -> int:
 
 
 def _splits_in_alt(parts: Sequence[int]) -> bool:
-    """Does A_n split the S_n-class: are the ascending parts odd and
-    distinct?"""
+    """Does A_n split the S_n-class: are the parts odd and distinct?"""
     return all(i % 2 for i in parts) and len(set(parts)) == len(parts)
 
 
