@@ -32,10 +32,6 @@ class OddTypeInAlt(LengthlabError, ValueError):
     """Raised when an odd cycle type is used in an alternating group."""
 
 
-class IdentityElement(LengthlabError, ValueError):
-    pass
-
-
 class Permutation:
     """A permutation of {0, ..., n-1} stored as an image array."""
 

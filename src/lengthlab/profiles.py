@@ -84,15 +84,6 @@ class Profile:
     def support(self):
         return sum(1 for v in self.values if v > 1e-12)
 
-    def to_json(self):
-        return {
-            "values": [repr(v) for v in self.values],
-            "support_bound": self.support_bound,
-            "distances": None if self.distances is None
-            else [str(d) for d in self.distances],
-            "exact": self.exact,
-        }
-
 
 @dataclass(frozen=True)
 class ProfileSequence:

@@ -510,20 +510,24 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
 
     Type A/U: permutations of the angles.  B/C: signed permutations.
     D: evenly-signed permutations.  Exact dynamic programming over the
-    multiset of distinct angles; raises RankTooLargeForExact when the
-    state space exceeds state_cap (use lambda_tilde_lower_bound then).
+    multiset of distinct angles, reduced twice without changing the max.
+    A/U keep (n - c) + 1 of an angle's c > (n - c) + 1 copies: two copies
+    sit side by side in every arrangement, a step of 0 that deleting one
+    drops.  D keeps no parity of sign flips: flipping the last sign swaps
+    the last step lfrac(a - b) with the closing term lfrac(a + b).
 
-    The max-plus fold keeps V[label, row, parity], stored as columns
-    row * P + parity: the largest distance sum of a prefix reaching that
-    row's state, ending on label, with that parity of type-D sign flips
-    (P = 2 for D, else 1).  Each layer maximizes its gather over the
-    outermost axis, where numpy folds whole contiguous blocks at a time.
+    The max-plus fold keeps V[label, row]: the largest distance sum of a
+    prefix ending on label and leaving that row's reduced counts, each
+    layer maximized over the outer label axis in contiguous blocks.
+    Raises RankTooLargeForExact when the labels times the product of
+    (reduced count + 1) exceed state_cap (use lambda_tilde_lower_bound).
     """
     rank = _rank(t)
     orb = _Orbit.of(t)
-    P = 2 if orb.typ == "D" else 1
-    bound = len(orb.values) * P
-    for c in orb.counts:
+    counts = orb.counts if orb.typ != "A" else \
+        tuple(min(c, orb.n - c + 1) for c in orb.counts)
+    bound = L = len(orb.values)
+    for c in counts:
         bound *= c + 1
         if bound > state_cap:
             raise RankTooLargeForExact(
@@ -531,7 +535,8 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
 
     # the remaining counts rem[:, r] as one mixed-radix index r < R, digit
     # j of stride[j] (np.indices puts its last axis fastest, so reverse)
-    counts = np.array(orb.counts)
+    counts = np.array(counts)
+    n = int(counts.sum())
     stride = np.cumprod(np.concatenate(([1], counts[:-1] + 1)))
     R = int((counts + 1).prod())
     rem = np.indices(tuple(counts[::-1] + 1)).reshape(len(counts), R)[::-1]
@@ -540,37 +545,31 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     # is rows cuts[s]:cuts[s + 1], and row R is a sentinel no prefix reaches
     left = rem.sum(axis=0)
     order = np.argsort(left, kind="stable")
-    cuts = np.searchsorted(left[order], np.arange(orb.n + 1)).tolist()
-    at = np.full(R + 1, R * P)  # at[r]: the column of r's row at parity 0
-    at[order] = np.arange(0, R * P, P)
-    L = len(orb.values)
+    cuts = np.searchsorted(left[order], np.arange(n + 1)).tolist()
+    at = np.full(R + 1, R)  # at[r]: the row of rem index r
+    at[order] = np.arange(R)
     value_of = np.arange(L) // (L // len(counts))
-    # src[lab, i]: at[] of the state before placing lab left the rem of
-    # row i, and col[lab, i, p] adds the parity before lab
+    # src[lab, i]: the row before placing lab left the rem of row i
     src = at[np.where(rem < counts[:, None],
                       np.arange(R) + stride[:, None], R)][:, order][value_of]
-    flips = np.array(orb.flips)[:, None]
-    col = np.stack([src + (flips ^ p) for p in range(P)], axis=-1)
 
     # every sum is at most (n + 1) * D: int64 below the threshold, Python
     # ints past it; unreached states start negative and stay negative
-    dtype = np.int64 if 2 * orb.D * orb.n < 2 ** 60 else object
-    V = np.full((L, R + 1, P), -4 * orb.D * orb.n, dtype=dtype)
-    V[:, R - 1, 0] = 0  # nothing placed yet: every value left, no flip
-    columns = V.reshape(L, (R + 1) * P)
-    step = np.array(orb.step, dtype=dtype)[:, :, None, None]
+    dtype = np.int64 if 2 * orb.D * n < 2 ** 60 else object
+    V = np.full((L, R + 1), -4 * orb.D * n, dtype=dtype)
+    V[:, R - 1] = 0  # nothing placed yet: every value left
+    step = np.array(orb.step, dtype=dtype)[:, :, None]
     last = step if orb.close is None else \
-        step + np.array(orb.close, dtype=dtype)[:, :, None, None]
-    for s in range(orb.n - 1, -1, -1):
+        step + np.array(orb.close, dtype=dtype)[:, :, None]
+    for s in range(n - 1, -1, -1):
         a, b = cuts[s], cuts[s + 1]
-        cand = columns.take(col[:, a:b], axis=1)  # [lab, lab2, i, p]
+        cand = V.take(src[:, a:b], axis=1)  # [lab, lab2, i]
         # + step[lab][lab2]; placing the first value adds nothing
-        cand += 0 if s == orb.n - 1 else last if s == 0 else step
+        cand += 0 if s == n - 1 else last if s == 0 else step
         np.maximum.reduce(cand, axis=0, out=V[:, a:b])
 
-    best = int((V[:, 0, 0] + np.array(orb.end, dtype=dtype)).max())
-    if best < 0:
-        raise RankTooLargeForExact("no admissible arrangement")
+    # row 0, every value placed, is reached by every arrangement
+    best = int((V[:, 0] + np.array(orb.end, dtype=dtype)).max())
     return Fraction(best, orb.D * rank)
 
 

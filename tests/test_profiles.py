@@ -44,6 +44,7 @@ from lengthlab.roots import (
     _Orbit,
     _units,
     _zigzag,
+    lambda_tilde,
     lfrac,
     normalize_angle,
 )
@@ -142,6 +143,22 @@ def test_optimal_element_stays_in_orbit():
         if typ == "A":
             assert sorted(map(normalize_angle, opt.angles)) == \
                 sorted(map(normalize_angle, t.angles))
+
+
+def test_type_d_profile_keeps_the_sign_parity():
+    # lambda_tilde drops the parity of the sign flips, a profile cannot:
+    # over all signed arrangements this one's would end (3/4, 0)
+    t = TorusElement("D", 4, (F(3, 8), F(-3, 4), F(1, 8), F(3, 8)))
+    assert profile_of(t).distances == (F(7, 8), F(7, 8), F(1, 2), F(1, 4))
+    sums = {0: F(0), 1: F(0)}  # the best distance sum by flip parity
+    for perm in itertools.permutations(t.angles):
+        for signs in itertools.product((1, -1), repeat=4):
+            arr = tuple(s * a for s, a in zip(signs, perm))
+            total = sum(lfrac(b) for b in TorusElement("D", 4, arr).betas())
+            odd = signs.count(-1) % 2
+            sums[odd] = max(sums[odd], total)
+    assert sums[0] == sums[1]
+    assert lambda_tilde(t) == sums[0] / 4
 
 
 def test_integer_distances_match_betas():

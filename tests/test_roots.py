@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
 
@@ -324,11 +325,30 @@ def test_lambda_pseudo_length_axioms(typ):
 # -------------------------------------------------------- lambda tilde
 
 
+def _distinct_permutations(items):
+    """Each distinct ordering of the multiset items, once."""
+    left = Counter(items)
+    prefix = []
+
+    def walk():
+        if len(prefix) == len(items):
+            yield tuple(prefix)
+        for v in left:
+            if left[v]:
+                left[v] -= 1
+                prefix.append(v)
+                yield from walk()
+                prefix.pop()
+                left[v] += 1
+
+    return walk()
+
+
 def brute_lambda_tilde(t):
     typ = "A" if t.type == "U" else t.type
     n = len(t.angles)
     best = F(0)
-    for perm in itertools.permutations(t.angles):
+    for perm in _distinct_permutations(t.angles):
         if typ in ("B", "C", "D"):
             for signs in itertools.product((1, -1), repeat=n):
                 if typ == "D" and signs.count(-1) % 2:
@@ -484,17 +504,62 @@ def test_lambda_tilde_matches_reference(typ):
     if typ == "U":
         ts += [t for n in range(2, 65) for t in counterexample_family(n)]
     for t in ts:
-        assert _outcome(lambda_tilde, t) == _outcome(lambda_tilde_reference, t)
-        # the state cap at the element's bound passes; one less raises
+        want = _outcome(lambda_tilde_reference, t)
+        assert _outcome(lambda_tilde, t) == want
+        # the state cap at the element's reduced bound passes; one less
+        # raises.  The bound has no parity factor, and a type-A/U angle
+        # with c of n copies counts at most n - c + 1 of them
         orb = _Orbit.of(t)
-        bound = len(orb.values) * (2 if orb.typ == "D" else 1) * math.prod(
-            c + 1 for c in orb.counts)
-        for cap in (bound, bound - 1):
-            got = _outcome(lambda_tilde, t, state_cap=cap)
-            assert got == _outcome(lambda_tilde_reference, t, state_cap=cap)
-            assert (got == ("RankTooLargeForExact",
-                            f"{bound}+ states exceeds cap {cap}")) == (
-                cap < bound)
+        counts = [min(c, orb.n - c + 1) if orb.typ == "A" else c
+                  for c in orb.counts]
+        bound = len(orb.values) * math.prod(c + 1 for c in counts)
+        assert _outcome(lambda_tilde, t, state_cap=bound) == want
+        assert _outcome(lambda_tilde, t, state_cap=bound - 1) == (
+            "RankTooLargeForExact", f"{bound}+ states exceeds cap {bound - 1}")
+
+
+@pytest.mark.parametrize("typ", "AUBCD")
+def test_lambda_tilde_majority_angle_matches_brute_force(typ):
+    # values from a pool of one to three, the first on most places, so
+    # that one angle often has more copies than the others have gaps:
+    # A/U drop the surplus copies, B/C/D must not
+    rng = random.Random(ord(typ) + 21)
+    plain = typ in "AU"
+    ts = [_draw(typ, 3 if plain else 4, lambda i: v)  # all equal
+          for v in (F(0), F(1, 2), F(1))]
+    for _ in range(40):
+        n = rng.randint(2, 9 if plain else 6)
+        pool = [F(rng.randint(-12, 12), 12) for _ in range(rng.randint(1, 3))]
+        c = rng.randint(n // 2 + 1, n)
+        ts.append(_draw(typ, n - 1 if plain else n, lambda i: pool[0]
+                        if i < c else rng.choice(pool)))
+    majority = 0
+    for t in ts:
+        top = max(Counter(t.angles).values())
+        majority += top > len(t.angles) - top + 1
+        assert lambda_tilde(t) == brute_lambda_tilde(t) == \
+            lambda_tilde_reference(t)
+    assert majority >= 20
+
+
+def test_lambda_tilde_drops_surplus_copies():
+    # 25,000 zeros and three halves: the unreduced bound 2 * 25001 * 4
+    # exceeds the cap, and four zeros between the halves give the most,
+    # six steps of 1/2
+    t = TorusElement("U", 25002, (F(1, 2),) * 3 + (F(0),) * 25000)
+    assert _outcome(lambda_tilde_reference, t) == (
+        "RankTooLargeForExact", "200008+ states exceeds cap 200000")
+    assert lambda_tilde(t) == F(3, 25002)
+
+
+def test_lambda_tilde_type_d_bound_has_no_parity():
+    # six distinct angles: 12 labels times 2**6 count states, 768, where
+    # the fold with the parity of the sign flips needs twice as many
+    t = TorusElement("D", 6, tuple(F(1, p) for p in range(3, 9)))
+    assert _outcome(lambda_tilde_reference, t, state_cap=768) == (
+        "RankTooLargeForExact", "1536+ states exceeds cap 768")
+    assert lambda_tilde(t, state_cap=768) == lambda_tilde_reference(
+        t, state_cap=2 * 768)
 
 
 @pytest.mark.parametrize("f", [lambda_tilde, lambda_of, ell1_prime,
