@@ -505,11 +505,32 @@ class _Orbit:
         return cls(t.type, *_units(t.angles))
 
 
+def _half_turn_max(nums, D):
+    """The type-A/U orbit maximum of the angles nums/D, in units of 1/D,
+    if they lie in one closed half-turn; else None.  Cut at the widest
+    gap (at least D): every step is then |x - y| on a line, and the
+    sorted zigzag is optimal (an end counts once, an inner value twice or
+    not at all, the low half negative, the coefficients summing to 0)."""
+    v = sorted(nums)  # normalized angles: each in (-D, D]
+    gap, i = max((b - a, i) for i, (a, b) in
+                 enumerate(zip(v, v[1:] + [v[0] + 2 * D])))
+    if gap < D:
+        return None
+    xs = v[i + 1:] + [x + 2 * D for x in v[:i + 1]]
+    h = len(xs) // 2
+    if len(xs) % 2 == 0:
+        return 2 * (sum(xs[h:]) - sum(xs[:h])) - xs[h] + xs[h - 1]
+    return max(2 * (sum(xs[h + 1:]) - sum(xs[:h + 1])) + xs[h] + xs[h - 1],
+               2 * (sum(xs[h:]) - sum(xs[:h])) - xs[h] - xs[h + 1])
+
+
 def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     """Exact maximum of lambda over the orbit of rearrangements.
 
     Type A/U: permutations of the angles.  B/C: signed permutations.
-    D: evenly-signed permutations.  Exact dynamic programming over the
+    D: evenly-signed permutations.  A type-A/U element within one closed
+    half-turn takes the closed form of `_half_turn_max`, in O(n log n);
+    every other element takes an exact dynamic programming over the
     multiset of distinct angles, reduced twice without changing the max.
     A/U keep (n - c) + 1 of an angle's c > (n - c) + 1 copies: two copies
     sit side by side in every arrangement, a step of 0 that deleting one
@@ -519,11 +540,15 @@ def lambda_tilde(t: TorusElement, state_cap=_STATE_CAP) -> Fraction:
     The max-plus fold keeps V[label, row]: the largest distance sum of a
     prefix ending on label and leaving that row's reduced counts, each
     layer maximized over the outer label axis in contiguous blocks.
-    Raises RankTooLargeForExact when the labels times the product of
-    (reduced count + 1) exceed state_cap (use lambda_tilde_lower_bound).
+    state_cap bounds the fold only: it raises RankTooLargeForExact when
+    the labels times the product of (reduced count + 1) exceed state_cap
+    (use lambda_tilde_lower_bound).
     """
     rank = _rank(t)
-    orb = _Orbit.of(t)
+    nums, D = _units(t.angles)
+    if t.type in ("A", "U") and (best := _half_turn_max(nums, D)) is not None:
+        return Fraction(best, D * rank)
+    orb = _Orbit(t.type, nums, D)
     counts = orb.counts if orb.typ != "A" else \
         tuple(min(c, orb.n - c + 1) for c in orb.counts)
     bound = L = len(orb.values)

@@ -503,9 +503,15 @@ def test_lambda_tilde_matches_reference(typ):
                 rng.randint(-9, 9), PRIMES[i % len(PRIMES)])))
     if typ == "U":
         ts += [t for n in range(2, 65) for t in counterexample_family(n)]
+    folded = 0
     for t in ts:
         want = _outcome(lambda_tilde_reference, t)
         assert _outcome(lambda_tilde, t) == want
+        if typ in "AU" and _in_half_turn(t):
+            # the closed form never reads the state cap
+            assert lambda_tilde(t, state_cap=1) == want
+            continue
+        folded += 1
         # the state cap at the element's reduced bound passes; one less
         # raises.  The bound has no parity factor, and a type-A/U angle
         # with c of n copies counts at most n - c + 1 of them
@@ -516,6 +522,55 @@ def test_lambda_tilde_matches_reference(typ):
         assert _outcome(lambda_tilde, t, state_cap=bound) == want
         assert _outcome(lambda_tilde, t, state_cap=bound - 1) == (
             "RankTooLargeForExact", f"{bound}+ states exceeds cap {bound - 1}")
+    # both paths run for A/U: many draws span more than a half-turn
+    assert folded >= 50
+
+
+def _in_half_turn(t):
+    """Whether some angle a has every angle of t within a half-turn
+    above it, modulo a full turn."""
+    return any(all((x - a) % 2 <= 1 for x in t.angles) for a in t.angles)
+
+
+@pytest.mark.parametrize("typ", "AU")
+def test_lambda_tilde_half_turn_matches_brute_force(typ):
+    # fixed cases: a gap of exactly a half-turn, arcs across the +-1 wrap
+    # and all-equal angles; type A keeps those with an even sum
+    fixed = [(F(0), F(1)), (F(0), F(1), F(1)), (F(-1, 2), F(1, 2)),
+             (F(5, 6), F(1), F(-5, 6)), (F(5, 6), F(1), F(-5, 6), F(1)),
+             (F(0),) * 4, (F(1),) * 2, (F(1, 2),) * 4, (F(2, 3),) * 3,
+             (F(1, 3),) * 5]
+    ts = [TorusElement(typ, len(a) - 1, a) for a in fixed
+          if typ == "U" or sum(a) % 2 == 0]
+    # seeded draws from a narrow pool on an arc of at most a half-turn,
+    # its ends included when the pool has two or more values; a type-A
+    # draw's last angle is minus the sum of the others, and the draw is
+    # dropped if that leaves every half-turn
+    rng = random.Random(ord(typ) + 22)
+    while len(ts) < 80:
+        n = rng.randint(2, 9)
+        start, width = F(rng.randint(-12, 11), 12), F(rng.randint(0, 12), 12)
+        k = rng.randint(1, 3 if n > 6 else n)
+        pool = ([start, start + width] + [
+            start + width * F(rng.randint(0, 4), 4) for _ in range(k)])[:k]
+        t = _draw(typ, n - 1, lambda i: rng.choice(pool))
+        if _in_half_turn(t):
+            ts.append(t)
+    assert {len(t.angles) for t in ts} == set(range(2, 10))
+    # a half-turn arc wider than 1 in the window (-1, 1] crosses the wrap
+    assert sum(max(t.angles) - min(t.angles) > 1 for t in ts) >= 5
+    for t in ts:
+        want = brute_lambda_tilde(t)
+        assert lambda_tilde(t) == lambda_tilde(t, state_cap=1) == want
+        assert lambda_tilde_reference(t) == want
+
+
+def test_lambda_tilde_counterexample_family_closed_forms():
+    # every member lies in a half-turn, so no size reaches the state cap
+    for n in [*range(2, 65), 10 ** 4]:
+        g, h = counterexample_family(n)
+        assert lambda_tilde(g) == (F(5, 8) if n == 2 else F(3, n * n))
+        assert lambda_tilde(h) == F(2, n)
 
 
 @pytest.mark.parametrize("typ", "AUBCD")
@@ -599,7 +654,7 @@ def test_lambda_tilde_exact_cap():
      "1536+ states exceeds cap 1000"),
     (TorusElement("D", 6, tuple(F(1, p) for p in range(3, 9))), 500,
      "768+ states exceeds cap 500"),
-    (TorusElement("U", 8, (F(0),) * 3 + (F(1, 2),) * 3 + (F(1, 3),) * 3), 50,
+    (TorusElement("U", 8, (F(0),) * 3 + (F(2, 3),) * 3 + (F(-2, 3),) * 3), 50,
      "192+ states exceeds cap 50"),
 ], ids=["B12", "D6", "U8"])
 def test_lambda_tilde_cap_message(t, cap, message):
