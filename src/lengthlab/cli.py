@@ -305,8 +305,7 @@ def _profile_sequence(typ, text):
     angles: rank + 1 of them for types A and U, rank for B, C and D."""
     angles = _angles(text)
     rank = len(angles) - 1 if typ in ("A", "U") else len(angles)
-    return profiles.ProfileSequence(
-        {0: profiles.profile_of(roots.TorusElement(typ, rank, angles))})
+    return {0: profiles.profile_of(roots.TorusElement(typ, rank, angles))}
 
 
 def cmd_profile_order(args):

@@ -24,8 +24,7 @@ normal subgroup lattice never touch the N-bit element bitsets. The
 public functions take and return element bitsets and convert at the
 boundary (class_mask in, union_of_classes out).
 
-The element objects (Permutation or FqMatrix) are built from the rows
-on the first read of GroupTable.elements; no query needs them. The
+No query needs the element objects (Permutation or FqMatrix). The
 named families A_n, S_n and PSL2(q) are checked against the cap by
 their closed-form orders before any generator is built, so a group too
 large to enumerate raises CapExceeded at once.
@@ -34,7 +33,7 @@ large to enumerate raises CapExceeded at once.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -132,11 +131,6 @@ class GroupTable:
     def element(self, i: int):
         """The element object of row i, built afresh."""
         return self._element(self.images[i].tolist())
-
-    @cached_property
-    def elements(self) -> List:
-        """The element objects, one per row, built on first read."""
-        return [self.element(i) for i in range(self.order)]
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Element indices of image rows, looked up by their bytes."""

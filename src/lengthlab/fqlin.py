@@ -315,9 +315,6 @@ class FqField:
             raise ValueError("conjugation needs an even extension degree")
         return self.pow(a, self.p ** (self.e // 2))
 
-    def elements(self):
-        return range(self.q)
-
     def units(self):
         return range(1, self.q)
 

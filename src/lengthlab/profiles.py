@@ -4,8 +4,11 @@ The profile of a torus element lists, in decreasing order, half the
 distances |1-beta_i(t)|/2 of the fundamental character values of an
 *optimal* representative t of its rearrangement orbit: the one whose
 cumulative character-distance sums are lexicographically maximal.
-Profiles of sequences of elements are compared by F(k*i+1) <= c*H(i+1),
-a quasiorder whose witnesses (c, k) compose under transitivity.
+Profiles of sequences of elements, {n: Profile} dicts, are compared by
+F(k*i+1) <= c*H(i+1), a quasiorder whose witnesses (c, k) compose under
+transitivity.  A Profile keeps its values in one normal form, exactly
+non-increasing floats in [0, 1], each within 1e-12 of its input, so a
+witness stays one as c or k grows.
 
 Monomial unitaries (permutation matrices with phases) provide a class
 with closed-form spectra on which the Ky Fan singular-value estimates
@@ -46,7 +49,7 @@ class IndexOutOfRange(LengthlabError):
 
 # ----------------------------------------------------------- profiles
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """Decreasing values in [0,1], implicitly zero beyond the support.
 
@@ -61,18 +64,27 @@ class Profile:
     exact: bool = True
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals), vals
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), vals
-        # [-1e-12, 0) reads as 0.0, so c * F(i) never decreases in c
-        object.__setattr__(self, "values", tuple(max(v, 0.0) for v in vals))
+        # each value lies within 1e-12 of [0, low], low the least value
+        # stored before it or 1.0, and is stored as min(low, max(v, 0.0))
+        vals, low = [], 1.0
+        for v in map(float, self.values):
+            if not (v >= -1e-12 and v - low <= 1e-12):
+                raise OutOfRange(f"profile value {v!r} at index {len(vals)} "
+                                 f"is outside [-1e-12, {low!r} + 1e-12]")
+            v = v if v >= 0.0 else 0.0
+            if v < low:
+                low = v
+            vals.append(low)
+        object.__setattr__(self, "values", tuple(vals))
 
     @classmethod
     def _trusted(cls, values, support_bound, distances=None, exact=True):
-        # values already a decreasing tuple of floats in [0, 1]: skip checks
-        P = cls.__new__(cls)
-        P.__dict__.update(values=values, support_bound=support_bound,
-                          distances=distances, exact=exact)
+        # values already in normal form: skip the checks
+        P, set_ = cls.__new__(cls), object.__setattr__
+        set_(P, "values", values)
+        set_(P, "support_bound", support_bound)
+        set_(P, "distances", distances)
+        set_(P, "exact", exact)
         return P
 
     def value(self, i):
@@ -80,19 +92,6 @@ class Profile:
         if i < 1:
             raise IndexOutOfRange(i)
         return self.values[i - 1] if i <= len(self.values) else 0.0
-
-    def support(self):
-        return sum(1 for v in self.values if v > 1e-12)
-
-
-@dataclass(frozen=True)
-class ProfileSequence:
-    """Finite indexed family n -> Profile."""
-
-    profiles: dict
-
-    def indices(self):
-        return sorted(self.profiles)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,9 @@ class OrderWitness:
     n0: int = 0
 
     def __post_init__(self):
-        assert self.c >= 1 and self.k >= 1
+        if not (self.c >= 1 and self.k >= 1):
+            raise OutOfRange(f"need c >= 1 and k >= 1, got c={self.c}, "
+                             f"k={self.k}")
 
 
 # ------------------------------------------- optimal torus elements
@@ -238,22 +239,22 @@ def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
 def profile_of_finite_type(ell, n) -> Profile:
     """Step profile of a normalized length value: 1 on [1, floor(n*ell)]."""
     ell = Fraction(ell)
-    assert 0 <= ell <= 1
+    if not 0 <= ell <= 1:
+        raise OutOfRange(f"need 0 <= ell <= 1, got {ell}")
     support = int(n * ell)
     return Profile((1.0,) * support, n, (Fraction(1),) * support, True)
 
 
 # --------------------------------------------------------- quasiorder
 
-def precede_check(F: ProfileSequence, H: ProfileSequence, w: OrderWitness):
+def precede_check(F: dict, H: dict, w: OrderWitness):
     """Does F_n(k*i+1) <= c*H_n(i+1) hold for all n >= n0, i >= 0?
 
     Returns (ok, first violation (n, i) or None).  Indices beyond every
     support carry value zero, so the scan is finite.
     """
-    shared = [n for n in F.indices() if n in H.profiles and n >= w.n0]
-    for n in shared:
-        fp, hp = F.profiles[n], H.profiles[n]
+    for n in sorted(n for n in F if n in H and n >= w.n0):
+        fp, hp = F[n], H[n]
         imax = max(len(fp.values), len(hp.values)) + 1
         for i in range(imax):
             if fp.value(w.k * i + 1) > w.c * hp.value(i + 1) + 1e-12:
@@ -261,36 +262,38 @@ def precede_check(F: ProfileSequence, H: ProfileSequence, w: OrderWitness):
     return True, None
 
 
-def precede_search(F: ProfileSequence, H: ProfileSequence,
-                   c_max, k_max, n0=0):
+def _least(hi, ok):
+    """Least x in [1, hi] with ok(x), for ok monotone and ok(hi) true."""
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def precede_search(F: dict, H: dict, c_max, k_max, n0=0):
     """Least (k, then c) integer witness on the grid, or None.
 
-    Profile values are at least 0.0, so c * H(i+1) never decreases in c:
-    a violation at H(i+1) > 0 fails for every smaller c too, and one at
-    H(i+1) = 0 for every c.  So the passing c of each k form an up-set
-    and bisection finds its least.  From k = the longest F's length on,
-    every F(k*i+1) with i >= 1 reads 0.0, so those k all make the same
-    check.  None is grid-relative only; it never proves incomparability.
+    In normal form the witnesses form an up-set in both c and k, so the
+    least k is the least that passes at c_max, and bisection finds it and
+    then the least c at that k.  None is grid-relative only; it never
+    proves incomparability.
     """
     if c_max < 1 or k_max < 1:
         raise OutOfRange(f"empty (c, k) grid: c_max={c_max}, k_max={k_max}")
     # a larger c overflows the float product c * H(i+1)
     c_max = min(c_max, int(sys.float_info.max))
-    longest = max((len(p.values) for p in F.profiles.values()), default=0)
-    for k in range(1, min(k_max, longest + 1) + 1):
-        lo, hi, best = 1, c_max, None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            ok, bad = precede_check(F, H, OrderWitness(mid, k, n0))
-            if ok:
-                best, hi = mid, mid - 1
-                continue
-            if H.profiles[bad[0]].value(bad[1] + 1) == 0:
-                break
-            lo = mid + 1
-        if best is not None:
-            return OrderWitness(best, k, n0)
-    return None
+
+    def ok(c, k):
+        return precede_check(F, H, OrderWitness(c, k, n0))[0]
+
+    if not ok(c_max, k_max):
+        return None
+    k = _least(k_max, lambda k: ok(c_max, k))
+    return OrderWitness(_least(c_max, lambda c: ok(c, k)), k, n0)
 
 
 def profile_meet(F: Profile, H: Profile) -> Profile:
@@ -302,23 +305,19 @@ def profile_join(F: Profile, H: Profile) -> Profile:
 
 
 def _pointwise(F, H, op):
-    # the pointwise min or max of two valid profiles is again one; the
-    # shorter values get zeros, as value() reads past the support
-    fv, hv = F.values, H.values
-    gap = len(fv) - len(hv)
-    if gap > 0:
-        hv += (0.0,) * gap
-    elif gap < 0:
-        fv += (0.0,) * -gap
+    # the pointwise min or max of two profiles in normal form is again in
+    # normal form; the shorter values get zeros, as value() reads past
+    # the support
+    values = tuple(itertools.starmap(op, itertools.zip_longest(
+        F.values, H.values, fillvalue=0.0)))
     dists = None
     if F.distances is not None and H.distances is not None:
-        ln, zero = len(fv), (Fraction(0),)
+        ln, zero = len(values), (Fraction(0),)
         dists = tuple(map(op,
                           tuple(F.distances) + zero * (ln - len(F.distances)),
                           tuple(H.distances) + zero * (ln - len(H.distances))))
-    return Profile._trusted(tuple(map(op, fv, hv)),
-                            max(F.support_bound, H.support_bound), dists,
-                            F.exact and H.exact)
+    return Profile._trusted(values, max(F.support_bound, H.support_bound),
+                            dists, F.exact and H.exact)
 
 
 # --------------------------------------------------------- realization
@@ -588,9 +587,7 @@ def incomparability_demo(n_max, c_max=64, k_max=8) -> list:
             n = 2
             for c in range(1, c_max + 1):
                 while n <= n_max and precede_check(
-                        ProfileSequence({n: F[n]}),
-                        ProfileSequence({n: H[n]}),
-                        OrderWitness(c, k))[0]:
+                        {n: F[n]}, {n: H[n]}, OrderWitness(c, k))[0]:
                     n += 1
                 rows.append((direction, c, k, n if n <= n_max else None))
     return rows

@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import LengthlabError
-from .perms import Permutation
 
 
 class BadRank(LengthlabError, ValueError):
@@ -924,9 +923,11 @@ def _psi_coordinates(t: TorusElement):
 
 
 def _block_permutation(n, pairs):
-    """Unimodular permutation-style matrix sending block (b, b+1) to
-    (a, a+1) for each (b, a) pair, disjointly; determinant fixed by a
-    sign outside all target blocks."""
+    """Permutation matrix sending block (b, b+1) to (a, a+1) for each
+    (b, a) pair, disjointly, and the other coordinates in order onto the
+    free ones.  Its determinant is +1: each block moves two adjacent
+    coordinates to two adjacent ones, so every other coordinate crosses
+    it an even number of times."""
     mapping = {}
     for b, a in pairs:
         mapping[b - 1] = a - 1
@@ -937,10 +938,6 @@ def _block_permutation(n, pairs):
     perm = [mapping[s] if s in mapping else next(it) for s in range(n)]
     P = np.zeros((n, n))
     P[perm, range(n)] = 1.0
-    if not Permutation(perm).is_even():
-        blocked = {a - 1 for _, a in pairs} | {a for _, a in pairs}
-        spot = next(i for i in range(n) if i not in blocked)
-        P[spot, :] *= -1
     return P.astype(complex)
 
 

@@ -171,18 +171,20 @@ def test_strong_lucas_pseudoprimes():
     assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
 
 
-def test_elements_built_on_first_read():
+def elements_of(t):
+    return [t.element(i) for i in range(t.order)]
+
+
+def test_element_objects_match_their_rows():
     t = named_group("A5")
-    assert "elements" not in vars(t)
-    els = t.elements
-    assert t.elements is els and len(els) == t.order
-    assert all(Permutation(e.images) == e for e in els)
+    assert all(Permutation(e.images) == e for e in elements_of(t))
     for name in ("A5", "SL2_3"):
         t = named_group(name)
-        singles = [t.element(i) for i in range(t.order)]
-        # reading single elements leaves the list unbuilt
-        assert "elements" not in vars(t)
-        assert singles == t.elements
+        els = elements_of(t)
+        assert len(set(els)) == t.order
+        # each call builds the object afresh from its row
+        assert all(t.element(i) == e and t.element(i) is not e
+                   for i, e in enumerate(els))
 
 
 def test_psl2_orders():
@@ -204,7 +206,7 @@ ORACLE_GROUPS = ["S3", "S4", "D4", "Q8", "SL2_3", "A5"]
 
 
 def _object_index(t):
-    idx = {e: i for i, e in enumerate(t.elements)}
+    idx = {e: i for i, e in enumerate(elements_of(t))}
     assert len(idx) == t.order
     return idx
 
@@ -237,13 +239,13 @@ F3 = FqField(3)
     [FqMatrix(F3, [[1, 1], [0, 1]]), FqMatrix(F3, [[0, 2], [1, 0]])],
 ], ids=["A5", "S4", "PSL2_9", "Q8", "SL2_3"])
 def test_elements_in_bfs_order(gens):
-    assert generate_group(gens).elements == _object_bfs(gens)
+    assert elements_of(generate_group(gens)) == _object_bfs(gens)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_rows_inverses_classes_match_objects(name):
     t = named_group(name)
-    els = t.elements
+    els = elements_of(t)
     idx = _object_index(t)
     assert not hasattr(t, "mul")
     for g, e in enumerate(els):
@@ -258,7 +260,7 @@ def test_rows_inverses_classes_match_objects(name):
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_naive_product_matches_objects(name):
     t = named_group(name)
-    els = t.elements
+    els = elements_of(t)
     idx = _object_index(t)
     rng = random.Random(11)
     for _ in range(5):
@@ -269,7 +271,7 @@ def test_naive_product_matches_objects(name):
 
 
 def _brute_ore(t, subset):
-    els = t.elements
+    els = elements_of(t)
     idx = _object_index(t)
     commutators = {
         idx[els[x].inverse() * els[y].inverse() * els[x] * els[y]]
@@ -449,7 +451,7 @@ def test_length_connection_for_conj_length_and_hamming():
     t = named_group("A5")
     lc = [t.conj_length(g) for g in range(t.order)]
     # the Hamming length: the share of points that g moves
-    lh = [(p.n - cycle_type(p).count(1)) / p.n for p in t.elements]
+    lh = [(p.n - cycle_type(p).count(1)) / p.n for p in elements_of(t)]
     rng = random.Random(1)
     for _ in range(30):
         g, h = rng.randrange(t.order), rng.randrange(t.order)
@@ -480,7 +482,7 @@ def test_normal_closure_double_transposition_s4():
     dt = next(
         i
         for i in range(t.order)
-        if cycle_type(t.elements[i]) == (2, 2)
+        if cycle_type(t.element(i)) == (2, 2)
     )
     closure = normal_closure(t, dt)
     assert bin(closure).count("1") == 4
@@ -498,7 +500,7 @@ def test_ore_s4_false():
     t = named_group("S4")
     ok, ce = ore_check(t)
     assert not ok
-    assert not t.elements[ce].is_even()  # odd permutations are not commutators
+    assert not t.element(ce).is_even()  # odd permutations are not commutators
 
 
 def test_ore_trivial_subset():

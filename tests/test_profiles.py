@@ -1,27 +1,33 @@
 """Tests for profiles, their quasiorder, and monomial spectra."""
 
 import cmath
+import dataclasses
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import zlib
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lengthlab import OutOfRange, profiles
 from lengthlab.perms import Permutation
 from lengthlab.profiles import (
     IndexOutOfRange,
     OrderWitness,
     Profile,
-    ProfileSequence,
     Unrealizable,
     _OPT_STATE_CAP,
     _lex_greedy,
     _monomial_units,
+    _pointwise,
     _product_units,
     _profile,
     _realize_candidates,
@@ -544,10 +550,8 @@ def test_realize_matches_fraction_reference(typ):
 # ------------------------------------------------------- quasiorder
 
 def seq_of(lengths, dims):
-    return ProfileSequence({
-        n: profile_of_finite_type(ell, d)
-        for n, (ell, d) in enumerate(zip(lengths, dims))
-    })
+    return {n: profile_of_finite_type(ell, d)
+            for n, (ell, d) in enumerate(zip(lengths, dims))}
 
 
 def test_precede_check_step_profiles():
@@ -569,8 +573,8 @@ def test_precede_search_finds_least_witness():
     assert (w.k, w.c) == (2, 1)
     assert precede_search(H_seq, F_seq, c_max=8, k_max=8).k == 1
     # an all-ones profile can never dominate from a zero profile
-    Z = ProfileSequence({0: profile_of_finite_type(0, 8)})
-    O = ProfileSequence({0: profile_of_finite_type(1, 8)})
+    Z = {0: profile_of_finite_type(0, 8)}
+    O = {0: profile_of_finite_type(1, 8)}
     assert precede_search(O, Z, c_max=64, k_max=8) is None
 
 
@@ -607,7 +611,7 @@ def random_pair(rng):
             vals = random_values(rng, rng.randint(0, 9))
             try:
                 seq[n] = Profile(tuple(vals), 9)
-            except AssertionError:  # a rise broke the 1e-12 slack
+            except OutOfRange:  # the rises broke the 1e-12 slack
                 seq[n] = Profile(tuple(sorted(vals, reverse=True)), 9)
         seqs.append(seq)
     Fd, Hd = seqs
@@ -621,7 +625,7 @@ def random_pair(rng):
         # F(1) > 0 over H(1) = 0: no witness at any (c, k)
         n = rng.choice(sorted(Fd))
         Fd[n], Hd[n] = Profile((0.5,), 9), Profile((0.0, 0.0), 9)
-    return ProfileSequence(Fd), ProfileSequence(Hd)
+    return Fd, Hd
 
 
 def seeded_grid_pairs():
@@ -644,27 +648,130 @@ def test_precede_search_matches_grid_reference():
 
 
 def test_witnesses_stay_witnesses_as_c_grows():
-    # Profile reads [-1e-12, 0) as 0.0, so c * H(i+1) never decreases in c
+    # in normal form c * H(i+1) never decreases in c and F(k*i+1) never
+    # increases in k, so each row and each column of the grid is sorted
     for F_seq, H_seq, c_max, k_max, n0 in seeded_grid_pairs():
-        for k in range(1, k_max + 1):
-            oks = [precede_check(F_seq, H_seq, OrderWitness(c, k, n0))[0]
-                   for c in range(1, c_max + 2)]
+        grid = [[precede_check(F_seq, H_seq, OrderWitness(c, k, n0))[0]
+                 for c in range(1, c_max + 2)] for k in range(1, k_max + 2)]
+        for k, oks in enumerate(grid, 1):
             assert oks == sorted(oks), (k, n0, oks)
+        for c, oks in enumerate(zip(*grid), 1):
+            assert list(oks) == sorted(oks), (c, n0, oks)
 
 
 def test_profile_reads_tiny_negatives_as_zero():
     assert Profile((0.5, -1e-13, -1e-12), 3).values == (0.5, 0.0, 0.0)
     assert repr(Profile((-0.0,), 1).values[0]) == "-0.0"  # as given
-    with pytest.raises(AssertionError):
+    with pytest.raises(OutOfRange, match="-2e-12"):
         Profile((0.5, -2e-12), 2)
 
 
+def test_profile_clamps_rises_to_the_running_minimum():
+    assert Profile((1 + 5e-13, 0.5, 0.5 + 5e-13), 3).values == (1.0, 0.5, 0.5)
+    # each rise is measured from the least value stored so far, so rises
+    # of 1e-12 each cannot add up
+    assert Profile((0.5, 0.5 + 1e-12, 0.5 + 1e-12), 3).values == (0.5,) * 3
+    with pytest.raises(OutOfRange, match="at index 2"):
+        Profile((0.5, 0.5 + 1e-12, 0.5 + 2e-12), 3)
+    with pytest.raises(OutOfRange, match="nan"):
+        Profile((float("nan"),), 1)
+
+
+def test_profile_is_a_slotted_frozen_value():
+    P = Profile((0.5, 0.25), 4, (F(1, 3), F(1, 6)))
+    assert not hasattr(P, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.values = (1.0,)
+    Q = Profile._trusted((0.5, 0.25), 4, (F(1, 3), F(1, 6)))
+    assert Q == P and hash(Q) == hash(P) and repr(Q) == repr(P)
+    assert dataclasses.replace(P, exact=False) == Profile(
+        (0.5, 0.25), 4, (F(1, 3), F(1, 6)), False)
+    with pytest.raises(OutOfRange):
+        dataclasses.replace(P, values=(0.25, 0.5))
+
+
+def assert_normal_form(values, given):
+    """values exactly non-increasing in [0, 1], each within 1e-12 of given."""
+    assert len(values) == len(given)
+    assert all(a >= b for a, b in zip(values, values[1:])), values
+    assert all(0.0 <= v <= 1.0 and abs(v - g) <= 1e-12
+               for v, g in zip(values, given)), (values, given)
+
+
+def test_every_construction_is_in_normal_form():
+    rng = random.Random(53)
+    built = []
+    for _ in range(2000):
+        vals = random_values(rng, rng.randint(0, 9))
+        try:
+            P = Profile(tuple(vals), 9)
+        except OutOfRange:
+            continue
+        assert_normal_form(P.values, vals)
+        built.append(P)
+    for _ in range(400):
+        typ = rng.choice("AUBCD")
+        t = random_element(typ, rng.randint(2, 6), rng,
+                           rng.choice(((12,), (3, 4, 5), (7, 9))))
+        orb = _Orbit.of(t)
+        for cap in (1, _OPT_STATE_CAP):
+            P = _profile(orb, t.rank, cap)
+            assert_normal_form(P.values, [math.sin(math.pi * float(d) / 2)
+                                          for d in P.distances])
+            built.append(P)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        P = profile_of_finite_type(F(rng.randint(0, n), n), n)
+        assert_normal_form(P.values, [1.0] * len(P.values))
+        built.append(P)
+    for _ in range(3000):
+        P, Q = rng.choice(built), rng.choice(built)
+        ln = max(len(P.values), len(Q.values))
+        for op in (min, max):
+            R = _pointwise(P, Q, op)
+            assert_normal_form(R.values, [op(P.value(i), Q.value(i))
+                                          for i in range(1, ln + 1)])
+
+
+BAD_INPUTS = {
+    "Profile((0.2, 5.0, -3.0), 1)":
+        "profile value 5.0 at index 1 is outside [-1e-12, 0.2 + 1e-12]",
+    "OrderWitness(0, -4)": "need c >= 1 and k >= 1, got c=0, k=-4",
+    "profile_of_finite_type(7, 4)": "need 0 <= ell <= 1, got 7",
+}
+
+
+def test_input_checks_survive_python_O():
+    # the checks raise, so python -O, which strips asserts, keeps them
+    for expr, message in BAD_INPUTS.items():
+        with pytest.raises(OutOfRange, match=re.escape(message)):
+            eval(expr)
+    code = f"""if True:
+        from lengthlab import OutOfRange
+        from lengthlab.profiles import (OrderWitness, Profile,
+                                        profile_of_finite_type)
+        for expr in {list(BAD_INPUTS)!r}:
+            try:
+                eval(expr)
+            except OutOfRange as exc:
+                print(exc)
+            else:
+                print("accepted")
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == list(BAD_INPUTS.values())
+
+
 def test_precede_search_huge_grid():
-    O = ProfileSequence({0: profile_of_finite_type(1, 8)})
-    Z = ProfileSequence({0: profile_of_finite_type(0, 8)})
+    O = {0: profile_of_finite_type(1, 8)}
+    Z = {0: profile_of_finite_type(0, 8)}
     assert precede_search(O, Z, c_max=2**64, k_max=2**64) is None
     # past the largest float, c is clamped: the product c * H stays finite
-    H_seq = ProfileSequence({0: Profile((1e-300, 1e-300), 2)})
+    H_seq = {0: Profile((1e-300, 1e-300), 2)}
     assert precede_search(O, H_seq, c_max=2**1100, k_max=3) is None
     F_seq = seq_of([F(1, 2)] * 3, [12, 12, 12])
     G_seq = seq_of([F(1, 4)] * 3, [12, 12, 12])
@@ -759,7 +866,6 @@ def test_index_errors():
 def test_step_profile_of_transposition_length():
     # normalized Hamming length 2/6 of a transposition in S_6
     P = profile_of_finite_type(F(2, 6), 6)
-    assert P.support() == 2
     assert P.values == (1.0, 1.0)
 
 
@@ -828,6 +934,45 @@ def test_kyfan_profile_check_random_pairs():
         assert rep["main_ok"] and rep["kyfan_ok"], rep
         assert rep["violations"] == []
         assert rep["pairs_checked"] > 0
+
+
+def test_kyfan_check_reports_main_violations(monkeypatch):
+    # a fault: the profiles of g and h read zero, that of g*h stays
+    exact_profile, calls = profiles._profile, []
+
+    def fault(orb, rank):
+        calls.append(orb)
+        return exact_profile(orb, rank) if len(calls) == 3 else \
+            Profile((), rank)
+
+    monkeypatch.setattr(profiles, "_profile", fault)
+    g = (Permutation((1, 0)), (F(1, 2), F(0)))
+    h = (Permutation((0, 1)), (F(0), F(0)))
+    rep = kyfan_profile_check(g, h, z_trials=1)
+    # g*h = g has the spectrum {1/4, -3/4}, so F_gh(1) = sin(pi/2)
+    assert (rep["main_ok"], rep["kyfan_ok"]) == (False, True)
+    assert rep["violations"] == [("main", 0, 0, 1.0, 0.0)]
+
+
+def test_kyfan_check_reports_kyfan_violations(monkeypatch):
+    # a fault: the singular values of 1 - xy*gh read 1, the others 0
+    calls = []
+
+    def fault(spec, phi):
+        calls.append(phi)
+        return [float(len(calls) % 3 == 0)] * len(spec[0])
+
+    monkeypatch.setattr(profiles, "_shifted_singular_values", fault)
+    rng = random.Random(4)
+    g, h = random_monomial(3, rng), random_monomial(3, rng)
+    rep = kyfan_profile_check(g, h, z_trials=2, seed=5)
+    draw = random.Random(5)
+    phis = [(draw.randint(-24, 24), draw.randint(-24, 24)) for _ in range(2)]
+    assert calls == [p for x, y in phis for p in (x, y, x + y)]
+    assert (rep["main_ok"], rep["kyfan_ok"]) == (True, False)
+    assert rep["violations"] == [("kyfan", x / 24, y / 24, i, j)
+                                 for x, y in phis
+                                 for i in range(3) for j in range(3 - i)]
 
 
 def monomial_spectrum_reference(perm, phases):
@@ -916,8 +1061,7 @@ def incomparability_demo_reference(n_max, c_max, k_max):
         for k in range(1, k_max + 1):
             for c in range(1, c_max + 1):
                 first = next((n for n in ns if not precede_check(
-                    ProfileSequence({n: Fd[n]}), ProfileSequence({n: Hd[n]}),
-                    OrderWitness(c, k))[0]), None)
+                    {n: Fd[n]}, {n: Hd[n]}, OrderWitness(c, k))[0]), None)
                 rows.append((direction, c, k, first))
     return rows
 

@@ -861,6 +861,31 @@ def test_typeA_conjugators_special_unitary():
         assert abs(np.linalg.det(c) - 1) < 1e-10
 
 
+def disjoint_blocks(n, k):
+    """The k-sets of disjoint 1-based blocks (b, b+1) in n coordinates,
+    by their first coordinates b."""
+    return [c for c in itertools.combinations(range(1, n), k)
+            if all(y - x >= 2 for x, y in zip(c, c[1:]))]
+
+
+def test_block_permutation_is_an_even_permutation_matrix():
+    maps = 0
+    for n in range(2, 9):
+        for k in range(n // 2 + 1):
+            for sources in disjoint_blocks(n, k):
+                for targets in itertools.chain.from_iterable(
+                        map(itertools.permutations, disjoint_blocks(n, k))):
+                    pairs = list(zip(sources, targets))
+                    P = R._block_permutation(n, pairs)
+                    assert set(np.unique(P)) <= {0, 1}
+                    assert (P.sum(0) == 1).all() and (P.sum(1) == 1).all()
+                    assert all(P[a - 1, b - 1] == P[a, b] == 1
+                               for b, a in pairs)
+                    assert round(np.linalg.det(P.real)) == 1
+                    maps += 1
+    assert maps == 1615  # every map for n <= 8, the empty ones included
+
+
 # ------------------------------------------- large-rank decomposition
 
 
