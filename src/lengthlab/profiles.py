@@ -23,7 +23,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import LengthlabError, OutOfRange
@@ -53,15 +53,16 @@ class IndexOutOfRange(LengthlabError):
 class Profile:
     """Decreasing values in [0,1], implicitly zero beyond the support.
 
-    distances carries the exact character distances (units of pi) when
-    the profile came from exact arithmetic; exact=False marks profiles
-    built by a heuristic orbit search.
+    distances, None unless the profile came from exact arithmetic, are
+    the character distances (units of pi), made on first read for an
+    orbit search; exact=False marks a heuristic orbit search's profile.
     """
 
     values: tuple
     support_bound: int
     distances: tuple = None
     exact: bool = True
+    _lazy: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # each value lies within 1e-12 of [0, low], low the least value
@@ -78,14 +79,26 @@ class Profile:
         object.__setattr__(self, "values", tuple(vals))
 
     @classmethod
-    def _trusted(cls, values, support_bound, distances=None, exact=True):
-        # values already in normal form: skip the checks
+    def _trusted(cls, values, support_bound, distances=None, exact=True,
+                 lazy=None):
+        # values already in normal form: skip the checks; lazy, the
+        # distances as (nums, D), leaves the distances slot unset
         P, set_ = cls.__new__(cls), object.__setattr__
         set_(P, "values", values)
         set_(P, "support_bound", support_bound)
-        set_(P, "distances", distances)
+        if lazy is None:
+            set_(P, "distances", distances)
         set_(P, "exact", exact)
+        set_(P, "_lazy", lazy)
         return P
+
+    def __getattr__(self, name):
+        # reached only while the distances slot is unset
+        if name != "distances":
+            raise AttributeError(name)
+        nums, D = self._lazy
+        object.__setattr__(self, name, tuple(Fraction(d, D) for d in nums))
+        return self.distances
 
     def value(self, i):
         """F(i), 1-based, zero beyond the support."""
@@ -118,12 +131,12 @@ def _lex_greedy(orb, state_cap, budget=None):
     Lex-maximality of cumulative distance sums equals lex-maximality of
     the distance sequence, so the search keeps every partial arrangement
     achieving the running maximum, over states (rem, label, parity): the
-    remaining count of each value, the last label placed and the parity
-    of the sign flips, which only type D's closing step reads.  Past
-    state_cap it falls back to a sorted zigzag (exact_flag False).
-    budget, a distance -> count map in orb's units, is drawn down as the
-    search goes; values is None when it rules the orbit out, or when the
-    state cap is hit with a budget.
+    remaining counts packed in one int, a bit field per value, the last
+    label placed and the parity of the sign flips, which only type D's
+    closing step reads.  Past state_cap it falls back to a sorted zigzag
+    (exact_flag False).  budget, a distance -> count map in orb's units,
+    is drawn down as the search goes; values is None when it rules the
+    orbit out, or when the state cap is hit with a budget.
 
     Each layer walks, for every state in order, the next labels ranked by
     decreasing score, ties in ascending label order (type D's closing
@@ -138,28 +151,21 @@ def _lex_greedy(orb, state_cap, budget=None):
     early-abort point and the state-cap hit.
     """
 
-    def draw(d):
-        # early abort: the greedy maximum is forced, so any draw outside
-        # the expected multiset already decides the mismatch
-        if budget is None:
-            return True
-        if budget.get(d, 0) == 0:
-            return False
-        budget[d] -= 1
-        return True
-
+    # the remaining counts in one int, `bits` bits per value: label lab
+    # is available while rem & mask[lab], and placing it takes unit[lab]
+    bits = max(orb.counts).bit_length()
+    unit = [1 << bits * i for i, labs in enumerate(orb.labels) for _ in labs]
+    mask = [((1 << bits) - 1) * u for u in unit]
     flips = orb.flips
-    value_of = [i for i, labs in enumerate(orb.labels) for _ in labs]
 
     def ranked(row):
         # the labels by decreasing score in row, ties in ascending order
         return sorted(range(len(row)), key=row.__getitem__, reverse=True)
 
     # lex fold: state -> labels of the first-found prefix reaching it
-    rem = orb.counts
-    states = {(rem[:i] + (c - 1,) + rem[i + 1:], lab, flips[lab]): (lab,)
-              for i, (c, labs) in enumerate(zip(rem, orb.labels))
-              for lab in labs}
+    rem = sum(c << bits * i for i, c in enumerate(orb.counts))
+    states = {(rem - unit[lab], lab, flips[lab]): (lab,)
+              for labs in orb.labels for lab in labs}
     tab = orb.step
     order = [ranked(row) for row in tab]
     draws = []
@@ -178,8 +184,7 @@ def _lex_greedy(orb, state_cap, budget=None):
         for (rem, lab, par), path in states.items():
             row = tab[lab]
             for lab2 in order[lab]:
-                i = value_of[lab2]
-                if not rem[i] or closing and par ^ flips[lab2]:
+                if not rem & mask[lab2] or closing and par ^ flips[lab2]:
                     continue
                 score = row[lab2]
                 if score < best:
@@ -187,11 +192,16 @@ def _lex_greedy(orb, state_cap, budget=None):
                 if score > best:
                     best = score
                     nxt = {}
-                nxt.setdefault((rem[:i] + (rem[i] - 1,) + rem[i + 1:], lab2,
-                                par ^ flips[lab2]), path + (lab2,))
+                nxt.setdefault((rem - unit[lab2], lab2, par ^ flips[lab2]),
+                               path + (lab2,))
         got = divmod(best, width) if closing else (best,)
-        if not all(draw(d) for d in got):
-            return None, True
+        if budget is not None:
+            # early abort: the greedy maximum is forced, so any draw
+            # outside the expected multiset already decides the mismatch
+            for d in got:
+                if not budget.get(d):
+                    return None, True
+                budget[d] -= 1
         draws.extend(got)
         states = nxt
         if len(states) > state_cap:
@@ -209,8 +219,10 @@ def _lex_greedy(orb, state_cap, budget=None):
         best_end = max(orb.end[key[1]] for key in states)
         states = {key: path for key, path in states.items()
                   if orb.end[key[1]] == best_end}
-        if not draw(best_end):
-            return None, True
+        if budget is not None:
+            if not budget.get(best_end):
+                return None, True
+            budget[best_end] -= 1
         draws.append(best_end)
 
     values = [orb.values[lab] for lab in next(iter(states.values()))]
@@ -228,7 +240,7 @@ def _profile(orb, rank, state_cap=_OPT_STATE_CAP) -> Profile:
     dists = sorted(_distances(orb.typ, values, D), reverse=True)
     return Profile._trusted(
         tuple(math.sin(math.pi * (d / D) / 2) for d in dists), rank,
-        tuple(Fraction(d, D) for d in dists), exact)
+        exact=exact, lazy=(dists, D))
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
@@ -460,7 +472,6 @@ def _spectrum_units(perm, nums, D):
     """Spectrum of a monomial in units, over E = D*L with L the lcm of
     its cycle lengths: a cycle of length k and phase sum T/D has the k
     angles (T/D + 2j)/k = (T + 2jD)*(L/k)/E."""
-    assert len(nums) == perm.n
     cycles = [(sum(nums[i] for i in c), len(c)) for c in perm.cycles()]
     L = math.lcm(*(k for _, k in cycles))
     E = D * L
@@ -504,6 +515,10 @@ def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
     """Verify F_gh(6i+6j+1) <= 2F_g(i+1) + 2F_h(j+1) on a monomial pair,
     plus the underlying additive singular-value step on sampled central
     multipliers.  Returns a report; violations are collected, not raised."""
+    (pg, gp), (ph, hp) = g_mon, h_mon
+    if not pg.n == len(gp) == ph.n == len(hp):
+        raise OutOfRange(f"need one size n and n phases, got sizes {pg.n} "
+                         f"and {ph.n} with {len(gp)} and {len(hp)} phases")
     rng = random.Random(seed)
     g, h = _monomial_units(g_mon), _monomial_units(h_mon)
     specs = [_spectrum_units(*m) for m in (g, h, _product_units(g, h))]

@@ -470,10 +470,10 @@ class _Orbit:
     def __init__(self, typ, nums, D):
         """The orbit of the element of type typ with angles nums/D."""
         self.typ = "A" if typ == "U" else typ
-        counts = Counter(D - (D - a) % (2 * D) for a in nums)
-        vals = sorted(counts)
+        norm = [D - (D - a) % (2 * D) for a in nums]
+        vals = sorted(set(norm))
         self.n = len(nums)
-        self.counts = tuple(counts[v] for v in vals)
+        self.counts = tuple(map(norm.count, vals))
         signs = (1, -1) if self.typ in ("B", "C", "D") else (1,)
         self.D = D
         # s*v normalized to (-D, D]

@@ -41,6 +41,7 @@ from lengthlab.profiles import (
     profile_meet,
     profile_of,
     profile_of_finite_type,
+    random_monomial_pairs,
     realize_profile,
 )
 from lengthlab.roots import (
@@ -319,21 +320,28 @@ def test_lex_greedy_matches_reference(typ):
     # budgets: none, the orbit's own distances, and each of them short
     # by one; caps that stop the search at once, early, or not at all
     rng = random.Random(zlib.crc32(typ.encode()) + 7)
-    for D in (2, 6, 12, 24, 60):
-        for n in range(2 if typ == "D" else 1, 11):
-            for _ in range(2):
-                nums = [rng.randint(-D, D) for _ in range(n)]
-                orb = _Orbit(typ, nums, D)
-                values, exact = lex_greedy_reference(orb, _OPT_STATE_CAP)
-                own = Counter(_distances(orb.typ, values, D))
-                budgets = [None, own] + [own - Counter({d: 1}) for d in own]
-                for cap in (1, 3, _OPT_STATE_CAP):
-                    for budget in budgets:
-                        want = None if budget is None else dict(budget)
-                        got = None if budget is None else dict(budget)
-                        assert _lex_greedy(orb, cap, got) == \
-                            lex_greedy_reference(orb, cap, want)
-                        assert got == want
+    orbits = [_Orbit(typ, [rng.randint(-D, D) for _ in range(n)], D)
+              for D in (2, 6, 12, 24, 60)
+              for n in range(2 if typ == "D" else 1, 11) for _ in range(2)]
+    # counts whose bit fields are 1 to 5 bits wide, one value repeated
+    # beside one to three others
+    for count in (1, 2, 3, 4, 7, 8, 15, 16):
+        for others in (1, 2, 3):
+            v, *rest = rng.sample(range(-11, 13), 1 + others)
+            orb = _Orbit(typ, [v] * count + rest, 12)
+            assert max(orb.counts) == count
+            orbits.append(orb)
+    for orb in orbits:
+        values, exact = lex_greedy_reference(orb, _OPT_STATE_CAP)
+        own = Counter(_distances(orb.typ, values, orb.D))
+        budgets = [None, own] + [own - Counter({d: 1}) for d in own]
+        for cap in (1, 3, _OPT_STATE_CAP):
+            for budget in budgets:
+                want = None if budget is None else dict(budget)
+                got = None if budget is None else dict(budget)
+                assert _lex_greedy(orb, cap, got) == \
+                    lex_greedy_reference(orb, cap, want)
+                assert got == want
 
 
 @pytest.mark.parametrize("typ", ["B", "C"])
@@ -394,6 +402,11 @@ def test_realize_round_trip_rank_8():
         P = profile_of(t)
         back = profile_of(realize_profile(P, typ, 8))
         assert list(back.distances) == sorted(P.distances, reverse=True)
+
+
+def test_realize_rejects_unknown_type():
+    with pytest.raises(ValueError, match="^unknown type E$"):
+        realize_profile(Profile((), 1), "E", 3)
 
 
 def test_realize_rejects_oversized_support():
@@ -690,6 +703,26 @@ def test_profile_is_a_slotted_frozen_value():
         dataclasses.replace(P, values=(0.25, 0.5))
 
 
+def test_profile_distances_are_made_on_first_read():
+    # an orbit search's profile leaves the distances slot unset; the
+    # first read makes the Fractions and fills it, later reads find it
+    t = TorusElement("B", 4, (F(1, 2), F(1, 3), F(-1, 4), F(1, 8)))
+    P = profile_of(t)
+    slot = Profile.__dict__["distances"]
+    with pytest.raises(AttributeError):
+        slot.__get__(P)
+    first = P.distances
+    assert first == (F(5, 6), F(3, 4), F(3, 8), F(1, 8))
+    assert slot.__get__(P) is first and P.distances is first
+    with pytest.raises(AttributeError, match="^nothing$"):
+        P.nothing
+    # given distances are stored as they are
+    Q = Profile(P.values, 4, first)
+    assert slot.__get__(Q) is first
+    assert Q == P and hash(Q) == hash(P) and repr(Q) == repr(P)
+    assert profile_of(t) == P and repr(profile_of(t)) == repr(P)
+
+
 def assert_normal_form(values, given):
     """values exactly non-increasing in [0, 1], each within 1e-12 of given."""
     assert len(values) == len(given)
@@ -738,6 +771,24 @@ BAD_INPUTS = {
         "profile value 5.0 at index 1 is outside [-1e-12, 0.2 + 1e-12]",
     "OrderWitness(0, -4)": "need c >= 1 and k >= 1, got c=0, k=-4",
     "profile_of_finite_type(7, 4)": "need 0 <= ell <= 1, got 7",
+    "precede_search({}, {}, 0, 3)": "empty (c, k) grid: c_max=0, k_max=3",
+    "incomparability_demo(1)": "need n_max >= 2 and a nonempty (c, k) "
+        "grid, got n_max=1, c_max=64, k_max=8",
+    "list(random_monomial_pairs(0, 1, n_max=1001))":
+        "need 2 <= n_max <= 1000, got 1001",
+    # monomials of two sizes, and phase counts other than the size
+    "kyfan_profile_check((Permutation((1, 0)), (0, 1)), "
+    "(Permutation((0, 2, 1)), (0, 0, 0)))":
+        "need one size n and n phases, got sizes 2 and 3 "
+        "with 2 and 3 phases",
+    "kyfan_profile_check((Permutation((1, 0)), (0, 1, 1)), "
+    "(Permutation((1, 0)), (0, 0)))":
+        "need one size n and n phases, got sizes 2 and 2 "
+        "with 3 and 2 phases",
+    "kyfan_profile_check((Permutation((1, 0)), (0, 1)), "
+    "(Permutation((2, 0, 1)), (0, 0)))":
+        "need one size n and n phases, got sizes 2 and 3 "
+        "with 2 and 2 phases",
 }
 
 
@@ -748,8 +799,12 @@ def test_input_checks_survive_python_O():
             eval(expr)
     code = f"""if True:
         from lengthlab import OutOfRange
+        from lengthlab.perms import Permutation
         from lengthlab.profiles import (OrderWitness, Profile,
-                                        profile_of_finite_type)
+                                        incomparability_demo,
+                                        kyfan_profile_check, precede_search,
+                                        profile_of_finite_type,
+                                        random_monomial_pairs)
         for expr in {list(BAD_INPUTS)!r}:
             try:
                 eval(expr)
@@ -934,6 +989,18 @@ def test_kyfan_profile_check_random_pairs():
         assert rep["main_ok"] and rep["kyfan_ok"], rep
         assert rep["violations"] == []
         assert rep["pairs_checked"] > 0
+
+
+def test_random_monomial_pairs_are_seeded_and_of_one_size():
+    pairs = list(random_monomial_pairs(7, 20, n_max=5))
+    assert pairs == list(random_monomial_pairs(7, 20, n_max=5))
+    assert [trial for trial, _, _ in pairs] == list(range(20))
+    for _, (pg, g_phases), (ph, h_phases) in pairs:
+        assert 2 <= pg.n == len(g_phases) == ph.n == len(h_phases) <= 5
+        assert all((24 * x).denominator == 1 and -1 <= x <= 1
+                   for x in g_phases + h_phases)
+    _, g, h = pairs[0]
+    assert kyfan_profile_check(g, h, z_trials=1)["main_ok"]
 
 
 def test_kyfan_check_reports_main_violations(monkeypatch):
