@@ -30,8 +30,7 @@ CAPS = {
     # library's own cap (one pair at n = 1000 takes about 30 s)
     "kyfan": {"pairs": 10**4, "z_trials": 1000,
               "n_max": profiles.MAX_MONOMIAL_N},
-    # 0.85-1.6 s (at 256 the orbit DP's state cap stops it after 1.5-2 s);
-    # 0.5-0.85 s; 0.5-0.8 s; 1.6-2.8 s with all three at their caps
+    # 0.27 s; 0.31 s; 0.31 s; 0.9-1.2 s with all three at their caps
     "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
     "strong-color": {"n": 10**6},  # 1 s and 75 MB at n = 10^5
 }
@@ -208,7 +207,10 @@ def cmd_linear_lengths(args):
 def cmd_width(args):
     p = _params({"group": "A5", "symmetric": "true"}, args)
     t = engine.named_group(p["group"])
-    symmetric = p["symmetric"].lower() == "true"
+    symmetric = {"true": True, "false": False}.get(p["symmetric"].lower())
+    if symmetric is None:
+        raise ConfigInvalid(f"symmetric must be true or false, got "
+                            f"{p['symmetric']!r}")
     widths = []
     ok = True
     for i, cls in enumerate(t.classes):

@@ -126,7 +126,8 @@ _OPT_STATE_CAP = 50_000
 
 def _lex_greedy(orb, state_cap, budget=None):
     """The lex-greedy orbit search in the integer units of orb: (values,
-    exact_flag), values the optimal arrangement as integers over orb.D.
+    draws, exact_flag), values the optimal arrangement as integers over
+    orb.D and draws its `_distances`, in their order.
 
     Lex-maximality of cumulative distance sums equals lex-maximality of
     the distance sequence, so the search keeps every partial arrangement
@@ -135,8 +136,8 @@ def _lex_greedy(orb, state_cap, budget=None):
     label placed and the parity of the sign flips, which only type D's
     closing step reads.  Past state_cap it falls back to a sorted zigzag
     (exact_flag False).  budget, a distance -> count map in orb's units,
-    is drawn down as the search goes; values is None when it rules the
-    orbit out, or when the state cap is hit with a budget.
+    is drawn down as the search goes; values and draws are None when it
+    rules the orbit out, or when the state cap is hit with a budget.
 
     Each layer walks, for every state in order, the next labels ranked by
     decreasing score, ties in ascending label order (type D's closing
@@ -200,7 +201,7 @@ def _lex_greedy(orb, state_cap, budget=None):
             # outside the expected multiset already decides the mismatch
             for d in got:
                 if not budget.get(d):
-                    return None, True
+                    return None, None, True
                 budget[d] -= 1
         draws.extend(got)
         states = nxt
@@ -210,10 +211,11 @@ def _lex_greedy(orb, state_cap, budget=None):
 
     if not exact:
         if budget is not None:
-            return None, False
+            return None, None, False
         # zigzag of the sorted angles: large distances first
-        return _zigzag([orb.values[labs[0]] for labs, c in
-                        zip(orb.labels, orb.counts) for _ in range(c)]), False
+        values = _zigzag([orb.values[labs[0]] for labs, c in
+                          zip(orb.labels, orb.counts) for _ in range(c)])
+        return values, _distances(orb.typ, values, orb.D), False
 
     if orb.typ in ("B", "C"):
         best_end = max(orb.end[key[1]] for key in states)
@@ -221,26 +223,24 @@ def _lex_greedy(orb, state_cap, budget=None):
                   if orb.end[key[1]] == best_end}
         if budget is not None:
             if not budget.get(best_end):
-                return None, True
+                return None, None, True
             budget[best_end] -= 1
         draws.append(best_end)
 
     values = [orb.values[lab] for lab in next(iter(states.values()))]
-    # all survivors share the draws by construction; cross-check the
-    # witness
-    assert orb.typ == "D" or _distances(orb.typ, values, orb.D) == draws
-    return values, True
+    # all survivors share the draws by construction; cross-check them
+    assert _distances(orb.typ, values, orb.D) == draws
+    return values, draws, True
 
 
 def _profile(orb, rank, state_cap=_OPT_STATE_CAP) -> Profile:
     """Decreasing half-distances of the optimal arrangement of orb, whose
     D may be any common denominator of the angles."""
-    values, exact = _lex_greedy(orb, state_cap)
-    D = orb.D
-    dists = sorted(_distances(orb.typ, values, D), reverse=True)
+    _, dists, exact = _lex_greedy(orb, state_cap)
+    dists.sort(reverse=True)
     return Profile._trusted(
-        tuple(math.sin(math.pi * (d / D) / 2) for d in dists), rank,
-        exact=exact, lazy=(dists, D))
+        tuple(math.sin(math.pi * (d / orb.D) / 2) for d in dists), rank,
+        exact=exact, lazy=(dists, orb.D))
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
@@ -449,8 +449,8 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
         tried += 1
         if tried > cap:
             break
-        values, exact = _lex_greedy(_Orbit(typ, norm, D), _OPT_STATE_CAP,
-                                    dict(expect))
+        values, _, exact = _lex_greedy(_Orbit(typ, norm, D), _OPT_STATE_CAP,
+                                       dict(expect))
         if values is not None and exact:
             return TorusElement._trusted(
                 typ, rank, tuple(Fraction(a, D) for a in norm))
@@ -465,7 +465,8 @@ def realize_profile(P: Profile, typ, rank, cap=100_000) -> TorusElement:
 
 def _monomial_units(mon):
     perm, phases = mon
-    return (perm, *_units([Fraction(p) for p in phases]))
+    return (perm, *_units([p if isinstance(p, (int, Fraction)) else
+                           Fraction(p) for p in phases]))
 
 
 def _spectrum_units(perm, nums, D):
@@ -519,6 +520,8 @@ def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
     if not pg.n == len(gp) == ph.n == len(hp):
         raise OutOfRange(f"need one size n and n phases, got sizes {pg.n} "
                          f"and {ph.n} with {len(gp)} and {len(hp)} phases")
+    if z_trials < 0:
+        raise OutOfRange(f"need z_trials >= 0, got {z_trials}")
     rng = random.Random(seed)
     g, h = _monomial_units(g_mon), _monomial_units(h_mon)
     specs = [_spectrum_units(*m) for m in (g, h, _product_units(g, h))]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -440,19 +441,6 @@ def lambda_of(t: TorusElement) -> Fraction:
 _STATE_CAP = 200_000
 
 
-def _arrangement_value(typ, seq):
-    """Exact character-angle sum of an ordered (signed) angle tuple."""
-    total = sum((lfrac(seq[i] - seq[i + 1]) for i in range(len(seq) - 1)),
-                Fraction(0))
-    if typ == "B":
-        total += lfrac(seq[-1])
-    elif typ == "C":
-        total += lfrac(2 * seq[-1])
-    elif typ == "D":
-        total += lfrac(seq[-2] + seq[-1])
-    return total
-
-
 class _Orbit:
     """The rearrangement orbit of a torus element, in integer units.
 
@@ -607,39 +595,30 @@ def _zigzag(values):
 def lambda_tilde_lower_bound(t: TorusElement, tries=200, seed=0) -> Fraction:
     """Heuristic lower bound for lambda_tilde (arbitrary rank).
 
-    Random signed shuffles plus a low/high zigzag; always <= the true
-    orbit maximum, which is all the flagged heuristic mode promises.
+    Scores the low/high zigzag, its reverse and `tries` random signed
+    shuffles from random.Random(seed), the angles as integers over their
+    least common denominator (see `_units`), by the sum of their
+    `_distances`; type D evens an odd number of flips on the first angle.
+    Always <= the true orbit maximum, which is all the flagged heuristic
+    mode promises.
     """
-    import random
-
     rng = random.Random(seed)
-    typ = "A" if t.type == "U" else t.type
-    signed = typ in ("B", "C", "D")
-    angles = [normalize_angle(a) for a in t.angles]
-
-    def candidates():
-        zig = _zigzag(angles)
-        yield zig
-        yield list(reversed(zig))
-        for _ in range(tries):
-            seq = angles[:]
-            rng.shuffle(seq)
-            flips = 0
-            if signed:
-                for i in range(len(seq)):
-                    if rng.random() < 0.5:
-                        seq[i] = normalize_angle(-seq[i])
-                        flips += 1
-            if typ == "D" and flips % 2:
-                seq[0] = normalize_angle(-seq[0])
-            yield seq
-
-    best = Fraction(0)
-    for seq in candidates():
-        val = _arrangement_value(typ, tuple(seq))
-        if val > best:
-            best = val
-    return best / _rank(t)
+    nums, D = _units(t.angles)
+    zig = _zigzag(nums)
+    best = max(sum(_distances(t.type, seq, D)) for seq in (zig, zig[::-1]))
+    for _ in range(tries):
+        seq = nums[:]
+        rng.shuffle(seq)
+        flips = 0
+        if t.type in ("B", "C", "D"):
+            for i, a in enumerate(seq):
+                if rng.random() < 0.5:
+                    seq[i] = D - (D + a) % (2 * D)  # normalized -a
+                    flips += 1
+        if t.type == "D" and flips % 2:
+            seq[0] = D - (D + seq[0]) % (2 * D)
+        best = max(best, sum(_distances(t.type, seq, D)))
+    return Fraction(best, D * _rank(t))
 
 
 # --------------------------------------------------- l1 lengths

@@ -30,7 +30,8 @@ def test_kyfan_fails_on_inexact_profile(monkeypatch):
 
     def fallback(*args):
         # as if every orbit search had hit its state cap
-        return exact_search(*args)[0], False
+        values, draws, _ = exact_search(*args)
+        return values, draws, False
 
     monkeypatch.setattr(profiles, "_lex_greedy", fallback)
     assert acceptance.suite_kyfan(pairs=3) == (

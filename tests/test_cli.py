@@ -151,7 +151,10 @@ EDGE_CASES = {
                     (["n_max=abc"], 2, "n_max must be an integer, got 'abc'"),
                     (["n_min=1/2"], 2, "n_min"), (["--n=5.."], 2, "n_max")],
     "width": [(["group=S0"], 2), (["group=S1"], 2), (["group=S-1"], 2),
-              (["group="], 2), (["group=A12"], 2)],
+              (["group="], 2), (["group=A12"], 2),
+              (["symmetric=maybe"], 2, "symmetric"),
+              (["symmetric="], 2, "symmetric"), (["symmetric=1"], 2),
+              (["--symmetric=no"], 2, "symmetric")],
     "ore-check": [(["group=A0"], 2), (["group=A1"], 2), (["group=A-1"], 2),
                   (["group=PSL2_"], 2), (["group=S9"], 2)],
     "lattice": [(["group=PSL2_0"], 2), (["group=PSL2_1"], 2),
@@ -178,7 +181,9 @@ EDGE_CASES = {
               (["pairs=5", "n_max=1"], 2), (["pairs=10001"], 2),
               (["pairs" + BIG], 2), (["z_trials=1001"], 2),
               (["z_trials" + BIG], 2), (["n_max=1001"], 2),
-              (["n_max" + BIG], 2)],
+              (["n_max" + BIG], 2),
+              (["pairs=1", "z_trials=-4"], 2, "need z_trials >= 0, got -4"),
+              (["pairs=1", "z_trials=0"], 0)],
     "counterexample": [(["n_max=0"], 2), (["n_max=1"], 2), (["n_max=-1"], 2),
                        (["n_max=8", "c_max=0"], 2), (["n_max=129"], 2),
                        (["n_max" + BIG], 2), (["c_max=1025"], 2),
@@ -277,6 +282,16 @@ def test_exit_contract_property(data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, symmetric", [
+    ([], True), (["--symmetric"], True), (["--set", "symmetric=TRUE"], True),
+    (["--set", "symmetric=False"], False), (["--symmetric", "false"], False),
+])
+def test_width_symmetric_flag(flags, symmetric, tmp_path):
+    out = tmp_path / "w.json"
+    assert run(["width", *flags, "--out", str(out)]) == 0
+    assert json.loads(read(out))["symmetric"] is symmetric
 
 
 def test_width_report(tmp_path):

@@ -95,7 +95,7 @@ def optimal_torus_element(t, state_cap=_OPT_STATE_CAP):
     character-distance sums; returns (element, exact_flag), exact_flag
     False for the zigzag heuristic past state_cap (see _lex_greedy)."""
     orb = _Orbit.of(t)
-    values, exact = _lex_greedy(orb, state_cap)
+    values, _, exact = _lex_greedy(orb, state_cap)
     return TorusElement._trusted(
         t.type, t.rank, tuple(F(v, orb.D) for v in values)), exact
 
@@ -125,10 +125,11 @@ def test_optimal_element_early_abort(typ):
     rng = random.Random(3)
     t = random_element(typ, 4, rng, (3, 4, 5))
     orb = _Orbit.of(t)
-    values, exact = _lex_greedy(orb, _OPT_STATE_CAP)
+    values, draws, exact = _lex_greedy(orb, _OPT_STATE_CAP)
     assert exact
-    own = Counter(_distances(orb.typ, values, orb.D))
-    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(own)) == (values, True)
+    own = Counter(draws)
+    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(own)) == \
+        (values, draws, True)
     # a distance in no table of the orbit is never drawn
     tables = [orb.end, *orb.step, *(orb.close or [])]
     never = [u for u in range(orb.D + 1) if all(u not in r for r in tables)]
@@ -136,7 +137,8 @@ def test_optimal_element_early_abort(typ):
     swapped = own.copy()
     swapped[next(iter(own))] -= 1
     swapped[never[0]] += 1
-    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(swapped)) == (None, True)
+    assert _lex_greedy(orb, _OPT_STATE_CAP, dict(swapped)) == \
+        (None, None, True)
 
 
 def test_optimal_element_stays_in_orbit():
@@ -262,7 +264,7 @@ def lex_greedy_reference(orb, state_cap, budget=None):
                     nxt.setdefault((rem2, lab2, par2), path + (lab2,))
         got = divmod(best, width) if closing else (best,)
         if not all(draw(d) for d in got):
-            return None, True
+            return None, None, True
         draws.extend(got)
         states = nxt
         if len(states) > state_cap:
@@ -271,24 +273,25 @@ def lex_greedy_reference(orb, state_cap, budget=None):
 
     if not exact:
         if budget is not None:
-            return None, False
+            return None, None, False
         # zigzag of the sorted angles: large distances first
-        return _zigzag([orb.values[labs[0]] for labs, c in
-                        zip(orb.labels, orb.counts) for _ in range(c)]), False
+        values = _zigzag([orb.values[labs[0]] for labs, c in
+                          zip(orb.labels, orb.counts) for _ in range(c)])
+        return values, _distances(orb.typ, values, orb.D), False
 
     if orb.typ in ("B", "C"):
         best_end = max(orb.end[key[1]] for key in states)
         states = {key: path for key, path in states.items()
                   if orb.end[key[1]] == best_end}
         if not draw(best_end):
-            return None, True
+            return None, None, True
         draws.append(best_end)
 
     values = [orb.values[lab] for lab in next(iter(states.values()))]
     # all survivors share the draws by construction; cross-check the
     # witness
-    assert orb.typ == "D" or _distances(orb.typ, values, orb.D) == draws
-    return values, True
+    assert _distances(orb.typ, values, orb.D) == draws
+    return values, draws, True
 
 
 def orbit_tables_reference(orb):
@@ -332,8 +335,8 @@ def test_lex_greedy_matches_reference(typ):
             assert max(orb.counts) == count
             orbits.append(orb)
     for orb in orbits:
-        values, exact = lex_greedy_reference(orb, _OPT_STATE_CAP)
-        own = Counter(_distances(orb.typ, values, orb.D))
+        _, draws, _ = lex_greedy_reference(orb, _OPT_STATE_CAP)
+        own = Counter(draws)
         budgets = [None, own] + [own - Counter({d: 1}) for d in own]
         for cap in (1, 3, _OPT_STATE_CAP):
             for budget in budgets:
@@ -342,6 +345,24 @@ def test_lex_greedy_matches_reference(typ):
                 assert _lex_greedy(orb, cap, got) == \
                     lex_greedy_reference(orb, cap, want)
                 assert got == want
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_lex_greedy_draws_are_the_distances_in_order(typ):
+    # draws in the order of _distances, type D's closing (step, close)
+    # pair included, for the exact search and the zigzag fallback alike;
+    # checked here without the search's own assert, which python -O strips
+    rng = random.Random(zlib.crc32(typ.encode()) + 11)
+    flags = set()
+    for _ in range(120):
+        D = rng.choice((2, 6, 12, 24, 60))
+        n = rng.randint(2, 9)
+        orb = _Orbit(typ, [rng.randint(-D, D) for _ in range(n)], D)
+        for cap in (_OPT_STATE_CAP, 1):
+            values, draws, exact = _lex_greedy(orb, cap)
+            flags.add((cap, exact))
+            assert draws == _distances(orb.typ, values, orb.D)
+    assert (1, False) in flags and (_OPT_STATE_CAP, False) not in flags
 
 
 @pytest.mark.parametrize("typ", ["B", "C"])
@@ -789,6 +810,9 @@ BAD_INPUTS = {
     "(Permutation((2, 0, 1)), (0, 0)))":
         "need one size n and n phases, got sizes 2 and 3 "
         "with 2 and 2 phases",
+    "kyfan_profile_check((Permutation((1, 0)), (0, 1)), "
+    "(Permutation((1, 0)), (0, 0)), z_trials=-4)":
+        "need z_trials >= 0, got -4",
 }
 
 
@@ -1001,6 +1025,14 @@ def test_random_monomial_pairs_are_seeded_and_of_one_size():
                    for x in g_phases + h_phases)
     _, g, h = pairs[0]
     assert kyfan_profile_check(g, h, z_trials=1)["main_ok"]
+
+
+def test_monomial_units_convert_only_other_phase_types():
+    # int and Fraction phases reach _units as they are; a float or a
+    # string is converted with Fraction
+    p = Permutation((1, 0, 3, 2))
+    phases = (F(1, 3), 2, 0.5, "-1/4")
+    assert _monomial_units((p, phases)) == (p, [4, 24, 6, -3], 12)
 
 
 def test_kyfan_check_reports_main_violations(monkeypatch):

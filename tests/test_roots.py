@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import zlib
 from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as F
@@ -344,6 +345,19 @@ def _distinct_permutations(items):
     return walk()
 
 
+def _arrangement_value(typ, seq):
+    """Exact character-angle sum of an ordered (signed) angle tuple."""
+    total = sum((lfrac(seq[i] - seq[i + 1]) for i in range(len(seq) - 1)),
+                Fraction(0))
+    if typ == "B":
+        total += lfrac(seq[-1])
+    elif typ == "C":
+        total += lfrac(2 * seq[-1])
+    elif typ == "D":
+        total += lfrac(seq[-2] + seq[-1])
+    return total
+
+
 def brute_lambda_tilde(t):
     typ = "A" if t.type == "U" else t.type
     n = len(t.angles)
@@ -355,9 +369,9 @@ def brute_lambda_tilde(t):
                     continue
                 seq = tuple(normalize_angle(s * a)
                             for s, a in zip(signs, perm))
-                best = max(best, R._arrangement_value(typ, seq))
+                best = max(best, _arrangement_value(typ, seq))
         else:
-            best = max(best, R._arrangement_value(typ, perm))
+            best = max(best, _arrangement_value(typ, perm))
     return best / t.rank
 
 
@@ -661,6 +675,57 @@ def test_lambda_tilde_cap_message(t, cap, message):
     with pytest.raises(RankTooLargeForExact) as exc:
         lambda_tilde(t, state_cap=cap)
     assert str(exc.value) == message
+
+
+def lambda_tilde_lower_bound_reference(t, tries=200, seed=0):
+    """The lower bound in Fraction arithmetic: the same zigzags and the
+    same seeded signed shuffles, each scored by _arrangement_value."""
+    rng = random.Random(seed)
+    typ = "A" if t.type == "U" else t.type
+    signed = typ in ("B", "C", "D")
+    angles = [normalize_angle(a) for a in t.angles]
+
+    def candidates():
+        zig = R._zigzag(angles)
+        yield zig
+        yield list(reversed(zig))
+        for _ in range(tries):
+            seq = angles[:]
+            rng.shuffle(seq)
+            flips = 0
+            if signed:
+                for i in range(len(seq)):
+                    if rng.random() < 0.5:
+                        seq[i] = normalize_angle(-seq[i])
+                        flips += 1
+            if typ == "D" and flips % 2:
+                seq[0] = normalize_angle(-seq[0])
+            yield seq
+
+    best = Fraction(0)
+    for seq in candidates():
+        best = max(best, _arrangement_value(typ, tuple(seq)))
+    return best / t.rank
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_lambda_tilde_lower_bound_matches_reference(typ):
+    # about half of type D's shuffles flip an odd number of signs, so the
+    # parity fix on the first angle runs too
+    rng = random.Random(zlib.crc32(typ.encode()) + 1)
+    for rank in range(max(1, TorusElement.LEAST_RANK[typ]), 13):
+        n = rank + 1 if typ in ("A", "U") else rank
+        # twelfths, or a common denominator of 60
+        denoms = (12,) if rank % 2 else (3, 4, 5)
+        angles = [F(rng.randint(-2 * d, 2 * d), d)
+                  for d in (denoms[i % len(denoms)] for i in range(n))]
+        if typ == "A":
+            angles[-1] = -sum(angles[:-1])
+        t = TorusElement(typ, rank, tuple(angles))
+        for tries in (0, 1, 40, 200):
+            for seed in range(3):
+                assert lambda_tilde_lower_bound(t, tries, seed) == \
+                    lambda_tilde_lower_bound_reference(t, tries, seed)
 
 
 def test_lambda_tilde_lower_bound_below_exact():
