@@ -24,10 +24,10 @@ SCHEMA_VERSION = 1
 # above its default and every README value.  The comments time one run at
 # the cap, the other parameters at their defaults, on a 2-core VM.
 CAPS = {
-    "sym-lengths": {"n_max": 50},  # 18 s
+    "sym-lengths": {"n_max": 50},  # 11 s
     "large-rank": {"rank": 200, "m": 1024},  # 5-5.5 s; 4-5 s
     # 5-6 s, the acceptance suite's number of pairs; 4 s; n_max is the
-    # library's own cap (one pair at n = 1000 takes about 30 s)
+    # library's own cap, 49 s (one pair at n = 1000 takes 0.6-0.9 s)
     "kyfan": {"pairs": 10**4, "z_trials": 1000,
               "n_max": profiles.MAX_MONOMIAL_N},
     # 0.27 s; 0.31 s; 0.31 s; 0.9-1.2 s with all three at their caps

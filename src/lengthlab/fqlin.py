@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import LengthlabError
+from . import LengthlabError, OutOfRange
 
 MAX_Q = 1 << 16
 MAX_N = 64
@@ -327,9 +327,6 @@ class FqField:
     def __hash__(self) -> int:
         return hash((self.p, self.e, self.modulus))
 
-    def __repr__(self) -> str:
-        return f"FqField({self.p}, {self.e})"
-
 
 # ------------------------------------------------------------ the matrix
 
@@ -429,8 +426,35 @@ def rref(F: FqField, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
     return [r for r in rows if any(r)]
 
 
+def _rank(F: FqField, rows: Sequence[Sequence[int]], width: int) -> int:
+    """The rank of the first width columns of these rows: forward
+    elimination only, each zero row dropped as soon as it appears."""
+    sub, mul, inv = F._sub, F._mul, F._inv
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for col in range(width):
+        for i, pivot in enumerate(rows):
+            if pivot[col]:
+                break
+        else:
+            continue
+        del rows[i]
+        rank += 1
+        scale, kept = mul[inv[pivot[col]]], []
+        for r in rows:
+            c = r[col]
+            if c:  # r -= (c / pivot[col]) pivot
+                times = mul[scale[c]]
+                r = [sub[x][times[y]] for x, y in zip(r, pivot)]
+                if not any(r):
+                    continue
+            kept.append(r)
+        rows = kept
+    return rank
+
+
 def mat_rank(m: FqMatrix) -> int:
-    return len(rref(m.field, m.rows))
+    return _rank(m.field, m.rows, m.n)
 
 
 def nullspace(F: FqField, rows: Sequence[Sequence[int]], width: int) -> List[List[int]]:
@@ -460,9 +484,11 @@ def _shift(g: FqMatrix, alpha: int) -> List[List[int]]:
 
 def rank_length_mat(g: FqMatrix) -> Fraction:
     """rank(1 - g)/n for invertible g."""
+    if not g.n:
+        raise OutOfRange("rank length needs n >= 1, got a 0x0 matrix")
     if not g.is_invertible():
         raise Singular("rank length needs an invertible matrix")
-    return Fraction(len(rref(g.field, _shift(g, 1))), g.n)
+    return Fraction(_rank(g.field, _shift(g, 1), g.n), g.n)
 
 
 def _charpoly(F: FqField, rows: Sequence[Sequence[int]]) -> List[int]:
@@ -519,6 +545,8 @@ def jordan_length(g: FqMatrix) -> Tuple[Fraction, int, int]:
     kernel is zero and the result is (1, 0, 1).
     """
     F, n = g.field, g.n
+    if not n:
+        raise OutOfRange("Jordan length needs n >= 1, got a 0x0 matrix")
     chi = _charpoly(F, g.rows)
     if not chi[0]:
         raise Singular("Jordan length needs an invertible matrix")
@@ -529,7 +557,7 @@ def jordan_length(g: FqMatrix) -> Tuple[Fraction, int, int]:
         for c in reversed(chi):
             value = add[times_alpha[value]][c]
         if not value:
-            dim = n - len(rref(F, _shift(g, alpha)))
+            dim = n - _rank(F, _shift(g, alpha), n)
             if dim > best_dim:
                 best_dim, best_alpha = dim, alpha
     return Fraction(n - best_dim, n), best_dim, best_alpha
@@ -634,16 +662,6 @@ class Subspace:
         vecs = [_combine(F, n, sol[: self.dim], self.basis)
                 for sol in nullspace(F, system, self.dim + other.dim)]
         return Subspace(F, n, vecs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.n == other.n
-            and self.basis == other.basis
-        )
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, n={self.n})"
 
 
 def orthogonal_complement(space: BilinearSpace, w: Subspace) -> Subspace:

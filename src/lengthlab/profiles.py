@@ -489,7 +489,8 @@ def _product_units(g, h):
                      for i, j in enumerate(ph.images)], D
 
 
-# one Ky Fan pair of size 1000 takes about 30 s on a 2-core VM
+# one Ky Fan pair of size 1000 takes 0.6-0.9 s on a 2-core VM at
+# z_trials=2, and 36 s at z_trials=1000
 MAX_MONOMIAL_N = 1000
 
 

@@ -1,11 +1,13 @@
 """Tests for finite-field linear algebra, Jordan lengths, formed spaces."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from lengthlab import OutOfRange
 from lengthlab.fqlin import (
     HERMITIAN,
     SYMPLECTIC,
@@ -20,6 +22,7 @@ from lengthlab.fqlin import (
     _combine,
     _is_prime,
     _products,
+    _rank,
     _shift,
     extend_to_nondegenerate,
     jordan_length,
@@ -36,36 +39,53 @@ from lengthlab.fqlin import (
 
 
 def minor_rank(m: FqMatrix) -> int:
-    """Rank via largest nonvanishing minor (n <= 4 only)."""
+    """Rank as the size of the largest nonvanishing minor, searched from
+    the largest size down (n <= 6)."""
     F, n = m.field, m.n
-    best = 0
-    for k in range(1, n + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                sub = [[m.rows[i][j] for j in cols] for i in rows]
-                if _det(F, sub) != 0:
-                    best = k
-                    break
-            else:
-                continue
-            break
-    return best
+    for k in range(n, 0, -1):
+        if any(_det(F, [[m.rows[i][j] for j in cols] for i in rows])
+               for rows in itertools.combinations(range(n), k)
+               for cols in itertools.combinations(range(n), k)):
+            return k
+    return 0
 
 
 def _det(F, rows):
+    """Laplace expansion along the first row, each minor of the rows below
+    computed once per set of columns (2^k minors for k rows)."""
     k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    out = 0
-    sign = 1
-    for j in range(k):
-        a = rows[0][j]
-        if a:
-            sub = [[r[jj] for jj in range(k) if jj != j] for r in rows[1:]]
-            term = F.mul(a, _det(F, sub))
-            out = F.add(out, term if sign > 0 else F.neg(term))
-        sign = -sign
-    return out
+
+    @functools.lru_cache(maxsize=None)
+    def minor(i, cols):  # det of rows[i:] on the columns cols
+        if i == k:
+            return 1
+        out = 0
+        for pos, j in enumerate(cols):
+            a = rows[i][j]
+            if a:
+                term = F.mul(a, minor(i + 1, cols[:pos] + cols[pos + 1:]))
+                out = F.add(out, F.neg(term) if pos % 2 else term)
+        return out
+    return minor(0, tuple(range(k)))
+
+
+def solution_count_rank(m: FqMatrix) -> int:
+    """n - log_q #{x in F_q^n : m x = 0}, every x counted (q^n small)."""
+    F, n = m.field, m.n
+    add, mul = F._add, F._mul
+
+    def dot(r, x):
+        s = 0
+        for a, b in zip(r, x):
+            s = add[s][mul[a][b]]
+        return s
+    count = sum(all(dot(r, x) == 0 for r in m.rows)
+                for x in itertools.product(range(F.q), repeat=n))
+    nullity = 0
+    while F.q ** nullity < count:
+        nullity += 1
+    assert F.q ** nullity == count
+    return n - nullity
 
 
 def span_vectors(F, basis, n):
@@ -83,20 +103,20 @@ def span_vectors(F, basis, n):
 def random_invertible(rng, F, n):
     while True:
         m = FqMatrix(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
-        if m.is_invertible():
+        if _det(F, m.rows):
             return m
 
 
 def jordan_length_reference(g):
-    """The search over every nonzero scalar: one full rank of alpha - g
-    for each of the q - 1 values, ties to the smallest alpha."""
-    if not g.is_invertible():
-        raise Singular("Jordan length needs an invertible matrix")
+    """The search over every nonzero scalar: the rank of alpha - g by
+    minors for each of the q - 1 values, ties to the smallest alpha."""
     F, n = g.field, g.n
+    if not _det(F, g.rows):
+        raise Singular("Jordan length needs an invertible matrix")
     best_dim, best_alpha = -1, None
     for alpha in F.units():
         a = scalar_matrix(F, n, alpha) - g
-        dim = n - mat_rank(a)
+        dim = n - minor_rank(a)
         if dim > best_dim:
             best_dim, best_alpha = dim, alpha
     return Fraction(n - best_dim, n), best_dim, best_alpha
@@ -248,6 +268,63 @@ def test_rank_matches_minor_oracle():
             assert mat_rank(m) == minor_rank(m)
 
 
+def dependent_rows(rng, F, n):
+    """n rows drawn from k <= n random base rows: zero rows, repeated base
+    rows and random combinations of them, so the rank is at most k."""
+    base = [[rng.randrange(F.q) for _ in range(n)]
+            for _ in range(rng.randint(0, n))]
+    rows = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0 or not base:
+            rows.append([0] * n)
+        elif kind == 1:
+            rows.append(list(rng.choice(base)))
+        else:
+            rows.append(_combine(F, n, [rng.randrange(F.q) for _ in base], base))
+    return rows
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2)])
+def test_rank_matches_solution_count_oracle(p, e):
+    F = FqField(p, e)
+    rng = random.Random(10 * p + e)
+    for n in range(1, 7):
+        mats = [FqMatrix.identity(F, n), FqMatrix(F, [[0] * n] * n),
+                FqMatrix(F, [[1] * n] * n)]
+        for _ in range(12 if F.q ** n <= 1024 else 3):
+            mats.append(FqMatrix(F, dependent_rows(rng, F, n)))
+            mats.append(FqMatrix(F, [[rng.randrange(F.q) for _ in range(n)]
+                                     for _ in range(n)]))
+        for m in mats:
+            r = solution_count_rank(m)
+            assert mat_rank(m) == r and _rank(F, m.rows, n) == r
+            assert m.is_invertible() == (r == n)
+
+
+def test_rank_keeps_its_input_and_reads_columns_up_to_width():
+    F = FqField(3)
+    rows = ((0, 1, 2), (0, 2, 1), (0, 0, 0))
+    assert _rank(F, rows, 3) == 1 and _rank(F, rows, 1) == 0
+    assert _rank(F, [[1, 2, 0, 1], [2, 1, 0, 1]], 4) == 2
+    assert _rank(F, [], 4) == 0
+    assert rows == ((0, 1, 2), (0, 2, 1), (0, 0, 0))
+
+
+def test_zero_dimensional_matrix_and_spaces():
+    F = FqField(5)
+    empty = FqMatrix(F, [])
+    assert mat_rank(empty) == 0 and empty.is_invertible()
+    assert BilinearSpace(F, 0, "symmetric", empty).is_nondegenerate()
+    assert Subspace(F, 0, []).dim == 0
+    with pytest.raises(OutOfRange, match="^rank length needs n >= 1, got a "
+                       "0x0 matrix$"):
+        rank_length_mat(empty)
+    with pytest.raises(OutOfRange, match="^Jordan length needs n >= 1, got a "
+                       "0x0 matrix$"):
+        jordan_length(empty)
+
+
 def test_rank_length_examples():
     F3 = FqField(3)
     assert rank_length_mat(FqMatrix.identity(F3, 4)) == 0
@@ -330,9 +407,11 @@ def test_jordan_length_edge_cases(g, expect):
                                   [[1, 0, 0], [0, 0, 0], [0, 0, 3]]])
 def test_singular_matrices_are_rejected(rows):
     g = FqMatrix(FqField(5), rows)
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="^Jordan length needs an invertible "
+                       "matrix$"):
         jordan_length(g)
-    with pytest.raises(Singular):
+    with pytest.raises(Singular, match="^rank length needs an invertible "
+                       "matrix$"):
         rank_length_mat(g)
 
 
@@ -679,3 +758,89 @@ def test_rref_idempotent():
     rows = [[1, 2, 0], [2, 1, 1], [0, 0, 2]]
     r1 = rref(F3, rows)
     assert rref(F3, r1) == r1
+
+
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("p,e", [(2, 0), (2, 17), (65537, 1), (3, 11)])
+def test_field_size_out_of_range(p, e):
+    with pytest.raises(ValueError, match="^field size out of range$"):
+        FqField(p, e)
+
+
+def test_reducible_modulus_is_rejected():
+    # x^2 + 1 = (x + 1)^2 over F_2
+    with pytest.raises(ValueError, match="^modulus is reducible$"):
+        FqField(2, 2, (1, 0, 1))
+
+
+def test_field_inverse_of_zero():
+    with pytest.raises(ZeroDivisionError, match="^field inverse of zero$"):
+        FqField(5).inv(0)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 3)])
+def test_conj_needs_even_degree(p, e):
+    with pytest.raises(ValueError, match="^conjugation needs an even "
+                       "extension degree$"):
+        FqField(p, e).conj(1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2]], "^matrix must be square, n <= 64$"),
+    ([[1, 0], [0]], "^matrix must be square, n <= 64$"),
+    ([[0] * 65] * 65, "^matrix must be square, n <= 64$"),
+    ([[1, 5], [0, 1]], "^entries outside field$"),
+    ([[1, -1], [0, 1]], "^entries outside field$"),
+])
+def test_bad_matrices_are_rejected(rows, message):
+    with pytest.raises(ValueError, match=message):
+        FqMatrix(FqField(5), rows)
+
+
+def test_matrix_hash_and_singular_inverse():
+    F = FqField(5)
+    a = FqMatrix(F, [[1, 2], [3, 4]])
+    assert hash(a) == hash(FqMatrix(F, ((1, 2), (3, 4))))
+    assert len({a, a.transpose().transpose()}) == 1
+    with pytest.raises(Singular, match="^matrix not invertible$"):
+        FqMatrix(F, [[1, 2], [2, 4]]).inverse()
+
+
+def test_bad_forms_are_rejected():
+    F5, F25 = FqField(5), FqField(5, 2)
+    one = FqMatrix.identity(F5, 2)
+    with pytest.raises(ValueError, match="^unknown form kind 'quadratic'$"):
+        BilinearSpace(F5, 2, "quadratic", one)
+    with pytest.raises(ValueError, match="^Hermitian forms need a square field$"):
+        BilinearSpace(F5, 2, HERMITIAN, one)
+    for kind, field, rows in [("symmetric", F5, [[1, 2], [3, 1]]),
+                              (SYMPLECTIC, F5, [[0, 1], [1, 0]]),
+                              (SYMPLECTIC, F5, [[1, 1], [4, 0]]),
+                              (HERMITIAN, F25, [[5, 0], [0, 1]])]:
+        with pytest.raises(ValueError, match="^Gram matrix does not match the "
+                           "form kind$"):
+            BilinearSpace(field, 2, kind, FqMatrix(field, rows))
+    with pytest.raises(ValueError, match="^symplectic spaces are even "
+                       "dimensional$"):
+        BilinearSpace.symplectic(FqField(3), 3)
+    # a trivial form takes any Gram matrix
+    trivial = BilinearSpace(F5, 2, "trivial", FqMatrix(F5, [[1, 2], [3, 1]]))
+    assert not trivial.is_nondegenerate()
+
+
+def test_solve_form_functional_raises():
+    F3 = FqField(3)
+    sp = BilinearSpace(F3, 2, "symmetric", FqMatrix.identity(F3, 2))
+    with pytest.raises(ValueError, match="^phi must list one value per basis "
+                       "vector$"):
+        solve_form_functional(sp, [[1, 0]], [1, 0])
+    # dependent vectors with consistent values: the zero row is skipped
+    assert solve_form_functional(sp, [[1, 0], [2, 0]], [1, 2]) == [1, 0]
+    degenerate = BilinearSpace(F3, 2, "symmetric", FqMatrix(F3, [[1, 0], [0, 0]]))
+    with pytest.raises(Singular, match="^inconsistent functional on a "
+                       "degenerate form$"):
+        solve_form_functional(degenerate, [[0, 1]], [1])
+    with pytest.raises(ValueError, match="^ambient space must be nondegenerate$"):
+        extend_to_nondegenerate(degenerate, Subspace(F3, 2, [[1, 0]]))
