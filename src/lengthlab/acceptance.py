@@ -129,7 +129,7 @@ def suite_jordan(seed=DEFAULT_SEED):
 def suite_geometry(seed=DEFAULT_SEED):
     """extend_to_nondegenerate postconditions on random subspaces."""
     rng = random.Random(seed)
-    checked = 0
+    checked = bad = 0
     for _ in range(1000):
         kind = rng.choice(("symplectic", "hermitian"))
         p = rng.choice((3, 5))
@@ -145,11 +145,11 @@ def suite_geometry(seed=DEFAULT_SEED):
             F, n, [[rng.randrange(F.q) for _ in range(n)] for _ in range(dim)])
         rad = fqlin.radical(space, w)
         wp, wpp = fqlin.extend_to_nondegenerate(space, w)
-        # the library's own checker ran; re-assert the headline claims
-        assert wpp.dim == rad.dim
-        assert wp.dim + rad.dim == w.dim
+        # the library's own checker ran; count the headline claims again
+        bad += wpp.dim != rad.dim or wp.dim + rad.dim != w.dim
         checked += 1
-    return True, f"subspaces checked={checked}"
+    detail = f"subspaces checked={checked}"
+    return not bad, f"{detail} mismatches={bad}" if bad else detail
 
 
 def suite_width_ore(seed=DEFAULT_SEED):

@@ -27,7 +27,9 @@ CAPS = {
     "sym-lengths": {"n_max": 50},  # 11 s
     "large-rank": {"rank": 200, "m": 1024},  # 5-5.5 s; 4-5 s
     # 5-6 s, the acceptance suite's number of pairs; 4 s; n_max is the
-    # library's own cap, 49 s (one pair at n = 1000 takes 0.6-0.9 s)
+    # library's own cap, 49 s (one pair at n = 1000 takes 0.6-0.9 s).
+    # n_max and z_trials compound: one pair at n = 1000 takes 36 s at
+    # z_trials = 1000, and a run pays up to that for each of its pairs
     "kyfan": {"pairs": 10**4, "z_trials": 1000,
               "n_max": profiles.MAX_MONOMIAL_N},
     # 0.27 s; 0.31 s; 0.31 s; 0.9-1.2 s with all three at their caps

@@ -5,10 +5,12 @@ distances |1-beta_i(t)|/2 of the fundamental character values of an
 *optimal* representative t of its rearrangement orbit: the one whose
 cumulative character-distance sums are lexicographically maximal.
 Profiles of sequences of elements, {n: Profile} dicts, are compared by
-F(k*i+1) <= c*H(i+1), a quasiorder whose witnesses (c, k) compose under
-transitivity.  A Profile keeps its values in one normal form, exactly
-non-increasing floats in [0, 1], each within 1e-12 of its input, so a
-witness stays one as c or k grows.
+F(k*i+1) <= c*H(i+1) + 1e-12.  Without the additive slack the witnesses
+(c, k) would compose under transitivity to (c1*c2, k1*k2); within it they
+need not (F = (2.5e-12,), G = (1e-12,), H = () has F before G and G
+before H, and no witness of F before H).  A Profile keeps its values in
+one normal form, exactly non-increasing floats in [0, 1], each within
+1e-12 of its input, so a witness stays one as c or k grows.
 
 Monomial unitaries (permutation matrices with phases) provide a class
 with closed-form spectra on which the Ky Fan singular-value estimates
@@ -31,7 +33,9 @@ from .perms import Permutation
 from .roots import (
     TorusElement,
     _distances,
+    _first_violation,
     _Orbit,
+    _step_values,
     _units,
     _zigzag,
     lambda_tilde,
@@ -238,9 +242,8 @@ def _profile(orb, rank, state_cap=_OPT_STATE_CAP) -> Profile:
     D may be any common denominator of the angles."""
     _, dists, exact = _lex_greedy(orb, state_cap)
     dists.sort(reverse=True)
-    return Profile._trusted(
-        tuple(math.sin(math.pi * (d / orb.D) / 2) for d in dists), rank,
-        exact=exact, lazy=(dists, orb.D))
+    return Profile._trusted(tuple(_step_values(dists, orb.D)), rank,
+                            exact=exact, lazy=(dists, orb.D))
 
 
 def profile_of(t: TorusElement, state_cap=_OPT_STATE_CAP) -> Profile:
@@ -262,15 +265,14 @@ def profile_of_finite_type(ell, n) -> Profile:
 def precede_check(F: dict, H: dict, w: OrderWitness):
     """Does F_n(k*i+1) <= c*H_n(i+1) hold for all n >= n0, i >= 0?
 
-    Returns (ok, first violation (n, i) or None).  Indices beyond every
-    support carry value zero, so the scan is finite.
+    Returns (ok, first violation (n, i) or None), up to the additive
+    slack of `_first_violation`.  Indices beyond every support carry
+    value zero, so the scan is finite.
     """
     for n in sorted(n for n in F if n in H and n >= w.n0):
-        fp, hp = F[n], H[n]
-        imax = max(len(fp.values), len(hp.values)) + 1
-        for i in range(imax):
-            if fp.value(w.k * i + 1) > w.c * hp.value(i + 1) + 1e-12:
-                return False, (n, i)
+        i = _first_violation(F[n].values, H[n].values, w.c, w.k)
+        if i is not None:
+            return False, (n, i)
     return True, None
 
 
@@ -535,8 +537,7 @@ def kyfan_profile_check(g_mon, h_mon, z_trials=5, seed=0) -> dict:
     n = len(specs[0][0])
     for i in range((n // 6) + 2):
         for j in range((n // 6) + 2):
-            lhs = Fgh.value(6 * i + 6 * j + 1) if 6 * i + 6 * j + 1 <= n - 1 \
-                else 0.0
+            lhs = Fgh.value(6 * i + 6 * j + 1)
             rhs = 2 * Fg.value(i + 1) + 2 * Fh.value(j + 1)
             report["pairs_checked"] += 1
             if lhs > rhs + 1e-12:
@@ -605,8 +606,8 @@ def incomparability_demo(n_max, c_max=64, k_max=8) -> list:
             # decreases in c: resume where c - 1 failed
             n = 2
             for c in range(1, c_max + 1):
-                while n <= n_max and precede_check(
-                        {n: F[n]}, {n: H[n]}, OrderWitness(c, k))[0]:
+                while n <= n_max and _first_violation(
+                        F[n].values, H[n].values, c, k) is None:
                     n += 1
                 rows.append((direction, c, k, n if n <= n_max else None))
     return rows

@@ -76,8 +76,8 @@ def _units(angles):
 
 
 def _distances(typ, vals, D):
-    """lfrac of each fundamental character (as TorusElement.betas) of
-    the arrangement vals/D of normalized angles, in units of 1/D."""
+    """lfrac of each fundamental character angle of the arrangement vals/D
+    of normalized angles, in units of 1/D."""
     D2 = 2 * D
     out = [min((a - b) % D2, (b - a) % D2) for a, b in zip(vals, vals[1:])]
     if typ == "B":
@@ -386,22 +386,6 @@ class TorusElement:
         t.__dict__.update(type=typ, rank=rank, angles=angles)
         return t
 
-    def betas(self):
-        """Fundamental character angles, exact and normalized."""
-        th = self.angles
-        if self.type in ("A", "U"):
-            return [normalize_angle(th[i] - th[i + 1])
-                    for i in range(len(th) - 1)]
-        out = [normalize_angle(th[i] - th[i + 1])
-               for i in range(self.rank - 1)]
-        if self.type == "B":
-            out.append(th[-1])
-        elif self.type == "C":
-            out.append(normalize_angle(2 * th[-1]))
-        else:
-            out.append(normalize_angle(th[-2] + th[-1]))
-        return out
-
     def spectrum(self):
         """All eigenvalue angles under the standard representation."""
         th = list(self.angles)
@@ -413,7 +397,7 @@ class TorusElement:
         return full
 
     def is_central(self):
-        return all(b == 0 for b in self.betas())
+        return not any(_distances(self.type, *_units(self.angles)))
 
     def matrix(self):
         return np.diag([cmath.exp(1j * math.pi * float(a))
@@ -433,7 +417,8 @@ def _rank(t: TorusElement) -> int:
 
 def lambda_of(t: TorusElement) -> Fraction:
     """Mean character angle (units of pi): exact rational in [0, 1]."""
-    return sum((lfrac(b) for b in t.betas()), Fraction(0)) / _rank(t)
+    nums, D = _units(t.angles)
+    return Fraction(sum(_distances(t.type, nums, D)), D * _rank(t))
 
 
 # ------------------------------------- rearrangement orbit, lambda-tilde
@@ -705,6 +690,12 @@ def _rot_between(u, w):
     return (c, s * axis[0], s * axis[1], s * axis[2])
 
 
+def _torus_q(theta):
+    """The unit quaternion of diag(e^{i*pi*theta}, e^{-i*pi*theta})."""
+    x = math.pi * float(theta)
+    return (math.cos(x), 0.0, 0.0, math.sin(x))
+
+
 def su2_matrix(q):
     """2x2 special unitary matrix of a unit quaternion; (c,0,0,s) maps to
     diag(c+is, c-is)."""
@@ -749,6 +740,16 @@ def _plan_polar_path(target, a, count):
         p = min(max(target, lo), hi)
         path.append(p)
     return path
+
+
+def _least_path(target, a, counts):
+    """The `_plan_polar_path` to target of the first count in counts that
+    reaches it with factors of polar a, or None; its length is the count."""
+    for count in counts:
+        path = _plan_polar_path(target, a, count)
+        if path is not None:
+            return path
+    return None
 
 
 def _realize_path(path, a, target_q):
@@ -857,23 +858,13 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
 
     target = math.pi * abs(float(tg))
     a = math.pi * abs(float(th))
-    path = None
-    if target < 1e-15:
-        path = []
-    else:
-        for c in range(1, m + 1):
-            path = _plan_polar_path(target, a, c)
-            if path is not None:
-                break
-        if path is None:
-            raise PolarInfeasible(
-                f"rotation angle {target:.6f} unreachable with {m} factors "
-                f"of angle {a:.6f}")
+    path = [] if target < 1e-15 else _least_path(target, a, range(1, m + 1))
+    if path is None:
+        raise PolarInfeasible(
+            f"rotation angle {target:.6f} unreachable with {m} factors "
+            f"of angle {a:.6f}")
 
-    tgf = math.pi * float(tg)
-    target_q = (math.cos(tgf), 0.0, 0.0, math.sin(tgf))
-    thf = math.pi * float(th)
-    base_q = (math.cos(thf), 0.0, 0.0, math.sin(thf))
+    target_q, base_q = _torus_q(tg), _torus_q(th)
     factors, cur = _realize_path(path, a, target_q)
     conjugators = [(_conjugator_for(f, base_q), 1) for f in factors]
 
@@ -944,12 +935,8 @@ def _block_factor_group(n, h, j, targets, count):
         path = _plan_polar_path(math.pi * abs(float(psi)), step, count)
         if path is None:
             return None
-        tpf = math.pi * float(psi)
-        target_q = (math.cos(tpf), 0.0, 0.0, math.sin(tpf))
-        chif = math.pi * float(chi)
-        base_q = (math.cos(chif), 0.0, 0.0, math.sin(chif))
-        factors, _ = _realize_path(path, step, target_q)
-        per_block.append((base_q, factors))
+        factors, _ = _realize_path(path, step, _torus_q(psi))
+        per_block.append((_torus_q(chi), factors))
 
     W = _block_permutation(n, [(jj, a) for (a, _), jj in zip(targets, j)])
     group = []
@@ -1004,58 +991,63 @@ def torus_decompose_typeA(g: TorusElement, h: TorusElement,
         raise BoundViolated(
             f"lambda(g)={lambda_of(g)} > {m}*lambda(h)={m * lambda_of(h)}")
 
-    dists = [lfrac(b) for b in h.betas()]
-    jstar = max(range(r), key=lambda i: (dists[i], -i)) + 1
+    jstar = sorted_distance_profile(h)[1][0] + 1
     step = math.pi * abs(float(_h_block_parameter(h, jstar)))
-    n = r + 1
     budget = 4 * m * r * r
 
-    psis = _psi_coordinates(g)
+    # each block's count is at most what the budget has left, so the
+    # certificate keeps its bound
     blocks = []
     total = 0
-    for i, psi in enumerate(psis, start=1):
+    for i, psi in enumerate(_psi_coordinates(g), start=1):
         if psi == 0:
             continue
-        target = math.pi * abs(float(psi))
-        count = None
-        for c in range(2, budget + 2, 2):
-            if _plan_polar_path(target, step, c) is not None:
-                count = c
-                break
-            if total + c > budget:
-                break
-        if count is None or total + count > budget:
+        path = _least_path(math.pi * abs(float(psi)), step,
+                           range(2, budget - total + 1, 2))
+        if path is None:
             raise BoundViolated(
                 f"block {i} needs more than the {budget}-factor budget")
-        total += count
-        blocks.append((i, psi, count))
+        total += len(path)
+        blocks.append((i, psi, len(path)))
 
     cert = DecompositionCertificate(kind="torus-A", target=g, base=h,
                                     bound=budget)
     for i, psi, count in blocks:
-        group = _block_factor_group(n, h, [jstar], [(i, psi)], count)
-        assert group is not None
-        cert.factors.extend(group)
+        # the same plan as the count search: never None
+        cert.factors.extend(
+            _block_factor_group(r + 1, h, [jstar], [(i, psi)], count))
     _verify_certificate(cert, g.matrix(), h.matrix())
-    if not cert.check_bound():
-        raise BoundViolated(f"{cert.count} factors exceed bound {budget}")
     return cert
 
 
 # ------------------------------------------- large-rank decomposition
 
+def _step_values(dists, D):
+    """sin(pi*d/(2D)) of each distance d/D (units of pi): half of
+    |1 - e^{i*pi*d/D}|; int / int rounds as float(Fraction) does."""
+    return [math.sin(math.pi * (d / D) / 2) for d in dists]
+
+
 def sorted_distance_profile(t: TorusElement):
-    """(sorted distances, sorting permutation): F(i) = sin(pi*d_i/2)."""
-    d = [lfrac(b) for b in t.betas()]
-    order = sorted(range(len(d)), key=lambda i: (-d[i], i))
-    return [d[i] for i in order], order
+    """(F, order): the step values F(i) = sin(pi*d_i/2) of the character
+    distances d_i of t, largest first, and the sorting permutation (the
+    smaller index first on ties)."""
+    nums, D = _units(t.angles)
+    d = _distances(t.type, nums, D)
+    order = sorted(range(len(d)), key=d.__getitem__, reverse=True)
+    return _step_values([d[i] for i in order], D), order
 
 
-def profile_value(dists, i):
-    """F(i) = half the i-th largest |1 - beta(t)|, 1-based, 0 beyond."""
-    if i <= len(dists):
-        return math.sin(math.pi * float(dists[i - 1]) / 2)
-    return 0.0
+def _first_violation(f, h, c, k):
+    """The least i >= 0 with F(k*i+1) > c*H(i+1) + 1e-12, or None; F and
+    H read the value lists f and h 1-based and are zero past their ends,
+    so only i with k*i < len(f) can violate.  The additive slack 1e-12
+    absorbs float rounding but does not compose: two witnesses within it
+    need not compose to one."""
+    for i, x in enumerate(f[::k]):
+        if x > c * (h[i] if i < len(h) else 0.0) + 1e-12:
+            return i
+    return None
 
 
 def large_rank_decompose(g: TorusElement, h: TorusElement, k,
@@ -1079,18 +1071,12 @@ def large_rank_decompose(g: TorusElement, h: TorusElement, k,
     bound = 140 * k * m + 4 * m
     n = r + 1
 
-    dg, sigma = sorted_distance_profile(g)
-    dh, tau = sorted_distance_profile(h)
-    i = 0
-    while True:
-        fg = profile_value(dg, k * i + 1)
-        fh = profile_value(dh, i + 1)
-        if fg > m * fh + 1e-12:
-            raise BoundViolated(
-                f"F_g({k * i + 1})={fg:.3g} > m*F_h({i + 1})={m * fh:.3g}")
-        if k * i + 1 > r:
-            break
-        i += 1
+    fg, sigma = sorted_distance_profile(g)
+    fh, tau = sorted_distance_profile(h)
+    i = _first_violation(fg, fh, m, k)
+    if i is not None:
+        raise BoundViolated(f"F_g({k * i + 1})={fg[k * i]:.3g} > "
+                            f"m*F_h({i + 1})={m * fh[i]:.3g}")
 
     cert = DecompositionCertificate(kind="large-rank", target=g, base=h,
                                     bound=bound)

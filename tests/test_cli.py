@@ -441,3 +441,58 @@ def test_bad_seed_rejected(tmp_path, capsys):
     assert run(["lattice", "--seed", str((1 << 64) - 1),
                 "--out", str(out)]) == 0
     assert json.loads(read(out))["seed"] == (1 << 64) - 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The commands of README's CLI block, without `lengthlab` and the
+    comments."""
+    text = README.read_text().split("\n## CLI\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.split("#")[0].split()[1:])
+            for line in block.splitlines() if line.strip()]
+
+
+# sha256 of the report of each README command; acceptance, whose suites
+# tests/test_acceptance.py runs one by one, is left out
+README_REPORTS = {
+    "sym-lengths --set n_min=4 --set n_max=30":
+        "0f55889253b0a3f076f1e6011584c354c52a28c2c38bfc6ad31ea19684f0abbe",
+    "linear-lengths":
+        "24c91f3d611be19f6fabcfa452a65d432435ec3e97594ffe7c0709aca841c5f0",
+    "width --set group=A5 --set symmetric=true":
+        "1002d276d576929f451a838de03f7cf5d3b7663be7e1277e293ea1976be63abf",
+    "ore-check --set group=PSL2_7":
+        "dac1eee807ae06cca444e55a3e0d8593739730baa534e70b450d20eaceea4617",
+    "lattice --set group=S4":
+        "2a2d6291efcf4e273782e540a2a2875dcadc7cd96d246ac573df66a9f4c632b3",
+    "lattice --set group=A7":
+        "0cef145de100d650ca7317d84d67cf5f8e7dfe3b26bb3db1f4f922cc535d43da",
+    "root-check --set type=G2 --set rank=2":
+        "33ecf6dce821317a0b18ed96524ef0416a860d3155b9c3905c1adc0926090288",
+    "su2-decompose --set theta_g=1/3 --set theta_h=1/4 --set m=8":
+        "6f19d2e312a15eccaf1a75640814566b8945cd555c7f53e22ecf3fa9d770839c",
+    "torus-decompose --set g=1/3,1/6,-1/2 --set h=1/4,-1/4,0 --set m=8":
+        "b33b12d2a142e6ab3525aa38f6c521391890e4bc68a6d39661324d9dfe6925d7",
+    "large-rank --set rank=21 --set k=1 --set m=8":
+        "23bd9a9e4c2899f29f860b12a2283af9b5d54613abed23d7956f6872b6fff2ae",
+    "profile-order --set f=1/2,0,0 --set h=1/3,1/3,0":
+        "5c497cc7260d4e8e4403885d67ab0640c426fb7ad490c25b1594d836792dd2b3",
+    "kyfan --set pairs=200":
+        "86ce860428d0a4a9667543773892adfefe497918ecf81896f6f6fef617e82278",
+    "counterexample --set n_max=64 --set c_max=64 --set k_max=8":
+        "7dc013c5a34481f0250e23efb1c44316ddfaa7ef1e62aa1aa11775217d58bfb0",
+    "strong-color --set n=30":
+        "2b671b09add134071743aa8006598d4c70f4528526b4f67a0190abf2ce2b438b",
+}
+
+
+@pytest.mark.parametrize("command", list(README_REPORTS))
+def test_readme_reports_pinned(command, tmp_path):
+    assert list(README_REPORTS) == [
+        c for c in readme_commands() if not c.startswith("acceptance")]
+    out = tmp_path / "report"
+    assert run(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == README_REPORTS[command]

@@ -48,12 +48,15 @@ from lengthlab.roots import (
     BadRank,
     TorusElement,
     _distances,
+    _first_violation,
     _Orbit,
     _units,
     _zigzag,
+    lambda_of,
     lambda_tilde,
     lfrac,
     normalize_angle,
+    sorted_distance_profile,
 )
 
 
@@ -65,6 +68,23 @@ def random_element(typ, rank, rng, denoms=(12,)):
     if typ == "A":
         angs[-1] = -sum(angs[:-1])
     return TorusElement(typ, rank, tuple(angs))
+
+
+def betas(t):
+    """Fundamental character angles of t, exact and normalized: the
+    Fraction reference for `_distances`, whose lfrac they are."""
+    th = t.angles
+    if t.type in ("A", "U"):
+        return [normalize_angle(th[i] - th[i + 1])
+                for i in range(len(th) - 1)]
+    out = [normalize_angle(th[i] - th[i + 1]) for i in range(t.rank - 1)]
+    if t.type == "B":
+        out.append(th[-1])
+    elif t.type == "C":
+        out.append(normalize_angle(2 * th[-1]))
+    else:
+        out.append(normalize_angle(th[-2] + th[-1]))
+    return out
 
 
 def brute_optimal_dseq(t):
@@ -79,7 +99,7 @@ def brute_optimal_dseq(t):
             if typ == "D" and sg.count(-1) % 2:
                 continue
             arr = tuple(normalize_angle(s * v) for s, v in zip(sg, perm))
-            d = tuple(lfrac(b) for b in TorusElement(t.type, t.rank, arr).betas())
+            d = tuple(map(lfrac, betas(TorusElement(t.type, t.rank, arr))))
             if best is None or d > best:
                 best = d
                 profiles_of_best = set()
@@ -116,7 +136,7 @@ def test_optimal_element_matches_brute_force(typ, denoms):
         t = random_element(typ, rank, rng, denoms)
         opt, exact = optimal_torus_element(t)
         assert exact
-        d = tuple(lfrac(b) for b in opt.betas())
+        d = tuple(lfrac(b) for b in betas(opt))
         assert d == brute_optimal_dseq(t)
 
 
@@ -163,7 +183,7 @@ def test_type_d_profile_keeps_the_sign_parity():
     for perm in itertools.permutations(t.angles):
         for signs in itertools.product((1, -1), repeat=4):
             arr = tuple(s * a for s, a in zip(signs, perm))
-            total = sum(lfrac(b) for b in TorusElement("D", 4, arr).betas())
+            total = sum(lfrac(b) for b in betas(TorusElement("D", 4, arr)))
             odd = signs.count(-1) % 2
             sums[odd] = max(sums[odd], total)
     assert sums[0] == sums[1]
@@ -178,7 +198,88 @@ def test_integer_distances_match_betas():
                 t = random_element(typ, rng.randint(2, 7), rng, denoms)
                 nums, D = _units(t.angles)
                 assert [F(d, D) for d in _distances(typ, nums, D)] == \
-                    [lfrac(b) for b in t.betas()]
+                    [lfrac(b) for b in betas(t)]
+
+
+def central_elements(typ, rank):
+    """Elements of typ and rank whose character angles all vanish."""
+    n = rank + 1 if typ in ("A", "U") else rank
+    if typ == "A":
+        return [TorusElement("A", rank, (F(2 * j, n),) * n) for j in range(n)]
+    vals = {"U": (0, F(1, 3), 1), "B": (0,)}.get(typ, (0, 1))
+    return [TorusElement(typ, rank, (F(v),) * n) for v in vals]
+
+
+@pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
+def test_torus_kernels_match_betas(typ):
+    # is_central, lambda_of and sorted_distance_profile against the
+    # Fraction character angles, from the least rank of each type up
+    rng = random.Random(zlib.crc32(typ.encode()) + 27)
+    least = TorusElement.LEAST_RANK[typ]
+    central = Counter()
+    for rank in range(least, least + 6):
+        for t in central_elements(typ, rank) + [
+                random_element(typ, rank, rng, denoms)
+                for denoms in ((12,), (3, 4, 5), (2,), (1,)) for _ in range(8)]:
+            d = [lfrac(b) for b in betas(t)]
+            central[t.is_central()] += 1
+            assert t.is_central() == (set(d) <= {0})
+            if rank == 0:
+                with pytest.raises(BadRank):
+                    lambda_of(t)
+            else:
+                assert lambda_of(t) == sum(d, F(0)) / rank
+            order = sorted(range(len(d)), key=lambda i: (-d[i], i))
+            steps = [math.sin(math.pi * float(d[i]) / 2) for i in order]
+            assert sorted_distance_profile(t) == (steps, order)
+    assert central[True] > 6 and central[False] > 100
+
+
+def first_violation_reference(f, h, c, k):
+    """The first i with F(k*i+1) > c*H(i+1) + 1e-12, F and H zero past
+    the ends of f and h, scanning past both ends."""
+    def at(values, i):
+        return values[i - 1] if i <= len(values) else 0.0
+
+    for i in range(len(f) + len(h) + 2):
+        if at(f, k * i + 1) > c * at(h, i + 1) + 1e-12:
+            return i
+    return None
+
+
+def test_first_violation_matches_brute_force():
+    rng = random.Random(61)
+    found = Counter()
+    for _ in range(400):
+        k, c = rng.randint(1, 4), rng.choice((1, 2, 3, 1.5, 64))
+        h = [rng.choice((0.0, rng.random())) for _ in range(rng.randint(0, 6))]
+        f = [rng.random() / c for _ in range(rng.randint(0, 12))]
+        cases = [f, [x / 1e12 for x in f]]
+        for i in range((len(f) + k - 1) // k):
+            # F(k*i+1) at exactly c*H(i+1) + 1e-12, and one float above,
+            # over a zero or a random f
+            edge = c * (h[i] if i < len(h) else 0.0) + 1e-12
+            for base in ([0.0] * len(f), f):
+                for x in (edge, math.nextafter(edge, 2.0)):
+                    g = list(base)
+                    g[k * i] = x
+                    cases.append(g)
+        for g in cases:
+            got = _first_violation(g, h, c, k)
+            assert got == first_violation_reference(g, h, c, k)
+            found[got is None] += 1
+            if got is not None:
+                found["last"] += k * (got + 1) >= len(g)
+    assert found[True] > 1000 and found[False] > 1000 and found["last"] > 300
+
+
+def test_witnesses_within_the_slack_do_not_compose():
+    # the module docstring's example: F before G at (2, 1) and G before H
+    # at (1, 1), but F before H at no c and k
+    Fs, G, H = ({0: Profile(v, 1)} for v in ((2.5e-12,), (1e-12,), ()))
+    assert precede_check(Fs, G, OrderWitness(2, 1)) == (True, None)
+    assert precede_check(G, H, OrderWitness(1, 1)) == (True, None)
+    assert precede_search(Fs, H, 2**64, 64) is None
 
 
 @pytest.mark.parametrize("typ", ["A", "U", "B", "C", "D"])
@@ -534,7 +635,7 @@ def realize_profile_reference(P, typ, rank, cap=100_000):
             break
         t = TorusElement(typ, rank, angles)
         opt, exact = optimal_torus_element(t)
-        if exact and Counter(lfrac(b) for b in opt.betas()) == expect:
+        if exact and Counter(lfrac(b) for b in betas(opt)) == expect:
             return t
     raise Unrealizable(f"no realization found for {dists} in type {typ}")
 

@@ -895,6 +895,35 @@ def test_typeA_bound_violated():
         torus_decompose_typeA(g, h, 2)
 
 
+def test_typeA_input_checks():
+    g = TorusElement("A", 2, (F(1, 3), F(1, 4), F(-7, 12)))
+    with pytest.raises(ValueError, match="^type-A torus elements required$"):
+        torus_decompose_typeA(g, TorusElement("U", 2, g.angles), 2)
+    with pytest.raises(ValueError, match="^equal ranks required$"):
+        torus_decompose_typeA(g, TorusElement("A", 1, (F(1, 3), F(-1, 3))), 2)
+    big = TorusElement("A", 13, (F(1, 2), F(-1, 2)) + (F(0),) * 12)
+    with pytest.raises(BadRank, match="^rank must be at most 12$"):
+        torus_decompose_typeA(big, big, 2)
+
+
+# h's block has polar 0.99*pi: an even number of its factors stays within
+# 0.02*pi of polar 0, so the polar pi of -1 is out of reach
+H_FAR = TorusElement("A", 1, (F(1, 100), F(-1, 100)))
+
+
+def test_typeA_block_unreachable_within_budget():
+    # -1 has torus length 0, so the length bound holds at any m
+    g = TorusElement("A", 1, (F(1), F(1)))
+    with pytest.raises(BoundViolated,
+                       match="^block 1 needs more than the 8-factor budget$"):
+        torus_decompose_typeA(g, H_FAR, 2)
+
+
+def test_block_factor_group_unreachable_target():
+    assert R._block_factor_group(2, H_FAR, [1], [(1, F(1))], 2) is None
+    assert len(R._block_factor_group(2, H_FAR, [1], [(1, F(1, 100))], 2)) == 2
+
+
 def test_typeA_random_multiply_back():
     rng = random.Random(5)
     for _ in range(25):
@@ -1002,8 +1031,62 @@ def test_large_rank_random_r25():
 def test_large_rank_profile_precondition():
     g = uniform_spacing_element(25, F(1, 2))
     h = uniform_spacing_element(25, F(1, 1000))
-    with pytest.raises(BoundViolated):
+    with pytest.raises(BoundViolated,
+                       match=r"^F_g\(1\)=0\.707 > m\*F_h\(1\)=0\.00314$"):
         large_rank_decompose(g, h, 1, 2)
+
+
+def test_large_rank_input_checks():
+    h = uniform_spacing_element(21)
+    message = "^type-A torus elements of equal rank required$"
+    for g in (TorusElement("U", 21, h.angles), uniform_spacing_element(22)):
+        with pytest.raises(ValueError, match=message):
+            large_rank_decompose(g, h, 1, 2)
+
+
+def test_large_rank_central_h_within_the_slack():
+    # g's step values, about 3e-13, pass the domination against the zero
+    # profile of a central h within its additive slack of 1e-12
+    x = F(1, 10**13)
+    g = TorusElement("A", 21, (x, -x) + (F(0),) * 20)
+    h = TorusElement("A", 21, (F(0),) * 22)
+    assert not g.is_central()
+    with pytest.raises(CentralH, match="^h is central$"):
+        large_rank_decompose(g, h, 1, 2)
+
+
+def test_large_rank_unreachable_grouped_block(monkeypatch):
+    monkeypatch.setattr(R, "_block_factor_group", lambda *args: None)
+    h = uniform_spacing_element(21)
+    with pytest.raises(BoundViolated,
+                       match="^a grouped block is unreachable in 4m factors$"):
+        large_rank_decompose(h, h, 1, 2)
+
+
+def test_large_rank_unreachable_leftover_block(monkeypatch):
+    # the grouped blocks are those of h's 15 largest distances, 1..15 here;
+    # 17, 19 and 21 are the nonzero leftovers
+    real = R._block_factor_group
+
+    def fault(n, h, j, targets, count):
+        return None if targets[0][0] == 17 else real(n, h, j, targets, count)
+
+    monkeypatch.setattr(R, "_block_factor_group", fault)
+    h = uniform_spacing_element(21)
+    with pytest.raises(BoundViolated,
+                       match="^leftover block 17 unreachable in 4m factors$"):
+        large_rank_decompose(h, h, 1, 2)
+
+
+def test_large_rank_count_over_bound(monkeypatch):
+    # four copies of each factor group: 4 * 88 factors against 140m + 4m
+    real = R._block_factor_group
+    monkeypatch.setattr(R, "_block_factor_group",
+                        lambda *args: real(*args) * 4)
+    h = uniform_spacing_element(21)
+    with pytest.raises(BoundViolated,
+                       match="^352 factors exceed bound 288$"):
+        large_rank_decompose(h, h, 1, 2)
 
 
 def test_certificate_json():
