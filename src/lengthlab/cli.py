@@ -16,8 +16,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import (LengthlabError, OutOfRange, acceptance, coloring, engine,
-               fqlin, perms, profiles, roots)
+from . import (InvariantFailed, LengthlabError, OutOfRange, acceptance,
+               coloring, engine, fqlin, perms, profiles, roots)
 
 SCHEMA_VERSION = 1
 # Caps on the sizes that set a run's cost, checked before any work; each is
@@ -423,6 +423,9 @@ def main(argv=None) -> int:
         if args.seed < 0 or args.seed >= 1 << 64:
             raise ConfigInvalid("seed must fit in 64 bits")
         ok = COMMANDS[args.command](args)
+    except InvariantFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (LengthlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from . import LengthlabError, OutOfRange
+from . import InvariantFailed, LengthlabError, OutOfRange
 
 
 class SearchExhausted(LengthlabError):
@@ -229,15 +229,17 @@ def _attempt(m, s, adj, pinned, rng, cap):
 
 
 def check_strong_coloring(n, blocks, s, color):
-    """Independent verifier; raises AssertionError on a bad coloring."""
+    """Independent verifier; raises InvariantFailed on a bad coloring."""
     rainbow = set(range(s))
     for b in blocks:
-        assert len(b) == s and {color[v] for v in b} == rainbow, b
+        if not (len(b) == s and {color[v] for v in b} == rainbow):
+            raise InvariantFailed(b)
     # the cycle edges (v, v+1) and (n-1, 0); C_2 has the one edge (0, 1)
     ring = [color[v] for v in range(n)]
     nxt = ring[1:] + ring[:1] if n > 2 else ring[1:]
     for v, (a, b) in enumerate(zip(ring, nxt)):
-        assert a != b, (v, (v + 1) % n)
+        if a == b:
+            raise InvariantFailed((v, (v + 1) % n))
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
@@ -266,16 +268,19 @@ def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
 
 
 def check_partition_vectors(sigma, s, i, vec, inv=None):
-    """Verify one output vector against all three guarantees; inv, if
-    given, is sigma.inverse()."""
+    """Verify one output vector against all three guarantees, raising
+    InvariantFailed; inv, if given, is sigma.inverse()."""
     n = len(sigma.images)
     pos = (inv or sigma.inverse()).images
-    assert None not in vec, i
+    if None in vec:
+        raise InvariantFailed(i)
     # a pair differing by d in either order is an entry a with a + d
     entries = set(vec)
     for d in (1, n - 1):
         clash = entries.intersection([a + d for a in vec])
-        assert not clash, (d, clash)
+        if clash:
+            raise InvariantFailed((d, clash))
     for j, a in enumerate(vec, start=1):
         k = pos[a - 1] + 1
-        assert abs(s * j - k) <= s - 1, (a, j, k)
+        if abs(s * j - k) > s - 1:
+            raise InvariantFailed((a, j, k))

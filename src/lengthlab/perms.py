@@ -53,10 +53,6 @@ class Permutation:
         return p
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build a permutation of range(n) from disjoint cycles (0-based)."""
         images = list(range(n))

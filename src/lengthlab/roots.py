@@ -378,10 +378,7 @@ class TorusElement:
     @classmethod
     def _trusted(cls, typ, rank, angles):
         """An element from angles that are already normalized and fit typ
-        and rank, without the constructor's work; only a negative rank
-        still raises BadRank."""
-        if rank < 0:
-            raise BadRank(f"rank {rank} < 0")
+        and rank (at least LEAST_RANK), without the constructor's work."""
         t = cls.__new__(cls)
         t.__dict__.update(type=typ, rank=rank, angles=angles)
         return t
@@ -742,13 +739,14 @@ def _plan_polar_path(target, a, count):
     return path
 
 
-def _least_path(target, a, counts):
-    """The `_plan_polar_path` to target of the first count in counts that
-    reaches it with factors of polar a, or None; its length is the count."""
+def _least_paths(plans, counts):
+    """The `_plan_polar_path` of every (target, a) in plans at the first
+    count in counts that reaches all of them, or None; each path's length
+    is that count."""
     for count in counts:
-        path = _plan_polar_path(target, a, count)
-        if path is not None:
-            return path
+        paths = [_plan_polar_path(target, a, count) for target, a in plans]
+        if None not in paths:
+            return paths
     return None
 
 
@@ -788,8 +786,7 @@ def _realize_path(path, a, target_q):
     if math.sin(_qpolar(cur)) > 1e-12 and math.sin(_qpolar(target_q)) > 1e-12:
         w = _rot_between(_qaxis(cur), _qaxis(target_q))
         factors = [_qmul(_qmul(w, f), _qconj(w)) for f in factors]
-        cur = _qmul(_qmul(w, cur), _qconj(w))
-    return factors, cur
+    return factors
 
 
 def _conjugator_for(f, base_q):
@@ -858,14 +855,15 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
 
     target = math.pi * abs(float(tg))
     a = math.pi * abs(float(th))
-    path = [] if target < 1e-15 else _least_path(target, a, range(1, m + 1))
-    if path is None:
+    paths = [[]] if target < 1e-15 else _least_paths([(target, a)],
+                                                     range(1, m + 1))
+    if paths is None:
         raise PolarInfeasible(
             f"rotation angle {target:.6f} unreachable with {m} factors "
             f"of angle {a:.6f}")
 
     target_q, base_q = _torus_q(tg), _torus_q(th)
-    factors, cur = _realize_path(path, a, target_q)
+    factors = _realize_path(paths[0], a, target_q)
     conjugators = [(_conjugator_for(f, base_q), 1) for f in factors]
 
     prod = (1.0, 0.0, 0.0, 0.0)
@@ -919,33 +917,35 @@ def _h_block_parameter(h: TorusElement, j):
     return raw if abs(raw) >= abs(alt) else alt
 
 
-def _block_factor_group(n, h, j, targets, count):
+def _block_factor_group(n, h, drivers, targets, counts):
     """Factors (conjugator, eps) writing the commuting product of the
-    target blocks as `count` conjugates of h^{+-1}, half each sign.
+    target blocks as conjugates of h^{+-1}, half each sign, at the first
+    count in counts that reaches every target.
 
-    targets: list of (block index a, parameter psi).  The same h-blocks
-    at the j-positions drive all targets through one shared conjugator
-    per factor.  Returns None if some target is unreachable in count
-    steps."""
+    targets: list of (block index a, parameter psi).  The h-blocks at the
+    driver positions drive all targets through one shared conjugator per
+    factor.  Returns None if no count reaches every target."""
+    chis = [_h_block_parameter(h, jj) for jj in drivers]
+    plans = [(math.pi * abs(float(psi)), math.pi * abs(float(chi)))
+             for (_, psi), chi in zip(targets, chis)]
+    paths = _least_paths(plans, counts)
+    if paths is None:
+        return None
+    count = len(paths[0])
     assert count % 2 == 0
-    per_block = []
-    for (_, psi), jj in zip(targets, j):
-        chi = _h_block_parameter(h, jj)
-        step = math.pi * abs(float(chi))
-        path = _plan_polar_path(math.pi * abs(float(psi)), step, count)
-        if path is None:
-            return None
-        factors, _ = _realize_path(path, step, _torus_q(psi))
-        per_block.append((_torus_q(chi), factors))
+    per_block = [(_torus_q(chi), _realize_path(path, step, _torus_q(psi)))
+                 for (_, psi), chi, path, (_, step)
+                 in zip(targets, chis, paths, plans)]
 
-    W = _block_permutation(n, [(jj, a) for (a, _), jj in zip(targets, j)])
+    W = _block_permutation(
+        n, [(jj, a) for (a, _), jj in zip(targets, drivers)])
     group = []
     for tind in range(count):
         eps = 1 if tind < count // 2 else -1
         # the driving blocks (jj, jj+1), 1-based, are disjoint: their
         # product is each 2x2 block written in place
         E = np.eye(n, dtype=complex)
-        for (base_q, factors), jj in zip(per_block, j):
+        for (base_q, factors), jj in zip(per_block, drivers):
             bq = base_q if eps == 1 else _qconj(base_q)
             v = _conjugator_for(factors[tind], bq)
             E[jj - 1:jj + 1, jj - 1:jj + 1] = su2_matrix(v)
@@ -992,30 +992,21 @@ def torus_decompose_typeA(g: TorusElement, h: TorusElement,
             f"lambda(g)={lambda_of(g)} > {m}*lambda(h)={m * lambda_of(h)}")
 
     jstar = sorted_distance_profile(h)[1][0] + 1
-    step = math.pi * abs(float(_h_block_parameter(h, jstar)))
     budget = 4 * m * r * r
 
     # each block's count is at most what the budget has left, so the
     # certificate keeps its bound
-    blocks = []
-    total = 0
+    cert = DecompositionCertificate(kind="torus-A", target=g, base=h,
+                                    bound=budget)
     for i, psi in enumerate(_psi_coordinates(g), start=1):
         if psi == 0:
             continue
-        path = _least_path(math.pi * abs(float(psi)), step,
-                           range(2, budget - total + 1, 2))
-        if path is None:
+        group = _block_factor_group(r + 1, h, [jstar], [(i, psi)],
+                                    range(2, budget - cert.count + 1, 2))
+        if group is None:
             raise BoundViolated(
                 f"block {i} needs more than the {budget}-factor budget")
-        total += len(path)
-        blocks.append((i, psi, len(path)))
-
-    cert = DecompositionCertificate(kind="torus-A", target=g, base=h,
-                                    bound=budget)
-    for i, psi, count in blocks:
-        # the same plan as the count search: never None
-        cert.factors.extend(
-            _block_factor_group(r + 1, h, [jstar], [(i, psi)], count))
+        cert.factors.extend(group)
     _verify_certificate(cert, g.matrix(), h.matrix())
     return cert
 
@@ -1050,17 +1041,28 @@ def _first_violation(f, h, c, k):
     return None
 
 
+def _orthogonal_triples(indices):
+    """partition_permutation of the rank permutation of the distinct
+    indices, its entries mapped back through the sorted indices."""
+    from .coloring import partition_permutation
+    from .perms import Permutation
+
+    order = sorted(range(len(indices)), key=indices.__getitem__)
+    vectors = partition_permutation(Permutation(order).inverse())
+    return [[indices[order[x - 1]] for x in vec] for vec in vectors]
+
+
 def large_rank_decompose(g: TorusElement, h: TorusElement, k,
                          m) -> DecompositionCertificate:
     """High-rank SU decomposition with at most 140*k*m + 4*m factors.
 
     Requires rank r > 20k and the step-profile domination
     F_g(k*i+1) <= m*F_h(i+1) for all i >= 0.  Groups the SU(2)-blocks of
-    g into orthogonal triples via strong cycle colorings so one conjugate
-    of h drives many blocks at once.
+    g into orthogonal triples so one conjugate of h drives many blocks at
+    once: coloring.partition_permutation splits the ranked block indices
+    into three vectors with no two adjacent indices in one, and
+    check_partition_vectors verifies that on every result.
     """
-    from .coloring import strong_color_cycle
-
     if g.type != "A" or h.type != "A" or g.rank != h.rank:
         raise ValueError("type-A torus elements of equal rank required")
     r = g.rank
@@ -1093,40 +1095,22 @@ def large_rank_decompose(g: TorusElement, h: TorusElement, k,
     N = ((r - K - 1) // K // 3) * 3
     psis = _psi_coordinates(g)
 
-    def orthogonal_triples(indices):
-        """Partition index list into 3 slot-ordered vectors, no two
-        adjacent root indices sharing a vector."""
-        nn = len(indices)
-        order = sorted(range(nn), key=lambda p: indices[p])
-        vertex_of_pos = [0] * nn  # position in indices -> cycle vertex
-        for vtx, pos in enumerate(order):
-            vertex_of_pos[pos] = vtx
-        blocks = [[vertex_of_pos[p] for p in range(s, min(s + 3, nn))]
-                  for s in range(0, nn, 3)]
-        color = strong_color_cycle(nn, blocks)
-        out = [[None] * (nn // 3) for _ in range(3)]
-        for pos in range(nn):
-            out[color[vertex_of_pos[pos]]][pos // 3] = indices[pos]
-        return out
-
     treated = set()
     if N >= 3:
         t0 = [tau[p] + 1 for p in range(N)]
-        bsets = orthogonal_triples(t0)
+        bsets = _orthogonal_triples(t0)
         for l in range(1, K + 1):
             sl = [sigma[(q * K + l) - 1] + 1 for q in range(N)]
-            csets = orthogonal_triples(sl)
-            for which in range(3):
-                drivers = bsets[which]
-                targets = [(a, psis[a - 1]) for a in csets[which]]
-                treated.update(a for a, _ in targets)
-                live = [(tgt, jj) for tgt, jj in zip(targets, drivers)
-                        if tgt[1] != 0]
+            csets = _orthogonal_triples(sl)
+            for drivers, blocks in zip(bsets, csets):
+                treated.update(blocks)
+                live = [(jj, a) for jj, a in zip(drivers, blocks)
+                        if psis[a - 1] != 0]
                 if not live:
                     continue
                 group = _block_factor_group(
-                    n, h, [jj for _, jj in live],
-                    [tgt for tgt, _ in live], 4 * m)
+                    n, h, [jj for jj, _ in live],
+                    [(a, psis[a - 1]) for _, a in live], (4 * m,))
                 if group is None:
                     raise BoundViolated(
                         "a grouped block is unreachable in 4m factors")
@@ -1136,7 +1120,8 @@ def large_rank_decompose(g: TorusElement, h: TorusElement, k,
     for a in range(1, r + 1):
         if a in treated or psis[a - 1] == 0:
             continue
-        group = _block_factor_group(n, h, [bstar], [(a, psis[a - 1])], 4 * m)
+        group = _block_factor_group(n, h, [bstar], [(a, psis[a - 1])],
+                                    (4 * m,))
         if group is None:
             raise BoundViolated(
                 f"leftover block {a} unreachable in 4m factors")

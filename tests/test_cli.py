@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lengthlab import acceptance, cli, profiles
+from lengthlab import acceptance, cli, coloring, profiles
 
 
 def run(argv):
@@ -133,6 +133,18 @@ def test_library_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_invariant_failure_exits_1(monkeypatch, tmp_path, capsys):
+    # a repair search that colors every vertex 0: the verifier inside
+    # strong_color_cycle rejects the first block, and no report is written
+    monkeypatch.setattr(coloring, "_min_conflicts",
+                        lambda n, m, *args: dict.fromkeys(range(m), 0))
+    out = tmp_path / "col.json"
+    assert run(["strong-color", "--set", "n=90", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [")
+    assert not out.exists()
 
 
 # Each subcommand against 0, 1, a negative value and an empty range (or
@@ -487,6 +499,15 @@ README_REPORTS = {
     "strong-color --set n=30":
         "2b671b09add134071743aa8006598d4c70f4528526b4f67a0190abf2ce2b438b",
 }
+
+
+def test_large_rank_grouped_triples_pinned(tmp_path):
+    # rank 76 splits nn = 12 block indices at a time into triples through
+    # coloring.partition_permutation; README's rank 21 splits only 3
+    out = tmp_path / "report"
+    assert run(["large-rank", "--set", "rank=76", "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == (
+        "258b622191293f14810018e0ba97dcbe0626fd2d9126c00aef873212266fdd95")
 
 
 @pytest.mark.parametrize("command", list(README_REPORTS))

@@ -1,12 +1,18 @@
 """Tests for strong cycle colorings and the permutation partition."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+from lengthlab import InvariantFailed
 from lengthlab.coloring import (
     DEFAULT_BUDGET,
     RESTART_NODES,
@@ -261,23 +267,24 @@ def test_verifier_accepts(cycle_colors):
 ])
 def test_verifier_rejects_monochromatic_edge(cycle_colors, edge):
     n, blocks, color = _padded_coloring(cycle_colors)
-    with pytest.raises(AssertionError, match=re.escape(str(edge))):
+    with pytest.raises(InvariantFailed, match=re.escape(str(edge))):
         check_strong_coloring(n, blocks, 3, color)
 
 
 def test_verifier_rejects_bad_blocks():
+    def rejects(n, blocks, color, bad):  # with the bad block as message
+        with pytest.raises(InvariantFailed, match=f"^{re.escape(str(bad))}$"):
+            check_strong_coloring(n, blocks, 3, color)
+
     n, blocks, color = _padded_coloring((0, 1, 2))
     color[blocks[1][1]] = color[blocks[1][2]]  # not rainbow
-    with pytest.raises(AssertionError):
-        check_strong_coloring(n, blocks, 3, color)
+    rejects(n, blocks, color, blocks[1])
     n, blocks, color = _padded_coloring((0, 1, 2))
     blocks[0].append(9)  # four vertices, three colors
     color[9] = 0
-    with pytest.raises(AssertionError):
-        check_strong_coloring(n, blocks, 3, color)
+    rejects(n, blocks, color, blocks[0])
     del blocks[0][1:]  # one vertex
-    with pytest.raises(AssertionError):
-        check_strong_coloring(n, blocks, 3, color)
+    rejects(n, blocks, color, blocks[0])
 
 
 def test_s4_coloring():
@@ -359,6 +366,16 @@ def test_partition_n3_vacuous():
     assert sorted(v[0] for v in vectors) == [1, 2, 3]
 
 
+# bad output vectors for the identity on 9 points, each with the message
+# check_partition_vectors rejects it with at i = 0
+PLANTED_VECTORS = [
+    ([None, 4, 7], "0"),
+    ([3, 4, 7], "(1, {4})"),  # differ by 1
+    ([1, 5, 9], "(8, {9})"),  # differ by n - 1
+    ([1, 7, 4], "(4, 3, 4)"),  # 4 at slot 3: |9 - 4| > 2
+]
+
+
 @pytest.mark.parametrize("with_inverse", [False, True])
 def test_partition_verifier_stays_strict(with_inverse):
     # identity on 9 points: slot j holds a value within 2 of 3j
@@ -366,11 +383,8 @@ def test_partition_verifier_stays_strict(with_inverse):
     inv = sigma.inverse() if with_inverse else None
     for vec in ([1, 4, 7], [2, 6, 9], [3, 5, 8]):
         check_partition_vectors(sigma, 3, 0, vec, inv)
-    for vec in ([None, 4, 7],
-                [3, 4, 7],  # differ by 1
-                [1, 5, 9],  # differ by n - 1
-                [1, 7, 4]):  # 4 at slot 3: |9 - 4| > 2
-        with pytest.raises(AssertionError):
+    for vec, message in PLANTED_VECTORS:
+        with pytest.raises(InvariantFailed, match=f"^{re.escape(message)}$"):
             check_partition_vectors(sigma, 3, 0, vec, inv)
 
 
@@ -399,3 +413,37 @@ def test_partition_random_permutations(n):
             for a, b in itertools.combinations(vec, 2):
                 assert abs(a - b) not in (1, n - 1)
         assert seen == set(range(1, n + 1))
+
+
+def test_verifiers_reject_under_python_O():
+    # python -O strips asserts: both verifiers still reject planted faults,
+    # with the same messages as without it
+    script = textwrap.dedent("""
+        from lengthlab import InvariantFailed
+        from lengthlab.coloring import (check_partition_vectors,
+                                        check_strong_coloring)
+        from lengthlab.perms import Permutation
+
+        def rejects(check, *args):
+            try:
+                check(*args)
+            except InvariantFailed as exc:
+                return str(exc)
+            return "accepted"
+
+        assert False, "asserts are on"
+        print(rejects(check_strong_coloring, 3, [[0, 1, 2]], 3,
+                      {0: 0, 1: 1, 2: 1}))  # not rainbow
+        print(rejects(check_strong_coloring, 6, [[0, 1, 2], [3, 4, 5]], 3,
+                      dict(enumerate((0, 1, 2, 2, 0, 1)))))  # edge (2, 3)
+        for vec in %r:
+            print(rejects(check_partition_vectors, Permutation(range(9)), 3,
+                          0, vec))
+    """) % [vec for vec, _ in PLANTED_VECTORS]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "[0, 1, 2]", "(2, 3)", *(message for _, message in PLANTED_VECTORS)]

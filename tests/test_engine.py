@@ -871,14 +871,14 @@ EDGE_GENS = {
                    Permutation.from_cycles(6, [list(range(6))])],
     "PSL2_16": lambda: psl2_gens(16),
     "PSL2_25": lambda: psl2_gens(25),
-    "trivial": lambda: [Permutation.identity(3)],
+    "trivial": lambda: [Permutation(range(3))],
     "one-point": lambda: [Permutation([0])],
     "trivial-matrix": lambda: [FqMatrix.identity(F3, 2)],
     "cyclic": lambda: [Permutation.from_cycles(7, [list(range(7))])],
     "repeated": lambda: [TRANSPOSITION, THREE_CYCLE, TRANSPOSITION,
                          THREE_CYCLE],
-    "identity-generator": lambda: [Permutation.identity(3), THREE_CYCLE,
-                                   Permutation.identity(3), TRANSPOSITION],
+    "identity-generator": lambda: [Permutation(range(3)), THREE_CYCLE,
+                                   Permutation(range(3)), TRANSPOSITION],
     "A5xA5": _a5_times_a5,
 }
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lengthlab import roots as R
+from lengthlab.coloring import strong_color_cycle
 from lengthlab.roots import (
     _STATE_CAP,
     BadRank,
@@ -920,8 +921,42 @@ def test_typeA_block_unreachable_within_budget():
 
 
 def test_block_factor_group_unreachable_target():
-    assert R._block_factor_group(2, H_FAR, [1], [(1, F(1))], 2) is None
-    assert len(R._block_factor_group(2, H_FAR, [1], [(1, F(1, 100))], 2)) == 2
+    # 2k factors reach polars up to 0.02k*pi: pi first at 100 factors
+    assert R._block_factor_group(2, H_FAR, [1], [(1, F(1))], (2,)) is None
+    assert R._block_factor_group(2, H_FAR, [1], [(1, F(1))],
+                                 range(2, 99, 2)) is None
+    assert len(R._block_factor_group(2, H_FAR, [1], [(1, F(1))],
+                                     range(2, 101, 2))) == 100
+    assert len(R._block_factor_group(2, H_FAR, [1], [(1, F(1, 100))],
+                                     (2,))) == 2
+
+
+def test_least_paths_wait_for_every_plan():
+    # with H_FAR's step, polar pi/100 is reached at 2 factors, pi at 100
+    a = 0.99 * math.pi
+    near, far = (math.pi / 100, a), (math.pi, a)
+    assert [len(p) for p in R._least_paths([near], range(2, 101, 2))] == [2]
+    assert R._least_paths([near, far], range(2, 99, 2)) is None
+    paths = R._least_paths([near, far], range(2, 101, 2))
+    assert [len(p) for p in paths] == [100, 100]
+    assert [p[-1] for p in paths] == [near[0], far[0]]
+
+
+def test_each_block_is_planned_once(monkeypatch):
+    # README's torus-decompose example: two blocks, one plan each
+    plans = []
+
+    def counted(*args):
+        plans.append(args)
+        return real(*args)
+
+    real = R._plan_polar_path
+    monkeypatch.setattr(R, "_plan_polar_path", counted)
+    g = TorusElement("A", 2, (F(1, 3), F(1, 6), F(-1, 2)))
+    h = TorusElement("A", 2, (F(1, 4), F(-1, 4), F(0)))
+    cert = torus_decompose_typeA(g, h, 8)
+    assert len(plans) == 2
+    assert cert.count == sum(count for _, _, count in plans)
 
 
 def test_typeA_random_multiply_back():
@@ -987,6 +1022,38 @@ def uniform_spacing_element(r, d=F(1, 8)):
     ang = [F(0) if i % 2 == 0 else d for i in range(r + 1)]
     s = sum(ang)
     return TorusElement("A", r, tuple(a - s / (r + 1) for a in ang))
+
+
+def orthogonal_triples_reference(indices):
+    """The grouping large_rank_decompose made before it called
+    partition_permutation: strong_color_cycle on the ranks of the indices,
+    with the blocks in position order."""
+    nn = len(indices)
+    order = sorted(range(nn), key=lambda p: indices[p])
+    vertex_of_pos = [0] * nn  # position in indices -> cycle vertex
+    for vtx, pos in enumerate(order):
+        vertex_of_pos[pos] = vtx
+    blocks = [[vertex_of_pos[p] for p in range(s, min(s + 3, nn))]
+              for s in range(0, nn, 3)]
+    color = strong_color_cycle(nn, blocks)
+    out = [[None] * (nn // 3) for _ in range(3)]
+    for pos in range(nn):
+        out[color[vertex_of_pos[pos]]][pos // 3] = indices[pos]
+    return out
+
+
+def test_orthogonal_triples_match_reference():
+    # the backtracker serves nn <= 60 and does not read the order within
+    # a block, so sorting the blocks changes no coloring
+    rng = random.Random(29)
+    sizes = Counter()
+    for _ in range(1200):
+        nn = 3 * rng.randint(1, 20)
+        indices = rng.sample(range(1, rng.randint(nn, 201) + 1), nn)
+        triples = R._orthogonal_triples(indices)
+        assert triples == orthogonal_triples_reference(indices)
+        sizes[nn] += 1
+    assert len(sizes) == 20
 
 
 def test_large_rank_too_small():
@@ -1068,8 +1135,10 @@ def test_large_rank_unreachable_leftover_block(monkeypatch):
     # 17, 19 and 21 are the nonzero leftovers
     real = R._block_factor_group
 
-    def fault(n, h, j, targets, count):
-        return None if targets[0][0] == 17 else real(n, h, j, targets, count)
+    def fault(n, h, drivers, targets, counts):
+        if targets[0][0] == 17:
+            return None
+        return real(n, h, drivers, targets, counts)
 
     monkeypatch.setattr(R, "_block_factor_group", fault)
     h = uniform_spacing_element(21)
