@@ -233,13 +233,14 @@ def check_strong_coloring(n, blocks, s, color):
     rainbow = set(range(s))
     for b in blocks:
         if not (len(b) == s and {color[v] for v in b} == rainbow):
-            raise InvariantFailed(b)
+            raise InvariantFailed(f"block {b} is not rainbow")
     # the cycle edges (v, v+1) and (n-1, 0); C_2 has the one edge (0, 1)
     ring = [color[v] for v in range(n)]
     nxt = ring[1:] + ring[:1] if n > 2 else ring[1:]
     for v, (a, b) in enumerate(zip(ring, nxt)):
         if a == b:
-            raise InvariantFailed((v, (v + 1) % n))
+            raise InvariantFailed(
+                f"cycle edge {(v, (v + 1) % n)} is monochromatic")
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
@@ -273,14 +274,17 @@ def check_partition_vectors(sigma, s, i, vec, inv=None):
     n = len(sigma.images)
     pos = (inv or sigma.inverse()).images
     if None in vec:
-        raise InvariantFailed(i)
+        raise InvariantFailed(f"vector {i} has an empty slot")
     # a pair differing by d in either order is an entry a with a + d
     entries = set(vec)
     for d in (1, n - 1):
         clash = entries.intersection([a + d for a in vec])
         if clash:
-            raise InvariantFailed((d, clash))
+            b = min(clash)
+            raise InvariantFailed(
+                f"vector {i} has entries {b - d} and {b} differing by {d}")
     for j, a in enumerate(vec, start=1):
         k = pos[a - 1] + 1
         if abs(s * j - k) > s - 1:
-            raise InvariantFailed((a, j, k))
+            raise InvariantFailed(f"entry {a} = sigma({k}) at slot {j} of "
+                                  f"vector {i}: |{s * j} - {k}| > {s - 1}")

@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import LengthlabError
+from . import InvariantFailed, LengthlabError
 from .fqlin import FqField, FqMatrix, _digits, _is_prime, _products
 from .perms import Permutation
 
@@ -403,7 +403,8 @@ def mutual_domination(t: GroupTable) -> int:
     for g in filts:
         for h in filts:
             k = min(least_k(g, filts[h]), least_k(h, filts[g]))
-            assert k < math.inf, "neither class dominates the other"
+            if k == math.inf:
+                raise InvariantFailed("neither class dominates the other")
             worst = max(worst, k)
     return worst
 
@@ -449,7 +450,7 @@ def normal_lattice_analyze(t: GroupTable) -> Dict:
     The normal subgroups are the joins of class closures, found and
     compared as class masks and listed in the order of their element
     bitsets. Meet is intersection, join is the generated subgroup; flags
-    come from exhaustive triple checks. Also asserts the equivalence: the
+    come from exhaustive triple checks. Also checks the equivalence: the
     normal subgroups form a chain iff the class closures do.
     """
     principals = {_generated(t, 1 << cid) for cid in range(len(t.classes))}
@@ -496,7 +497,8 @@ def normal_lattice_analyze(t: GroupTable) -> Dict:
     closures_chain = all(
         (a & ~b == 0) or (b & ~a == 0) for a in principals for b in principals
     )
-    assert is_chain == closures_chain, "chain equivalence violated"
+    if is_chain != closures_chain:
+        raise InvariantFailed("chain equivalence violated")
     return {
         "subgroups": [bits[s] for s in subs],
         "orders": [bin(bits[s]).count("1") for s in subs],

@@ -4,7 +4,9 @@ Fields F_q (q = p^e <= 2^16) use the lexicographically smallest monic
 irreducible modulus; elements are integers 0..q-1 encoding coefficient
 vectors in base p (constant coefficient in the lowest digit). Matrices
 are dense tuples of tuples, n <= 64. Hermitian forms live over F_{q^2}
-with the involution x -> x^q.
+with the involution x -> x^q. A row reduction is one forward
+elimination (_echelon, whose pivot count is the rank) and, where the
+reduced form is needed, one back-substitution on its pivots (_reduce).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import LengthlabError, OutOfRange
+from . import InvariantFailed, LengthlabError, OutOfRange
 
 MAX_Q = 1 << 16
 MAX_N = 64
@@ -382,56 +384,22 @@ class FqMatrix:
         F, n = self.field, self.n
         aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.rows)]
-        aug = _row_reduce(F, aug, n)
-        for i in range(n):
-            if aug[i][i] != 1:
-                raise Singular("matrix not invertible")
-        return FqMatrix(F, [r[n:] for r in aug])
+        reduced = _reduce(F, _echelon(F, aug, n))
+        if len(reduced) < n:
+            raise Singular("matrix not invertible")
+        return FqMatrix(F, [r[n:] for _, r in reduced])
 
     def is_invertible(self) -> bool:
         return mat_rank(self) == self.n
 
 
-def _row_reduce(F: FqField, rows: List[List[int]], pivot_cols: int) -> List[List[int]]:
-    """In-place reduced row echelon form, pivots searched in the first
-    pivot_cols columns; returns the row list (pivot rows first)."""
-    sub, mul, inv = F._sub, F._mul, F._inv
-    m = len(rows)
-    prow = 0
-    for col in range(pivot_cols):
-        for sel in range(prow, m):
-            if rows[sel][col]:
-                break
-        else:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        scale = mul[inv[rows[prow][col]]]
-        pivot = rows[prow] = [scale[x] for x in rows[prow]]
-        for r in range(m):
-            c = rows[r][col]
-            if c and r != prow:
-                times_c = mul[c]
-                rows[r] = [sub[x][times_c[y]] for x, y in zip(rows[r], pivot)]
-        prow += 1
-        if prow == m:
-            break
-    return rows
-
-
-def rref(F: FqField, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Reduced row echelon basis (zero rows dropped)."""
-    if not vectors:
-        return []
-    rows = _row_reduce(F, [list(v) for v in vectors], len(vectors[0]))
-    return [r for r in rows if any(r)]
-
-
-def _rank(F: FqField, rows: Sequence[Sequence[int]], width: int) -> int:
-    """The rank of the first width columns of these rows: forward
-    elimination only, each zero row dropped as soon as it appears."""
+def _echelon(F: FqField, rows: Sequence[Sequence[int]], width: int) -> list:
+    """Forward elimination on the first width columns, leaving rows alone
+    and dropping each zero row as it appears: the pivot rows in column
+    order, as many as the rank."""
     sub, mul, inv = F._sub, F._mul, F._inv
     rows = [r for r in rows if any(r)]
-    rank = 0
+    pivots = []
     for col in range(width):
         for i, pivot in enumerate(rows):
             if pivot[col]:
@@ -439,7 +407,7 @@ def _rank(F: FqField, rows: Sequence[Sequence[int]], width: int) -> int:
         else:
             continue
         del rows[i]
-        rank += 1
+        pivots.append(pivot)
         scale, kept = mul[inv[pivot[col]]], []
         for r in rows:
             c = r[col]
@@ -450,26 +418,51 @@ def _rank(F: FqField, rows: Sequence[Sequence[int]], width: int) -> int:
                     continue
             kept.append(r)
         rows = kept
-    return rank
+    return pivots
+
+
+def _reduce(F: FqField, pivots: list) -> List[tuple]:
+    """The reduced row echelon form of _echelon's pivot rows, as new
+    (column, row) pairs: last first, each pivot scaled to 1 and cleared
+    from the rows above, which adds nothing back to the columns below."""
+    sub, mul, inv = F._sub, F._mul, F._inv
+    rows, cols, col = list(pivots), [], -1
+    for r in rows:  # a pivot is the first nonzero entry past the last one
+        col = next(j for j in range(col + 1, len(r)) if r[j])
+        cols.append(col)
+    for k in range(len(rows) - 1, -1, -1):
+        col = cols[k]
+        scale = mul[inv[rows[k][col]]]
+        pivot = rows[k] = [scale[x] for x in rows[k]]
+        for i in range(k):
+            c = rows[i][col]
+            if c:
+                times_c = mul[c]
+                rows[i] = [sub[x][times_c[y]] for x, y in zip(rows[i], pivot)]
+    return list(zip(cols, rows))
+
+
+def rref(F: FqField, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Reduced row echelon basis (zero rows dropped)."""
+    width = len(vectors[0]) if vectors else 0
+    return [r for _, r in _reduce(F, _echelon(F, vectors, width))]
 
 
 def mat_rank(m: FqMatrix) -> int:
-    return _rank(m.field, m.rows, m.n)
+    return len(_echelon(m.field, m.rows, m.n))
 
 
 def nullspace(F: FqField, rows: Sequence[Sequence[int]], width: int) -> List[List[int]]:
     """Basis of {v : rows @ v = 0} for an m x width coefficient matrix."""
-    red = rref(F, rows) if rows else []
-    pivots = []
-    for r in red:
-        pivots.append(next(j for j, x in enumerate(r) if x))
+    reduced = _reduce(F, _echelon(F, rows, width))
+    pivots = {col for col, _ in reduced}
     free = [j for j in range(width) if j not in pivots]
     neg = F._sub[0]
     basis = []
     for fcol in free:
         v = [0] * width
         v[fcol] = 1
-        for r, pcol in zip(red, pivots):
+        for pcol, r in reduced:
             v[pcol] = neg[r[fcol]]
         basis.append(v)
     return basis
@@ -488,7 +481,7 @@ def rank_length_mat(g: FqMatrix) -> Fraction:
         raise OutOfRange("rank length needs n >= 1, got a 0x0 matrix")
     if not g.is_invertible():
         raise Singular("rank length needs an invertible matrix")
-    return Fraction(_rank(g.field, _shift(g, 1), g.n), g.n)
+    return Fraction(len(_echelon(g.field, _shift(g, 1), g.n)), g.n)
 
 
 def _charpoly(F: FqField, rows: Sequence[Sequence[int]]) -> List[int]:
@@ -557,7 +550,7 @@ def jordan_length(g: FqMatrix) -> Tuple[Fraction, int, int]:
         for c in reversed(chi):
             value = add[times_alpha[value]][c]
         if not value:
-            dim = n - _rank(F, _shift(g, alpha), n)
+            dim = n - len(_echelon(F, _shift(g, alpha), n))
             if dim > best_dim:
                 best_dim, best_alpha = dim, alpha
     return Fraction(n - best_dim, n), best_dim, best_alpha
@@ -644,9 +637,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return Subspace(self.field, self.n, self.basis + [list(v)]).dim == self.dim
-
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(self.field, self.n, self.basis + other.basis)
 
@@ -712,31 +702,25 @@ def radical(space: BilinearSpace, w: Subspace) -> Subspace:
 
 
 def solve_form_functional(
-    space: BilinearSpace, w, phi: Sequence[int]
+    space: BilinearSpace, vectors: Sequence[Sequence[int]], phi: Sequence[int]
 ) -> List[int]:
-    """A vector v with (w_i, v) = phi_i for every basis vector of W.
-
-    W may be a Subspace (its reduced basis is used) or an explicit list
-    of independent vectors. Always solvable when the ambient form is
-    nondegenerate.
-    """
+    """A vector v with (b_i, v) = phi_i for each listed vector b_i: phi is
+    the last column of the elimination, and a pivot there means no v
+    exists. One always does for independent b_i on a nondegenerate form."""
     F, n = space.field, space.n
-    vectors = w.basis if isinstance(w, Subspace) else [list(v) for v in w]
     if len(phi) != len(vectors):
         raise ValueError("phi must list one value per basis vector")
     rows = [_times_gram(space, b) + [target] for b, target in zip(vectors, phi)]
-    red = _row_reduce(F, rows, n)
+    pivots = _echelon(F, rows, n + 1)
+    if pivots and not any(pivots[-1][:n]):
+        raise Singular("inconsistent functional on a degenerate form")
     x = [0] * n
-    for r in red:
-        pivot = next((j for j in range(n) if r[j]), None)
-        if pivot is None:
-            if r[n]:
-                raise Singular("inconsistent functional on a degenerate form")
-            continue
-        x[pivot] = r[n]
+    for col, r in _reduce(F, pivots):
+        x[col] = r[n]
     v = [space.sigma(c) for c in x]
     for b, target in zip(vectors, phi):
-        assert space.form(b, v) == target, "substitution check failed"
+        if space.form(b, v) != target:
+            raise InvariantFailed("substitution check failed")
     return v
 
 
@@ -751,26 +735,25 @@ def extend_to_nondegenerate(
         raise ValueError("ambient space must be nondegenerate")
     F, n = space.field, space.n
     rad = radical(space, w)
-    r = rad.dim
     # W' := any complement of rad(W) inside W (extend the radical basis)
     wprime_vecs: List[List[int]] = []
-    cur = Subspace(F, n, rad.basis)
+    cur = rad
     for b in w.basis:
-        if not cur.contains(b):
+        grown = Subspace(F, n, cur.basis + [b])
+        if grown.dim > cur.dim:
             wprime_vecs.append(b)
-            cur = cur.add(Subspace(F, n, [b]))
+            cur = grown
     wprime = Subspace(F, n, wprime_vecs)
     # W'': for each radical basis vector r_i pick v_i with (r_i, v_i) = 1
     # and zero pairing against everything else collected so far. The
     # functional is prescribed on the explicit vector list, not a
     # reduced basis, so the delta really lands on r_i.
     chosen: List[List[int]] = []
-    for i in range(r):
+    for i in range(rad.dim):
         vectors = rad.basis + wprime.basis + chosen
         phi = [0] * len(vectors)
         phi[i] = 1
-        v = solve_form_functional(space, vectors, phi)
-        chosen.append(v)
+        chosen.append(solve_form_functional(space, vectors, phi))
     wdblprime = Subspace(F, n, chosen)
     _check_extension(space, w, rad, wprime, wdblprime)
     return wprime, wdblprime
@@ -783,16 +766,18 @@ def _check_extension(
     wprime: Subspace,
     wdblprime: Subspace,
 ) -> None:
-    n = space.n
-    assert wdblprime.dim == rad.dim, "dim W'' != dim rad W"
-    assert wprime.dim + rad.dim == w.dim, "W' is not a complement of rad in W"
+    def check(ok: bool, message: str) -> None:
+        if not ok:
+            raise InvariantFailed(message)
+
+    check(wdblprime.dim == rad.dim, "dim W'' != dim rad W")
+    check(wprime.dim + rad.dim == w.dim, "W' is not a complement of rad in W")
     wperp = orthogonal_complement(space, w)
     u = wdblprime.add(wperp)
-    assert u.dim == wdblprime.dim + wperp.dim, "W'' meets W-perp"
-    assert u.dim + wprime.dim == n, "U + W' does not fill V"
-    assert u.intersect(wprime).dim == 0, "U meets W'"
-    for a in u.basis:
-        for b in wprime.basis:
-            assert space.form(a, b) == 0 and space.form(b, a) == 0, "U not perp W'"
-    assert radical(space, u).dim == 0, "U degenerate"
-    assert radical(space, wprime).dim == 0, "W' degenerate"
+    check(u.dim == wdblprime.dim + wperp.dim, "W'' meets W-perp")
+    check(u.dim + wprime.dim == space.n, "U + W' does not fill V")
+    check(u.intersect(wprime).dim == 0, "U meets W'")
+    check(all(space.form(a, b) == 0 and space.form(b, a) == 0
+              for a in u.basis for b in wprime.basis), "U not perp W'")
+    check(radical(space, u).dim == 0, "U degenerate")
+    check(radical(space, wprime).dim == 0, "W' degenerate")

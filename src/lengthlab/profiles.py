@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import LengthlabError, OutOfRange
+from . import InvariantFailed, LengthlabError, OutOfRange
 from .perms import Permutation
 from .roots import (
     TorusElement,
@@ -233,7 +233,9 @@ def _lex_greedy(orb, state_cap, budget=None):
 
     values = [orb.values[lab] for lab in next(iter(states.values()))]
     # all survivors share the draws by construction; cross-check them
-    assert _distances(orb.typ, values, orb.D) == draws
+    if _distances(orb.typ, values, orb.D) != draws:
+        raise InvariantFailed("lex-greedy draws differ from the distances "
+                              "of the path found")
     return values, draws, True
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import LengthlabError
+from . import InvariantFailed, LengthlabError
 
 
 class BadRank(LengthlabError, ValueError):
@@ -260,11 +260,11 @@ def coefficients_in_fundamentals(rs, vectors):
 
 def _validate_root_system(rs):
     rootset = set(rs.roots)
-    for v in rs.roots:
-        assert _neg(v) in rootset, v
-    for coeffs in coefficients_in_fundamentals(rs, rs.roots):
-        assert all(c.denominator == 1 for c in coeffs), coeffs
-        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+    for v, coeffs in zip(rs.roots, coefficients_in_fundamentals(rs, rs.roots)):
+        if not (_neg(v) in rootset and all(c.denominator == 1 for c in coeffs)
+                and (min(coeffs) >= 0 or max(coeffs) <= 0)):
+            raise InvariantFailed(f"not a root system at {v}: -v missing, or "
+                                  f"coefficients not integers of one sign")
 
 
 def _direction(v):
@@ -932,7 +932,8 @@ def _block_factor_group(n, h, drivers, targets, counts):
     if paths is None:
         return None
     count = len(paths[0])
-    assert count % 2 == 0
+    if count % 2:
+        raise InvariantFailed(f"odd factor count {count}: h and h^-1 unpaired")
     per_block = [(_torus_q(chi), _realize_path(path, step, _torus_q(psi)))
                  for (_, psi), chi, path, (_, step)
                  in zip(targets, chis, paths, plans)]

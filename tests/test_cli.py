@@ -143,7 +143,8 @@ def test_invariant_failure_exits_1(monkeypatch, tmp_path, capsys):
     out = tmp_path / "col.json"
     assert run(["strong-color", "--set", "n=90", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: [")
+    assert len(err) == 1 and err[0].startswith("error: block [")
+    assert err[0].endswith("] is not rainbow")
     assert not out.exists()
 
 

@@ -267,13 +267,15 @@ def test_verifier_accepts(cycle_colors):
 ])
 def test_verifier_rejects_monochromatic_edge(cycle_colors, edge):
     n, blocks, color = _padded_coloring(cycle_colors)
-    with pytest.raises(InvariantFailed, match=re.escape(str(edge))):
+    with pytest.raises(InvariantFailed, match=f"^cycle edge "
+                       f"{re.escape(str(edge))} is monochromatic$"):
         check_strong_coloring(n, blocks, 3, color)
 
 
 def test_verifier_rejects_bad_blocks():
-    def rejects(n, blocks, color, bad):  # with the bad block as message
-        with pytest.raises(InvariantFailed, match=f"^{re.escape(str(bad))}$"):
+    def rejects(n, blocks, color, bad):  # naming the bad block
+        with pytest.raises(InvariantFailed,
+                           match=f"^block {re.escape(str(bad))} is not rainbow$"):
             check_strong_coloring(n, blocks, 3, color)
 
     n, blocks, color = _padded_coloring((0, 1, 2))
@@ -369,10 +371,10 @@ def test_partition_n3_vacuous():
 # bad output vectors for the identity on 9 points, each with the message
 # check_partition_vectors rejects it with at i = 0
 PLANTED_VECTORS = [
-    ([None, 4, 7], "0"),
-    ([3, 4, 7], "(1, {4})"),  # differ by 1
-    ([1, 5, 9], "(8, {9})"),  # differ by n - 1
-    ([1, 7, 4], "(4, 3, 4)"),  # 4 at slot 3: |9 - 4| > 2
+    ([None, 4, 7], "vector 0 has an empty slot"),
+    ([3, 4, 7], "vector 0 has entries 3 and 4 differing by 1"),
+    ([1, 5, 9], "vector 0 has entries 1 and 9 differing by 8"),  # n - 1
+    ([1, 7, 4], "entry 4 = sigma(4) at slot 3 of vector 0: |9 - 4| > 2"),
 ]
 
 
@@ -446,4 +448,5 @@ def test_verifiers_reject_under_python_O():
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [
-        "[0, 1, 2]", "(2, 3)", *(message for _, message in PLANTED_VECTORS)]
+        "block [0, 1, 2] is not rainbow", "cycle edge (2, 3) is monochromatic",
+        *(message for _, message in PLANTED_VECTORS)]

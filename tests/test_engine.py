@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from lengthlab import LengthlabError, engine, fqlin
+from lengthlab import InvariantFailed, LengthlabError, engine, fqlin
 from lengthlab.engine import (
     BadGroupName,
     CapExceeded,
@@ -521,6 +521,14 @@ def test_mutual_domination_needs_simple():
         mutual_domination(named_group("S4"))
 
 
+def test_mutual_domination_checks_that_one_class_dominates(monkeypatch):
+    # a planted fault: filtrations that never reach a nontrivial class
+    monkeypatch.setattr(engine, "_filtration", lambda t, g: [0])
+    with pytest.raises(InvariantFailed,
+                       match="^neither class dominates the other$"):
+        mutual_domination(named_group("A5"))
+
+
 def test_symmetric_filtration_monotone():
     t = named_group("A5")
     filt = symmetric_filtration(t, 3)
@@ -542,6 +550,21 @@ def test_lattice_s4_chain():
     assert res["orders"] == [1, 4, 12, 24]
     assert res["is_chain"]
     assert res["is_modular"]
+
+
+def test_lattice_checks_the_chain_equivalence(monkeypatch):
+    # a planted fault: the closure of V4's classes comes back as {1} with
+    # an odd class, which V4 does not contain, so the joins stop forming
+    # the chain 1 < V4 < A4 < S4 that the class closures still form
+    t = named_group("S4")
+    real = engine._generated
+    closures = [real(t, 1 << c) for c in range(len(t.classes))]
+    v4 = next(m for m in closures if bin(t.union_of_classes(m)).count("1") == 4)
+    odd = closures.index(t.full_mask)
+    monkeypatch.setattr(engine, "_generated", lambda t, mask: (
+        1 | 1 << odd if mask == v4 else real(t, mask)))
+    with pytest.raises(InvariantFailed, match="^chain equivalence violated$"):
+        normal_lattice_analyze(t)
 
 
 def test_lattice_d4_not_chain():

@@ -3,11 +3,12 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from lengthlab import OutOfRange
+from lengthlab import InvariantFailed, OutOfRange, fqlin
 from lengthlab.fqlin import (
     HERMITIAN,
     SYMPLECTIC,
@@ -19,10 +20,12 @@ from lengthlab.fqlin import (
     Subspace,
     _TABLES,
     _charpoly,
+    _check_extension,
     _combine,
+    _echelon,
     _is_prime,
     _products,
-    _rank,
+    _reduce,
     _shift,
     extend_to_nondegenerate,
     jordan_length,
@@ -86,6 +89,80 @@ def solution_count_rank(m: FqMatrix) -> int:
         nullity += 1
     assert F.q ** nullity == count
     return n - nullity
+
+
+def _row_reduce(F, rows, pivot_cols):
+    """Gauss-Jordan reference: in-place reduced row echelon form, pivots
+    searched in the first pivot_cols columns and each one cleared from
+    every other row at once; returns the row list (pivot rows first)."""
+    sub, mul, inv = F._sub, F._mul, F._inv
+    m = len(rows)
+    prow = 0
+    for col in range(pivot_cols):
+        for sel in range(prow, m):
+            if rows[sel][col]:
+                break
+        else:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        scale = mul[inv[rows[prow][col]]]
+        pivot = rows[prow] = [scale[x] for x in rows[prow]]
+        for r in range(m):
+            c = rows[r][col]
+            if c and r != prow:
+                times_c = mul[c]
+                rows[r] = [sub[x][times_c[y]] for x, y in zip(rows[r], pivot)]
+        prow += 1
+        if prow == m:
+            break
+    return rows
+
+
+def rref_reference(F, vectors):
+    if not vectors:
+        return []
+    rows = _row_reduce(F, [list(v) for v in vectors], len(vectors[0]))
+    return [r for r in rows if any(r)]
+
+
+def nullspace_reference(F, rows, width):
+    red = rref_reference(F, rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    basis = []
+    for fcol in (j for j in range(width) if j not in pivots):
+        v = [0] * width
+        v[fcol] = 1
+        for r, pcol in zip(red, pivots):
+            v[pcol] = F.neg(r[fcol])
+        basis.append(v)
+    return basis
+
+
+def inverse_reference(m):
+    F, n = m.field, m.n
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
+           for i, r in enumerate(m.rows)]
+    aug = _row_reduce(F, aug, n)
+    if any(aug[i][i] != 1 for i in range(n)):
+        raise Singular("matrix not invertible")
+    return FqMatrix(F, [r[n:] for r in aug])
+
+
+def solve_reference(space, vectors, phi):
+    """v with (b_i, v) = phi_i: the system reduced on its first n columns,
+    a row zero there but not in the phi column being inconsistent."""
+    F, n = space.field, space.n
+    rows = [[space.form(b, [1 if i == j else 0 for i in range(n)])
+             for j in range(n)] + [t] for b, t in zip(vectors, phi)]
+    x = [0] * n
+    for r in _row_reduce(F, rows, n):
+        pivot = next((j for j in range(n) if r[j]), None)
+        if pivot is None:
+            if r[n]:
+                raise Singular("inconsistent functional on a degenerate form")
+            continue
+        x[pivot] = r[n]
+    return [space.sigma(c) for c in x]
 
 
 def span_vectors(F, basis, n):
@@ -298,17 +375,73 @@ def test_rank_matches_solution_count_oracle(p, e):
                                      for _ in range(n)]))
         for m in mats:
             r = solution_count_rank(m)
-            assert mat_rank(m) == r and _rank(F, m.rows, n) == r
+            assert mat_rank(m) == r and len(_echelon(F, m.rows, n)) == r
             assert m.is_invertible() == (r == n)
 
 
 def test_rank_keeps_its_input_and_reads_columns_up_to_width():
     F = FqField(3)
     rows = ((0, 1, 2), (0, 2, 1), (0, 0, 0))
-    assert _rank(F, rows, 3) == 1 and _rank(F, rows, 1) == 0
-    assert _rank(F, [[1, 2, 0, 1], [2, 1, 0, 1]], 4) == 2
-    assert _rank(F, [], 4) == 0
+    assert _echelon(F, rows, 3) == [(0, 1, 2)] and _echelon(F, rows, 1) == []
+    assert _echelon(F, [[1, 2, 0, 1], [2, 1, 0, 1]], 4) == [[1, 2, 0, 1],
+                                                            [0, 0, 0, 2]]
+    assert _echelon(F, [], 4) == []
     assert rows == ((0, 1, 2), (0, 2, 1), (0, 0, 0))
+    # back-substitution leaves the pivot rows alone too
+    pivots = _echelon(F, [[2, 1, 0], [1, 1, 1]], 3)
+    kept = [list(r) for r in pivots]
+    assert _reduce(F, pivots) == [(0, [1, 0, 2]), (1, [0, 1, 2])]
+    assert pivots == kept
+
+
+# fields for the reference comparison: prime, extension, and past
+# TABLE_MAX_Q both prime (131) and extension (3^5 = 243)
+REFERENCE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
+                    (5, 2), (131, 1), (3, 5)]
+
+
+def test_elimination_matches_gauss_jordan_reference():
+    # rref, nullspace, inverse and solve_form_functional against the
+    # Gauss-Jordan reference on 10,000 seeded draws, with zero, dependent
+    # and empty row lists
+    rng = random.Random(30)
+    fields = [FqField(p, e) for p, e in REFERENCE_FIELDS]
+    singular = inconsistent = 0
+    for draw in range(10_000):
+        F = fields[draw % len(fields)]
+        width, count = rng.randrange(0, 6), rng.randrange(0, 6)
+        rows = [r[:width] for r in
+                dependent_rows(rng, F, max(width, count))[:count]]
+        assert rref(F, rows) == rref_reference(F, rows)
+        assert nullspace(F, rows, width) == nullspace_reference(F, rows, width)
+        n = rng.randrange(1, 5)
+        m = FqMatrix(F, dependent_rows(rng, F, n) if draw % 2 else
+                     [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+        try:
+            expected = inverse_reference(m)
+        except Singular:
+            singular += 1
+            with pytest.raises(Singular, match="^matrix not invertible$"):
+                m.inverse()
+        else:
+            assert m.inverse() == expected
+        if F.e % 2 == 0 and draw % 3 == 0:
+            space = BilinearSpace.hermitian(F, n)
+        else:
+            gram = FqMatrix(F, dependent_rows(rng, F, n))
+            space = BilinearSpace(F, n, "trivial", gram)
+        vectors = dependent_rows(rng, F, n)[:rng.randrange(0, n + 1)]
+        phi = [rng.randrange(F.q) for _ in vectors]
+        try:
+            expected = solve_reference(space, vectors, phi)
+        except Singular:
+            inconsistent += 1
+            with pytest.raises(Singular, match="^inconsistent functional"):
+                solve_form_functional(space, vectors, phi)
+        else:
+            assert solve_form_functional(space, vectors, phi) == expected
+    # each branch is taken thousands of times either way
+    assert 3000 < singular < 7000 and 3000 < inconsistent < 7000
 
 
 def test_zero_dimensional_matrix_and_spaces():
@@ -576,14 +709,14 @@ def test_solve_form_functional():
     F7 = FqField(7)
     sp = BilinearSpace(F7, 3, "symmetric", FqMatrix.identity(F7, 3))
     w = Subspace(F7, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    v = solve_form_functional(sp, w, [1, 0, 0])
+    v = solve_form_functional(sp, w.basis, [1, 0, 0])
     assert v == [1, 0, 0]
     rng = random.Random(5)
     for _ in range(30):
         vecs = [[rng.randrange(7) for _ in range(3)] for _ in range(2)]
         w = Subspace(F7, 3, vecs)
         phi = [rng.randrange(7) for _ in range(w.dim)]
-        v = solve_form_functional(sp, w, phi)
+        v = solve_form_functional(sp, w.basis, phi)
         for b, t in zip(w.basis, phi):
             assert sp.form(b, v) == t
 
@@ -844,3 +977,44 @@ def test_solve_form_functional_raises():
         solve_form_functional(degenerate, [[0, 1]], [1])
     with pytest.raises(ValueError, match="^ambient space must be nondegenerate$"):
         extend_to_nondegenerate(degenerate, Subspace(F3, 2, [[1, 0]]))
+
+
+def test_solve_form_functional_checks_its_substitution(monkeypatch):
+    # a planted fault: the system is built from b in place of b G
+    F3 = FqField(3)
+    sp = BilinearSpace.symplectic(F3, 2)
+    monkeypatch.setattr(fqlin, "_times_gram", lambda space, b: list(b))
+    with pytest.raises(InvariantFailed, match="^substitution check failed$"):
+        solve_form_functional(sp, [[1, 0]], [1])
+
+
+# planted (W, rad, W', W'') over F_3^2, each failing exactly one check of
+# _check_extension: the standard symplectic form, or a Gram matrix of the
+# given kind; "W' degenerate" follows from the checks before it, so it
+# needs a radical that returns its argument
+PLANTED_EXTENSIONS = [
+    (None, [], [[0, 1]], [], [], "dim W'' != dim rad W"),
+    (None, [[1, 2]], [], [], [], "W' is not a complement of rad in W"),
+    (None, [[1, 0]], [[0, 1]], [], [[1, 0]], "W'' meets W-perp"),
+    (("trivial", [[0, 2], [0, 2]]), [[1, 2]], [], [[0, 1]], [],
+     "U + W' does not fill V"),
+    (("trivial", [[1, 1], [0, 2]]), [[0, 1]], [], [[1, 0]], [], "U meets W'"),
+    (None, [[1, 2]], [], [[1, 1]], [], "U not perp W'"),
+    (("symmetric", [[0, 0], [0, 0]]), [], [], [], [], "U degenerate"),
+    (None, [[1, 0], [0, 1]], [], [[1, 0], [0, 1]], [], "W' degenerate"),
+]
+
+
+@pytest.mark.parametrize("form, w, rad, wprime, wdbl, message",
+                         PLANTED_EXTENSIONS,
+                         ids=[case[-1] for case in PLANTED_EXTENSIONS])
+def test_check_extension_rejects_planted_faults(monkeypatch, form, w, rad,
+                                                wprime, wdbl, message):
+    F3 = FqField(3)
+    sp = (BilinearSpace.symplectic(F3, 2) if form is None else
+          BilinearSpace(F3, 2, form[0], FqMatrix(F3, form[1])))
+    if message == "W' degenerate":
+        monkeypatch.setattr(fqlin, "radical", lambda space, u: u)
+    spaces = [Subspace(F3, 2, basis) for basis in (w, rad, wprime, wdbl)]
+    with pytest.raises(InvariantFailed, match=f"^{re.escape(message)}$"):
+        _check_extension(sp, *spaces)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lengthlab import OutOfRange, profiles
+from lengthlab import InvariantFailed, OutOfRange, profiles
 from lengthlab.perms import Permutation
 from lengthlab.profiles import (
     IndexOutOfRange,
@@ -452,7 +452,7 @@ def test_lex_greedy_matches_reference(typ):
 def test_lex_greedy_draws_are_the_distances_in_order(typ):
     # draws in the order of _distances, type D's closing (step, close)
     # pair included, for the exact search and the zigzag fallback alike;
-    # checked here without the search's own assert, which python -O strips
+    # checked here independently of the search's own cross-check
     rng = random.Random(zlib.crc32(typ.encode()) + 11)
     flags = set()
     for _ in range(120):
@@ -464,6 +464,15 @@ def test_lex_greedy_draws_are_the_distances_in_order(typ):
             flags.add((cap, exact))
             assert draws == _distances(orb.typ, values, orb.D)
     assert (1, False) in flags and (_OPT_STATE_CAP, False) not in flags
+
+
+def test_lex_greedy_cross_checks_its_draws(monkeypatch):
+    # a planted fault: distances that disagree with the greedy draws
+    monkeypatch.setattr(profiles, "_distances", lambda typ, values, D: [])
+    t = TorusElement("A", 2, (F(1, 3), F(1, 6), F(-1, 2)))
+    with pytest.raises(InvariantFailed, match="^lex-greedy draws differ "
+                       "from the distances of the path found$"):
+        profile_of(t)
 
 
 @pytest.mark.parametrize("typ", ["B", "C"])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lengthlab import InvariantFailed
 from lengthlab import roots as R
 from lengthlab.coloring import strong_color_cycle
 from lengthlab.roots import (
@@ -912,6 +913,21 @@ def test_typeA_input_checks():
 H_FAR = TorusElement("A", 1, (F(1, 100), F(-1, 100)))
 
 
+@pytest.mark.parametrize("roots, fundamental", [
+    ([(1, -1)], [(1, -1)]),  # -v missing
+    ([(F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2))], [(1, -1)]),  # coefficient 1/2
+    ([(1, -2, 1), (-1, 2, -1)], [(1, -1, 0), (0, 1, -1)]),  # a1 - a2
+])
+def test_root_system_check_rejects_planted_roots(roots, fundamental):
+    def vectors(vs):
+        return tuple(tuple(F(x) for x in v) for v in vs)
+
+    rs = R.RootSystem("A", len(fundamental), vectors(roots),
+                      vectors(fundamental))
+    with pytest.raises(InvariantFailed, match=r"^not a root system at \("):
+        R._validate_root_system(rs)
+
+
 def test_typeA_block_unreachable_within_budget():
     # -1 has torus length 0, so the length bound holds at any m
     g = TorusElement("A", 1, (F(1), F(1)))
@@ -929,6 +945,13 @@ def test_block_factor_group_unreachable_target():
                                      range(2, 101, 2))) == 100
     assert len(R._block_factor_group(2, H_FAR, [1], [(1, F(1, 100))],
                                      (2,))) == 2
+
+
+def test_block_factor_group_rejects_an_odd_count():
+    # half the factors conjugate h and half h^-1: a planted odd count
+    # (both callers pass even ones) is rejected
+    with pytest.raises(InvariantFailed, match="^odd factor count 3: "):
+        R._block_factor_group(2, H_FAR, [1], [(1, F(99, 100))], (3,))
 
 
 def test_least_paths_wait_for_every_plan():

@@ -2,14 +2,20 @@
 
 The scan walks each module's top-level functions and classes and every
 non-dunder method, and looks for a reference to it anywhere in ``src/``
-outside the definition's own body, or anywhere in ``perfbench/``. A
-top-level name counts as reached through an ``ast.Name``, an
-``ast.Attribute`` or an ``ImportFrom`` alias; a method only through an
-``ast.Attribute``, so a local variable of the same name does not reach it.
+outside the definition's own body, or anywhere in ``perfbench/``.
 
-The match is by name only, not by binding. A dead function that shares
-its name with a live one (or with any attribute read elsewhere) passes
-unseen, but a function with a real caller is never reported.
+A top-level name is resolved by its binding, as (module, name):
+- a bare name reaches the module's own definition of that name, or the
+  definition it imports with ``from .x import y`` (``from lengthlab.x
+  import y`` outside the package, and ``from . import y`` for a name of
+  ``__init__``);
+- ``x.name`` reaches ``name`` in module ``x`` when ``x`` is bound by
+  ``from . import x`` or ``from lengthlab import x``.
+
+So a dead function does not pass for sharing its name with a live one in
+another module. A method is reached only through an ``ast.Attribute`` of
+its name, so a local variable of the same name does not reach it; the
+receiver's class is not resolved.
 """
 
 import ast
@@ -19,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lengthlab"
 PERFBENCH = ROOT / "perfbench"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
 def _parse(path):
@@ -43,37 +50,69 @@ def _definitions(tree):
     return defs
 
 
-def _references(tree):
-    """How often each name is referenced anywhere in ``tree``: (by any
-    reference, by attribute reads only)."""
+def _bindings(tree, module):
+    """name -> (module, name) for a definition or an imported name, and
+    name -> module for an imported lengthlab module. module is the stem
+    of a src module, or None outside the package."""
+    names = {}
+    if module is not None:
+        names.update((node.name, (module, node.name)) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                          ast.ClassDef)))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if module is not None and node.level == 1:
+            source = node.module
+        elif node.level == 0 and (node.module or "").startswith("lengthlab"):
+            source = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if source is None and alias.name in MODULES:
+                names[bound] = alias.name
+            else:
+                names[bound] = (source or "__init__", alias.name)
+    return names
+
+
+def _references(tree, bindings):
+    """How often each (module, name) and each attribute name is read in
+    ``tree``."""
     names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            target = bindings.get(node.id)
+            if isinstance(target, tuple):
+                names[target] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
             attributes[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+            target = (bindings.get(node.value.id)
+                      if isinstance(node.value, ast.Name) else None)
+            if isinstance(target, str):
+                names[target, node.attr] += 1
     return names, attributes
 
 
 def test_every_src_definition_has_a_non_test_caller():
-    src_trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    src_refs = [Counter(), Counter()]
-    for tree in src_trees.values():
-        for total, refs in zip(src_refs, _references(tree)):
-            total += refs
-    bench_refs = [Counter(), Counter()]
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    bindings = {module: _bindings(tree, module)
+                for module, tree in trees.items()}
+    refs = [Counter(), Counter()]
+    files = [(tree, bindings[module]) for module, tree in trees.items()]
     for path in sorted(PERFBENCH.rglob("*.py")):
-        for total, refs in zip(bench_refs, _references(_parse(path))):
-            total += refs
+        tree = _parse(path)
+        files.append((tree, _bindings(tree, None)))
+    for tree, bound in files:
+        for total, counted in zip(refs, _references(tree, bound)):
+            total += counted
 
     unreached = []
-    for path, tree in src_trees.items():
+    for module, tree in trees.items():
         for qualname, node, method in _definitions(tree):
-            own = _references(node)[method][node.name]
-            if (src_refs[method][node.name] - own <= 0
-                    and not bench_refs[method][node.name]):
-                unreached.append(f"{path.stem}.{qualname}")
+            key = node.name if method else (module, node.name)
+            own = _references(node, bindings[module])[method][key]
+            if refs[method][key] - own <= 0:
+                unreached.append(f"{module}.{qualname}")
     assert unreached == []
