@@ -37,7 +37,7 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
 
     blocks: disjoint lists covering 0..m-1 for some m >= n, each of size s.
     Vertices >= n are isolated padding and carry no adjacency constraint.
-    Returns a dict vertex -> color in range(s).
+    Returns the list of the m colors in range(s), indexed by vertex.
     """
     if s < 3:
         raise ValueError("need s >= 3")
@@ -71,7 +71,7 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
         nodes = 0
         while not isinstance(colors := _attempt(
                 m, s, adj, sorted(blocks[0]), rng,
-                min(RESTART_NODES, budget - nodes)), dict):
+                min(RESTART_NODES, budget - nodes)), list):
             if colors is None:
                 raise SearchExhausted(
                     f"no strong {s}-coloring exists at n={n}")
@@ -125,7 +125,8 @@ def _min_conflicts(n, m, s, mates, rng, budget):
                     conflicted[i], pos[last], pos[x] = last, i, -1
                     conflicted.pop()
         if not conflicted:
-            return dict(enumerate(color[:m]))
+            del color[m]  # the sentinel
+            return color
         steps += 1
         if steps > budget:
             raise SearchExhausted(f"budget {budget} exhausted at n={n}")
@@ -159,7 +160,7 @@ def _min_conflicts(n, m, s, mates, rng, budget):
 
 def _attempt(m, s, adj, pinned, rng, cap):
     """One restart: MRV backtracking over adj[v], the cycle neighbors and
-    then the block-mates of v.  Returns dict on success, None when the
+    then the block-mates of v.  Returns the colors on success, None when the
     tree is exhausted, the node count when the slice of cap runs out."""
     color = [-1] * m  # read only at the end: allowed marks colored as 0
     allowed = [(1 << s) - 1] * m
@@ -202,7 +203,7 @@ def _attempt(m, s, adj, pinned, rng, cap):
                     if k == 1:
                         break
         if v == -1:
-            return dict(enumerate(color))
+            return color
         a = allowed[v]
         if fewest == 1:
             cand = [a.bit_length() - 1]

@@ -38,6 +38,7 @@ from .roots import (
     _step_values,
     _units,
     _zigzag,
+    counterexample_family,
     lambda_tilde,
     scaled_rank_length_inf,
 )
@@ -587,8 +588,6 @@ def incomparability_demo(n_max, c_max=64, k_max=8) -> list:
         raise OutOfRange(f"need n_max >= 2 and a nonempty (c, k) grid, got "
                          f"n_max={n_max}, c_max={c_max}, k_max={k_max}")
     ns = range(2, n_max + 1)
-    from .roots import counterexample_family
-
     g_rank, h_rank = {}, {}
     g_tilde, h_tilde = {}, {}
     for n in ns:

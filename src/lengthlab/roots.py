@@ -15,6 +15,7 @@ and a multiply-back error.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -24,6 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import InvariantFailed, LengthlabError
+from .coloring import partition_permutation
+from .perms import Permutation
 
 
 class BadRank(LengthlabError, ValueError):
@@ -107,10 +110,6 @@ def _add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _scale(c, v):
-    return tuple(c * a for a in v)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """A crystallographic root system in its standard vector model."""
@@ -136,83 +135,66 @@ class RootSystem:
         return len(norms) == 1
 
 
-def _unit(i, dim):
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+# the simple roots of G2 and F4 in their standard vector models
+_EXCEPTIONAL = {
+    "G2": ["1 -1 0", "-1 2 -1"],
+    "F4": ["0 1 -1 0", "0 0 1 -1", "0 0 0 1", "1/2 -1/2 -1/2 -1/2"]}
+
+
+def _fundamental(typ, rank):
+    """The simple roots of the standard vector model of each type."""
+    if typ in _EXCEPTIONAL:
+        fund = [v.split() for v in _EXCEPTIONAL[typ]]
+        if rank != len(fund):
+            raise BadRank(f"{typ} has rank {len(fund)}")
+    elif typ in ("A", "B", "C", "D"):
+        if rank < 1 or rank > 12 or (typ == "D" and rank < 2):
+            raise BadRank(f"{typ} rank {rank} unsupported")
+        n = rank + (typ == "A")  # the dimension
+        # e_i - e_{i+1}, then B's e_r, C's 2e_r or D's e_{r-1} + e_r
+        fund = [[0] * i + [1, -1] + [0] * (n - i - 2) for i in range(n - 1)]
+        if tail := {"A": [], "B": [1], "C": [2], "D": [1, 1]}[typ]:
+            fund.append([0] * (n - len(tail)) + tail)
+    else:
+        raise BadRank(f"unknown type {typ}")
+    return [tuple(map(Fraction, v)) for v in fund]
+
+
+def _reflection_closure(fund):
+    """Every root: the closure of the simple roots under their own
+    reflections v -> v - (2(v.a)/(a.a)) a.  It is complete because in a
+    crystallographic system every root is a Weyl conjugate of a simple
+    root, and the simple reflections generate the Weyl group.  Runs over
+    one common denominator; a Cartan number 2(v.a)/(a.a) that is not an
+    integer raises InvariantFailed, which also stops a list that is no
+    system's simple roots from growing forever."""
+    dim = len(fund[0])
+    flat, D = _units([x for a in fund for x in a])
+    simple = [tuple(flat[i:i + dim]) for i in range(0, len(flat), dim)]
+    reflections = [(a, _dot(a, a)) for a in simple]
+    seen, todo = set(simple), list(simple)
+    while todo:
+        v = todo.pop()
+        for a, aa in reflections:
+            if va := _dot(v, a):
+                c, rest = divmod(2 * va, aa)
+                if rest:
+                    raise InvariantFailed(
+                        f"non-integer Cartan number {Fraction(2 * va, aa)}")
+                w = tuple(x - c * y for x, y in zip(v, a))
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    frac = {x: Fraction(x, D) for x in {x for v in seen for x in v}}
+    return tuple(sorted(tuple(map(frac.__getitem__, v)) for v in seen))
 
 
 def build_root_system(typ, rank) -> RootSystem:
-    """Standard vector models of the classical systems plus G2 and F4."""
+    """Standard vector models of the classical systems plus G2 and F4,
+    each generated from its simple roots."""
     typ = typ.upper()
-    roots, fund = [], []
-    if typ in ("A", "B", "C", "D"):
-        if rank < 1 or rank > 12 or (typ == "D" and rank < 2):
-            raise BadRank(f"{typ} rank {rank} unsupported")
-    if typ == "A":
-        dim = rank + 1
-        e = [_unit(i, dim) for i in range(dim)]
-        roots = [_add(e[i], _neg(e[j])) for i in range(dim)
-                 for j in range(dim) if i != j]
-        fund = [_add(e[i], _neg(e[i + 1])) for i in range(rank)]
-    elif typ in ("B", "C", "D"):
-        dim = rank
-        e = [_unit(i, dim) for i in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for sj in (1, -1):
-                    v = _add(e[i], _scale(sj, e[j]))
-                    roots.extend([v, _neg(v)])
-        if typ == "B":
-            for i in range(dim):
-                roots.extend([e[i], _neg(e[i])])
-        elif typ == "C":
-            for i in range(dim):
-                v = _scale(2, e[i])
-                roots.extend([v, _neg(v)])
-        fund = [_add(e[i], _neg(e[i + 1])) for i in range(rank - 1)]
-        if typ == "B":
-            fund.append(e[rank - 1])
-        elif typ == "C":
-            fund.append(_scale(2, e[rank - 1]))
-        else:
-            fund.append(_add(e[rank - 2], e[rank - 1]))
-    elif typ == "G2":
-        if rank != 2:
-            raise BadRank("G2 has rank 2")
-        shorts = [(1, -1, 0), (-1, 1, 0), (0, 1, -1),
-                  (0, -1, 1), (1, 0, -1), (-1, 0, 1)]
-        longs = [(2, -1, -1), (-2, 1, 1), (-1, 2, -1),
-                 (1, -2, 1), (-1, -1, 2), (1, 1, -2)]
-        roots = [tuple(Fraction(a) for a in v) for v in shorts + longs]
-        fund = [tuple(Fraction(a) for a in v)
-                for v in [(1, -1, 0), (-1, 2, -1)]]
-    elif typ == "F4":
-        if rank != 4:
-            raise BadRank("F4 has rank 4")
-        e = [_unit(i, 4) for i in range(4)]
-        for i in range(4):
-            roots.extend([e[i], _neg(e[i])])
-            for j in range(i + 1, 4):
-                for sj in (1, -1):
-                    v = _add(e[i], _scale(sj, e[j]))
-                    roots.extend([v, _neg(v)])
-        half = Fraction(1, 2)
-        for s0 in (1, -1):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        roots.append((s0 * half, s1 * half,
-                                      s2 * half, s3 * half))
-        fund = [
-            _add(e[1], _neg(e[2])),
-            _add(e[2], _neg(e[3])),
-            e[3],
-            (half, -half, -half, -half),
-        ]
-    else:
-        raise BadRank(f"unknown type {typ}")
-
-    roots = tuple(sorted(set(roots)))
-    rs = RootSystem(typ, rank, roots, tuple(fund))
+    fund = _fundamental(typ, rank)
+    rs = RootSystem(typ, rank, _reflection_closure(fund), tuple(fund))
     _validate_root_system(rs)
     return rs
 
@@ -802,6 +784,9 @@ def _conjugator_for(f, base_q):
 class DecompositionCertificate:
     """g written as a bounded product of conjugates of h^{+-1}."""
 
+    # the multiply-back error a certificate of each kind must stay below
+    ERROR_GATE = {"su2": 1e-9, "torus-A": 1e-8, "large-rank": 1e-8}
+
     kind: str
     target: object
     base: object
@@ -814,8 +799,11 @@ class DecompositionCertificate:
     def count(self):
         return len(self.factors)
 
-    def check_bound(self):
-        return self.count <= self.bound
+    def holds(self):
+        """The verdict: at most bound factors, and a multiply-back error
+        below the gate of the certificate's kind."""
+        return (self.count <= self.bound
+                and self.product_error < self.ERROR_GATE[self.kind])
 
     def to_json(self):
         def ser(c):
@@ -882,12 +870,7 @@ def su2_decompose(theta_g, theta_h, m) -> DecompositionCertificate:
 def _psi_coordinates(t: TorusElement):
     """Parameters of the coordinate SU(2)-block factorization of a type-A
     torus element: partial angle sums, exact and normalized."""
-    psis = []
-    acc = Fraction(0)
-    for th in t.angles[:-1]:
-        acc += th
-        psis.append(normalize_angle(acc))
-    return psis
+    return list(map(normalize_angle, itertools.accumulate(t.angles[:-1])))
 
 
 def _block_permutation(n, pairs):
@@ -1045,9 +1028,6 @@ def _first_violation(f, h, c, k):
 def _orthogonal_triples(indices):
     """partition_permutation of the rank permutation of the distinct
     indices, its entries mapped back through the sorted indices."""
-    from .coloring import partition_permutation
-    from .perms import Permutation
-
     order = sorted(range(len(indices)), key=indices.__getitem__)
     vectors = partition_permutation(Permutation(order).inverse())
     return [[indices[order[x - 1]] for x in vec] for vec in vectors]
@@ -1129,7 +1109,7 @@ def large_rank_decompose(g: TorusElement, h: TorusElement, k,
         cert.factors.extend(group)
 
     _verify_certificate(cert, g.matrix(), h.matrix())
-    if not cert.check_bound():
+    if cert.count > bound:
         raise BoundViolated(f"{cert.count} factors exceed bound {bound}")
     return cert
 

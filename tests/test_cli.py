@@ -175,7 +175,7 @@ EDGE_CASES = {
                 (["group=PSL2_59"], 2)],  # order 102660
     "root-check": [(["type=A", "rank=0"], 2), (["type=A", "rank=1"], 0),
                    (["type=B", "rank=-1"], 2), (["type=D", "rank=1"], 2),
-                   (["rank=2.0"], 2, "rank")],
+                   (["type=F4", "rank=4"], 0), (["rank=2.0"], 2, "rank")],
     "su2-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
                       (["theta_h=0"], 2)],
     "torus-decompose": [(["m=0"], 2), (["m=1"], 2), (["m=-1"], 2),
@@ -344,11 +344,6 @@ def test_sym_lengths_rows(tmp_path):
     lines = read(out).decode().splitlines()
     assert lines[1].startswith("n,cycle_type,")
     assert all(line.endswith(",0,0") for line in lines[2:])
-
-
-def test_root_check_exit_codes(tmp_path):
-    assert run(["root-check", "--set", "type=F4", "--set", "rank=4",
-                "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_decompose_commands(tmp_path):

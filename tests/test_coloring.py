@@ -51,7 +51,7 @@ def strong_color_cycle_reference(n, blocks, s=3, budget=DEFAULT_BUDGET):
             n, m, s, blocks, block_of, neighbors, rng, full, popcount,
             min(RESTART_NODES, budget - nodes),
         )
-        if isinstance(colors, dict):
+        if isinstance(colors, list):
             return colors
         if colors is None:
             raise SearchExhausted(f"no strong {s}-coloring exists at n={n}")
@@ -110,7 +110,7 @@ def _attempt_reference(n, m, s, blocks, block_of, neighbors, rng, full,
     while True:
         v = pick()
         if v == -1:
-            return {u: color[u] for u in range(m)}
+            return color
         cand = [c for c in range(s) if (allowed[v] >> c) & 1]
         rng.shuffle(cand)
         stack.append([v, cand, 0, None])
@@ -151,7 +151,7 @@ def triple_partitions(items):
 
 def test_n3_single_block():
     colors = strong_color_cycle(3, [[0, 1, 2]])
-    assert sorted(colors.values()) == [0, 1, 2]
+    assert sorted(colors) == [0, 1, 2]
 
 
 def test_arithmetic_blocks_n9():

@@ -1,5 +1,6 @@
 """Tests for root systems, torus lengths, and conjugate decompositions."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -94,6 +95,30 @@ def test_negation_closure():
         rootset = set(rs.roots)
         for v in rs.roots:
             assert tuple(-a for a in v) in rootset
+
+
+SUPPORTED_SYSTEMS = ([(t, r) for t in "ABCD"
+                      for r in range(2 if t == "D" else 1, 13)]
+                     + [("G2", 2), ("F4", 4)])
+
+
+def test_root_systems_pinned():
+    # roots and simple roots of every supported system, byte for byte: a
+    # closure that misses, adds or rescales a root changes the digest
+    systems = [build_root_system(t, r) for t, r in SUPPORTED_SYSTEMS]
+    assert len(systems) == 49
+    digest = hashlib.sha256(repr([(rs.roots, rs.fundamental)
+                                  for rs in systems]).encode()).hexdigest()
+    assert digest == (
+        "c6c1ef77dda40904e8db044c3e21f94f6128bca311dbadedbfd6d7b6e39dc0bc")
+
+
+def test_reflection_closure_rejects_non_crystallographic_roots():
+    # 2((1,0).(1,3))/((1,3).(1,3)) = 1/5: no crystallographic system has
+    # these simple roots
+    with pytest.raises(InvariantFailed,
+                       match=r"^non-integer Cartan number -?\d+/\d+$"):
+        R._reflection_closure([(F(1), F(0)), (F(1), F(3))])
 
 
 @pytest.mark.parametrize(
@@ -812,6 +837,18 @@ def test_su2_matrix_homomorphism():
         lhs = su2_matrix(R._qmul(q1, q2))
         rhs = su2_matrix(q1) @ su2_matrix(q2)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, gate", [
+    ("su2", 1e-9), ("torus-A", 1e-8), ("large-rank", 1e-8)])
+def test_certificate_verdict_reads_bound_and_gate(kind, gate):
+    cert = R.DecompositionCertificate(kind, None, None, [(None, 1)] * 2,
+                                      bound=2, product_error=gate / 2)
+    assert cert.holds()
+    cert.product_error = gate  # the gate itself fails
+    assert not cert.holds()
+    cert.product_error, cert.bound = 0.0, 1
+    assert not cert.holds()
 
 
 def test_su2_decompose_aligned():
