@@ -396,6 +396,15 @@ def test_strong_color_golden(n, colors, digest, tmp_path):
     assert hashlib.sha256(read(out)).hexdigest() == digest
 
 
+def test_strong_color_repair_golden(tmp_path):
+    # the repair search serves n > 60: its report is pinned byte for byte
+    out = tmp_path / "col.json"
+    assert run(["strong-color", "--set", "n=300", "--seed", "5",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == (
+        "c6aa9c7af399c5b605e5c1e8724bc1742698ad3bd0423def34b9cac409a1cc9a")
+
+
 @pytest.mark.parametrize("sets, witness", [
     (["f_type=B", "f=1/2,1/3"], {"c": 2, "k": 1, "n0": 0}),
     (["f_type=C", "f=1/2,1/3", "h_type=C", "h=1/5,1/7"],

@@ -15,7 +15,9 @@ import pytest
 from lengthlab import InvariantFailed
 from lengthlab.coloring import (
     DEFAULT_BUDGET,
+    NOISE,
     RESTART_NODES,
+    TABU,
     SearchExhausted,
     check_partition_vectors,
     check_strong_coloring,
@@ -26,9 +28,10 @@ from lengthlab.perms import Permutation
 
 
 def strong_color_cycle_reference(n, blocks, s=3, budget=DEFAULT_BUDGET):
-    """The backtracker that serves n <= 60, written with closures: the
-    same moves and random draws as strong_color_cycle, so the same
-    coloring."""
+    """strong_color_cycle as two references: up to n = 60 the backtracker,
+    written with closures, and beyond it the repair search as it was
+    first written.  Each makes the same moves and random draws as the
+    library, so it returns the same coloring."""
     m = sum(len(b) for b in blocks)
     block_of = [0] * m
     for bi, b in enumerate(blocks):
@@ -43,6 +46,10 @@ def strong_color_cycle_reference(n, blocks, s=3, budget=DEFAULT_BUDGET):
         return ((v - 1) % n, (v + 1) % n)
 
     rng = random.Random(n * 1_000_003 + len(blocks))
+    if n > 60:
+        mates = [tuple(x for x in blocks[block_of[v]] if x != v)
+                 for v in range(m)]
+        return _min_conflicts_reference(n, m, s, mates, rng, budget)
     full = (1 << s) - 1
     popcount = [bin(x).count("1") for x in range(1 << s)]
     nodes = 0
@@ -134,6 +141,82 @@ def _attempt_reference(n, m, s, blocks, block_of, neighbors, rng, full,
                 undo(stack[-1][3], 0)
 
 
+def _min_conflicts_reference(n, m, s, mates, rng, budget):
+    """The repair search that serves n > 60, with a tuple of cycle
+    neighbors and a tuple of block-mates for each vertex."""
+    # padding vertices neighbor the sentinel m, which stays uncolored
+    nbrs = [((v - 1) % n, (v + 1) % n) for v in range(n)]
+    nbrs += [(m, m)] * (m - n)
+    color = [-1] * (m + 1)
+    bit = [1 << c for c in range(s)] + [0]  # bit[-1] == 0: uncolored
+    for v in range(m):  # greedy start in cycle order, blocks stay rainbow
+        p, q = nbrs[v]
+        taken = bit[color[p]] | bit[color[q]]
+        free = (1 << s) - 1
+        for u in mates[v]:
+            free &= ~bit[color[u]]
+        if free & ~taken:
+            free &= ~taken
+        else:  # forced: hand a free color to a block-mate that can take it
+            low = free & -free
+            for u in mates[v]:
+                pu, qu = nbrs[u]
+                if color[u] >= 0 and not (bit[color[u]] & taken or (
+                        bit[color[pu]] | bit[color[qu]]) & low):
+                    free, color[u] = bit[color[u]], low.bit_length() - 1
+                    break
+        color[v] = (free & -free).bit_length() - 1
+
+    conflicted, pos = [], [-1] * m  # swap-remove list, pos[v] index or -1
+    free_at = [0] * m  # tabu: a swapped vertex stays put until this step
+    rand = rng.random
+    steps, touched = 0, range(n)
+    while True:
+        for x in touched:
+            if x < n:
+                p, q = nbrs[x]
+                if color[x] == color[p] or color[x] == color[q]:
+                    if pos[x] < 0:
+                        pos[x] = len(conflicted)
+                        conflicted.append(x)
+                elif pos[x] >= 0:
+                    i, last = pos[x], conflicted[-1]
+                    conflicted[i], pos[last], pos[x] = last, i, -1
+                    conflicted.pop()
+        if not conflicted:
+            del color[m]  # the sentinel
+            return color
+        steps += 1
+        if steps > budget:
+            raise SearchExhausted(f"budget {budget} exhausted at n={n}")
+        # for a monochromatic edge, the swap of either end with one of its
+        # block-mates that removes the most such edges, ties at random
+        v = conflicted[int(rand() * len(conflicted))]
+        c, (p, q) = color[v], nbrs[v]
+        ends = (v, q if color[q] == c else p)
+        best, best_delta = None, 9
+        for a in ends:
+            pa, qa = nbrs[a]
+            for b in mates[a]:
+                if free_at[b] <= steps:
+                    cb, (pb, qb) = color[b], nbrs[b]
+                    delta = ((color[pa] == cb) + (color[qa] == cb)
+                             + (color[pb] == c) + (color[qb] == c)
+                             - (color[pa] == c) - (color[qa] == c)
+                             - (color[pb] == cb) - (color[qb] == cb)
+                             - 2 * (b == pa or b == qa) + rand())
+                    if delta < best_delta:
+                        best, best_delta = (a, b), delta
+        # plateau escape: occasionally take a random swap instead
+        if best is None or (best_delta >= 0 and rand() < NOISE):
+            a = ends[rand() < 0.5]
+            best = (a, mates[a][int(rand() * (s - 1))])
+        a, b = best
+        color[a], color[b] = color[b], color[a]
+        free_at[a] = free_at[b] = steps + TABU
+        touched = (a, b, *nbrs[a], *nbrs[b])
+
+
 def triple_partitions(items):
     """All ways to split items into unordered triples."""
     items = list(items)
@@ -178,11 +261,11 @@ def _padded_draw(rng, s, n_min, n_max):
     return n, [verts[i:i + s] for i in range(0, m, s)]
 
 
-def _same_as_reference(n, blocks, s):
+def _same_as_reference(n, blocks, s, budget=200_000):
     results = []
     for search in (strong_color_cycle, strong_color_cycle_reference):
         try:
-            results.append(search(n, blocks, s, budget=200_000))
+            results.append(search(n, blocks, s, budget=budget))
         except SearchExhausted as exc:
             results.append(str(exc))
     assert results[0] == results[1], (n, blocks)
@@ -199,6 +282,24 @@ def test_backtracker_matches_reference(s):
             for blocks in triple_partitions(range(m)):
                 for n in range(1, m + 1):
                     _same_as_reference(n, blocks, s)
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_repair_search_matches_reference(s):
+    # n > 60: the same coloring, or the same exception, as the repair
+    # search with per-vertex tuples; a budget of n/8 steps runs out on
+    # half the s = 3 draws, so both outcomes are compared
+    rng = random.Random(61 * s)
+    for _ in range(20):
+        n, blocks = _padded_draw(rng, s, 61, 3000)
+        _same_as_reference(n, blocks, s, rng.choice((n // 8, 200_000)))
+
+
+def test_backtracker_budget_exhausted():
+    # n <= 60: the restarts stop once their nodes reach the budget
+    blocks = [list(range(i, 30, 10)) for i in range(10)]
+    with pytest.raises(SearchExhausted, match="^budget 1 exhausted at n=30$"):
+        strong_color_cycle(30, blocks, budget=1)
 
 
 def test_padding_vertices():
