@@ -15,6 +15,7 @@ budget raises SearchExhausted, which is treated as a bug signal.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from . import InvariantFailed, LengthlabError, OutOfRange
@@ -43,31 +44,34 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
         raise ValueError("need s >= 3")
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
-    try:  # one pass: each vertex's block-mates, set once
+    try:  # one pass: each vertex's block, set once
         m = sum(map(len, blocks))
-        mates = [None] * m
+        block = [None] * m
         for b in blocks:
+            b = tuple(b[:])  # the slice rejects a set or a dict
             if len(b) != s:
                 raise ValueError
-            for i, v in enumerate(b):
-                if v < 0 or mates[v] is not None:
+            for v in b:
+                if v < 0 or block[v] is not None:
                     raise ValueError
-                mates[v] = (*b[:i], *b[i + 1:])
+                block[v] = b
     except (TypeError, IndexError, ValueError):  # v >= m or not an int
-        mates = None
-    if mates is None or m < n:
+        block = None
+    if block is None or m < n:
         raise ValueError("blocks must partition 0..m-1 into s-sets, m >= n")
 
     # deterministic seed: restarts reshuffle value order only
     rng = random.Random(n * 1_000_003 + len(blocks))
 
     if n > 60:  # large loose instances: the repair converges far faster
-        colors = _min_conflicts(n, m, s, mates, rng, budget)
+        colors = _min_conflicts(n, m, s, block, rng, budget)
     else:
-        # cycle neighbors, then block-mates; at n <= 2 a neighbor repeats
-        # or is v, which _attempt skips as already pruned or colored
-        adj = [((v - 1) % n, (v + 1) % n, *mates[v]) for v in range(n)]
-        adj += mates[n:]
+        # cycle neighbors, then the block of v; at n <= 2 a neighbor
+        # repeats or is v, and v is in its own block: _attempt skips each
+        # as already pruned or colored
+        ring = [n - 1, *range(n), 0]
+        adj = [(p, q, *b) for p, q, b in zip(ring, ring[2:], block)]
+        adj += block[n:]
         nodes = 0
         while not isinstance(colors := _attempt(
                 m, s, adj, sorted(blocks[0]), rng,
@@ -82,28 +86,27 @@ def strong_color_cycle(n, blocks, s=3, budget=DEFAULT_BUDGET):
     return colors
 
 
-def _min_conflicts(n, m, s, mates, rng, budget):
+def _min_conflicts(n, m, s, block, rng, budget):
     """Repair search: keep every block rainbow, swap colors inside blocks
-    until no cycle edge is monochromatic."""
-    # padding vertices neighbor the sentinel m, which stays uncolored
-    nbrs = [((v - 1) % n, (v + 1) % n) for v in range(n)]
-    nbrs += [(m, m)] * (m - n)
+    until no cycle edge is monochromatic.  block[v] is the block of v."""
+    # left[v] and right[v]: the cycle neighbors of v < n; padding vertices
+    # neighbor the sentinel m, which stays uncolored
+    left = [n - 1, *range(n - 1)] + [m] * (m - n)
+    right = left[2:n] + left[:2] + left[n:]
     color = [-1] * (m + 1)
     bit = [1 << c for c in range(s)] + [0]  # bit[-1] == 0: uncolored
     for v in range(m):  # greedy start in cycle order, blocks stay rainbow
-        p, q = nbrs[v]
-        taken = bit[color[p]] | bit[color[q]]
+        taken = bit[color[left[v]]] | bit[color[right[v]]]
         free = (1 << s) - 1
-        for u in mates[v]:
+        for u in block[v]:  # v itself is still uncolored
             free &= ~bit[color[u]]
         if free & ~taken:
             free &= ~taken
         else:  # forced: hand a free color to a block-mate that can take it
             low = free & -free
-            for u in mates[v]:
-                pu, qu = nbrs[u]
+            for u in block[v]:
                 if color[u] >= 0 and not (bit[color[u]] & taken or (
-                        bit[color[pu]] | bit[color[qu]]) & low):
+                        bit[color[left[u]]] | bit[color[right[u]]]) & low):
                     free, color[u] = bit[color[u]], low.bit_length() - 1
                     break
         color[v] = (free & -free).bit_length() - 1
@@ -115,8 +118,7 @@ def _min_conflicts(n, m, s, mates, rng, budget):
     while True:
         for x in touched:
             if x < n:
-                p, q = nbrs[x]
-                if color[x] == color[p] or color[x] == color[q]:
+                if color[x] == color[left[x]] or color[x] == color[right[x]]:
                     if pos[x] < 0:
                         pos[x] = len(conflicted)
                         conflicted.append(x)
@@ -133,14 +135,14 @@ def _min_conflicts(n, m, s, mates, rng, budget):
         # for a monochromatic edge, the swap of either end with one of its
         # block-mates that removes the most such edges, ties at random
         v = conflicted[int(rand() * len(conflicted))]
-        c, (p, q) = color[v], nbrs[v]
-        ends = (v, q if color[q] == c else p)
+        c, q = color[v], right[v]
+        ends = (v, q if color[q] == c else left[v])
         best, best_delta = None, 9
         for a in ends:
-            pa, qa = nbrs[a]
-            for b in mates[a]:
-                if free_at[b] <= steps:
-                    cb, (pb, qb) = color[b], nbrs[b]
+            pa, qa = left[a], right[a]
+            for b in block[a]:
+                if b != a and free_at[b] <= steps:
+                    cb, pb, qb = color[b], left[b], right[b]
                     delta = ((color[pa] == cb) + (color[qa] == cb)
                              + (color[pb] == c) + (color[qb] == c)
                              - (color[pa] == c) - (color[qa] == c)
@@ -151,97 +153,87 @@ def _min_conflicts(n, m, s, mates, rng, budget):
         # plateau escape: occasionally take a random swap instead
         if best is None or (best_delta >= 0 and rand() < NOISE):
             a = ends[rand() < 0.5]
-            best = (a, mates[a][int(rand() * (s - 1))])
+            mates = [b for b in block[a] if b != a]
+            best = (a, mates[int(rand() * (s - 1))])
         a, b = best
         color[a], color[b] = color[b], color[a]
         free_at[a] = free_at[b] = steps + TABU
-        touched = (a, b, *nbrs[a], *nbrs[b])
+        touched = (a, b, left[a], right[a], left[b], right[b])
 
 
 def _attempt(m, s, adj, pinned, rng, cap):
-    """One restart: MRV backtracking over adj[v], the cycle neighbors and
-    then the block-mates of v.  Returns the colors on success, None when the
-    tree is exhausted, the node count when the slice of cap runs out."""
-    color = [-1] * m  # read only at the end: allowed marks colored as 0
-    allowed = [(1 << s) - 1] * m
-    trail = []  # (vertex, old allowed) for undo
-    push, pop, shuffle = trail.append, trail.pop, rng.shuffle
-
-    def assign(v, c):
-        push((v, allowed[v]))
-        color[v] = c
-        allowed[v] = 0
-        cbit = 1 << c
-        for w in adj[v]:  # forward checking on the uncolored neighbors
-            a = allowed[w]
-            if a & cbit:
-                push((w, a))
-                allowed[w] = a ^ cbit
-                if a == cbit:
-                    return False
-        return True
-
-    def undo(mark):
-        for _ in range(len(trail) - mark):
-            w, old = pop()
-            allowed[w] = old
-
-    # symmetry breaking: colors are interchangeable, pin the first block
+    """One restart: MRV backtracking with forward checking over adj[v], the
+    cycle neighbors and then the block of v.  Returns the colors on
+    success, None when the tree is exhausted, the node count when the slice
+    of cap runs out."""
+    # state[u] packs u's number of allowed colors, u and its allowed-color
+    # mask, in that order of significance: min(state) is the first
+    # uncolored vertex with fewest colors.  A colored vertex has no mask
+    # and a count above any other.
+    one = 1 << s + m.bit_length()
+    full, two, done = (1 << s) - 1, 2 * one, (s + 1) * one
+    state = list(range(s * one + full, s * one + (m << s), 1 << s))
+    color = [0] * m
+    # symmetry breaking: colors are interchangeable, pin the first block.
+    # This wipes out no vertex: one outside the block loses at most its two
+    # cycle neighbors' colors of s >= 3, one inside only the colors pinned
+    # before it
     for c, v in enumerate(pinned):
-        if not assign(v, c):
-            return None  # pinning is WLOG, so a conflict here means unsat
+        color[v], state[v], cbit = c, done, 1 << c
+        for w in adj[v]:
+            if (a := state[w]) & cbit:
+                state[w] = a - cbit - one
 
     nodes = 0
-    stack = []  # (vertex, candidate colors, next index, trail mark)
+    stack = []  # (vertex, untried colors, state before) per colored vertex
+    shuffle = rng.shuffle
     while True:
-        v, fewest = -1, s + 1  # the first uncolored vertex with fewest colors
-        for u in range(m):
-            if a := allowed[u]:
-                k = a.bit_count()
-                if k < fewest:
-                    v, fewest = u, k
-                    if k == 1:
-                        break
-        if v == -1:
+        a = min(state)
+        if a >= done:
             return color
-        a = allowed[v]
-        if fewest == 1:
-            cand = [a.bit_length() - 1]
-        else:  # shuffle draws nothing for a single candidate: skip it there
+        v = a % one >> s
+        if a >= two:
             cand = [c for c in range(s) if a >> c & 1]
             shuffle(cand)
-        stack.append([v, cand, 0, 0])
+        else:  # shuffle draws nothing for a single candidate: skip it
+            cand = [(a & full).bit_length() - 1]
+        rest, saved = iter(cand), state
         while True:
-            v, cand, idx, _ = frame = stack[-1]
             nodes += 1
             if nodes > cap:
                 return nodes
-            if idx < len(cand):
-                frame[2] += 1
-                frame[3] = mark = len(trail)
-                if assign(v, cand[idx]):
+            if (c := next(rest, -1)) >= 0:
+                state = saved.copy()
+                state[v], cbit = done, 1 << c
+                lose = cbit + one
+                for w in adj[v]:  # forward checking, up to a wipe-out
+                    if (a := state[w]) & cbit:
+                        if a < two:
+                            break
+                        state[w] = a - lose
+                else:
+                    color[v] = c
+                    stack.append((v, rest, saved))
                     break  # descend
-                undo(mark)
+            elif stack:
+                v, rest, saved = stack.pop()
             else:
-                stack.pop()
-                if not stack:
-                    return None  # tree exhausted: no coloring exists
-                undo(stack[-1][3])
+                return None  # tree exhausted: no coloring exists
 
 
 def check_strong_coloring(n, blocks, s, color):
     """Independent verifier; raises InvariantFailed on a bad coloring."""
-    rainbow = set(range(s))
+    rainbow, get = set(range(s)), color.__getitem__
     for b in blocks:
-        if not (len(b) == s and {color[v] for v in b} == rainbow):
+        if not (len(b) == s and set(map(get, b)) == rainbow):
             raise InvariantFailed(f"block {b} is not rainbow")
     # the cycle edges (v, v+1) and (n-1, 0); C_2 has the one edge (0, 1)
     ring = [color[v] for v in range(n)]
     nxt = ring[1:] + ring[:1] if n > 2 else ring[1:]
-    for v, (a, b) in enumerate(zip(ring, nxt)):
-        if a == b:
-            raise InvariantFailed(
-                f"cycle edge {(v, (v + 1) % n)} is monochromatic")
+    if any(map(operator.eq, ring, nxt)):
+        v = list(map(operator.eq, ring, nxt)).index(True)
+        raise InvariantFailed(
+            f"cycle edge {(v, (v + 1) % n)} is monochromatic")
 
 
 def partition_permutation(sigma, s=3, budget=DEFAULT_BUDGET):
