@@ -35,8 +35,9 @@ CAPS = {
               "n_max": profiles.MAX_MONOMIAL_N},
     # 0.27 s; 0.31 s; 0.31 s; 0.9-1.2 s with all three at their caps
     "counterexample": {"n_max": 128, "c_max": 1024, "k_max": 64},
-    # 9.4-10.6 s and 333 MB at n = 999999, the largest n that s = 3
-    # divides; 0.6 s and 62 MB at n = 99999
+    # 16-17 s and 321 MB at n = 999999, the largest n that s = 3
+    # divides (the search alone peaks at 214 MB, the JSON report sets the
+    # peak); 1.0 s and 63 MB at n = 99999
     "strong-color": {"n": 10**6},
 }
 

@@ -92,7 +92,7 @@ def _min_conflicts(n, m, s, block, rng, budget):
     # left[v] and right[v]: the cycle neighbors of v < n; padding vertices
     # neighbor the sentinel m, which stays uncolored
     left = [n - 1, *range(n - 1)] + [m] * (m - n)
-    right = left[2:n] + left[:2] + left[n:]
+    right = left[2:n] + left[:2] + left[n:]  # the same int objects
     color = [-1] * (m + 1)
     bit = [1 << c for c in range(s)] + [0]  # bit[-1] == 0: uncolored
     for v in range(m):  # greedy start in cycle order, blocks stay rainbow

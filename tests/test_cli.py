@@ -386,23 +386,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
      "22a5facd2081f4d44f3e6996c9bd1781171113d1ac2fff4533cd68dbdfc9fa64"),
     (60, "121202021010201021021210120201012010202121212010120120210210",
      "d82a6bace278e83866df6b74853b9ad7aefb131c5d68e3be627fe3ba06b72494"),
+    (300, "012012121010121010101010120210212020101010121010120201210201"
+     "202012010202010102121021020202012121012121020202010101010210"
+     "201201020201210201010202012102010102020212120201021201212010"
+     "121210212120212012121201012101202012010202012020212121021202"
+     "101020201012120210121212012021212102121202120212012021201201",
+     "c6aa9c7af399c5b605e5c1e8724bc1742698ad3bd0423def34b9cac409a1cc9a"),
 ])
 def test_strong_color_golden(n, colors, digest, tmp_path):
-    # the backtracker serves n <= 60: its report is pinned byte for byte
+    # the backtracker serves n <= 60 and the repair search n > 60: each
+    # report is pinned byte for byte
     out = tmp_path / "col.json"
     assert run(["strong-color", "--set", f"n={n}", "--seed", "5",
                 "--out", str(out)]) == 0
     assert "".join(map(str, json.loads(read(out))["colors"])) == colors
     assert hashlib.sha256(read(out)).hexdigest() == digest
-
-
-def test_strong_color_repair_golden(tmp_path):
-    # the repair search serves n > 60: its report is pinned byte for byte
-    out = tmp_path / "col.json"
-    assert run(["strong-color", "--set", "n=300", "--seed", "5",
-                "--out", str(out)]) == 0
-    assert hashlib.sha256(read(out)).hexdigest() == (
-        "c6aa9c7af399c5b605e5c1e8724bc1742698ad3bd0423def34b9cac409a1cc9a")
 
 
 @pytest.mark.parametrize("sets, witness", [

@@ -29,9 +29,9 @@ from lengthlab.perms import Permutation
 
 def strong_color_cycle_reference(n, blocks, s=3, budget=DEFAULT_BUDGET):
     """strong_color_cycle as two references: up to n = 60 the backtracker,
-    written with closures, and beyond it the repair search as it was
-    first written.  Each makes the same moves and random draws as the
-    library, so it returns the same coloring."""
+    written with closures, and beyond it the repair search, with a tuple
+    of neighbors and a tuple of mates per vertex.  Each makes the same
+    moves and random draws as the library, so the same coloring."""
     m = sum(len(b) for b in blocks)
     block_of = [0] * m
     for bi, b in enumerate(blocks):
@@ -142,8 +142,8 @@ def _attempt_reference(n, m, s, blocks, block_of, neighbors, rng, full,
 
 
 def _min_conflicts_reference(n, m, s, mates, rng, budget):
-    """The repair search that serves n > 60, with a tuple of cycle
-    neighbors and a tuple of block-mates for each vertex."""
+    """The repair search that serves n > 60, over mates[v], the
+    block-mates of v in block order."""
     # padding vertices neighbor the sentinel m, which stays uncolored
     nbrs = [((v - 1) % n, (v + 1) % n) for v in range(n)]
     nbrs += [(m, m)] * (m - n)
